@@ -1126,9 +1126,13 @@ the parallel pipeline; --trace-out FILE dumps the recorded phase spans
 as chrome://tracing JSON (load in chrome://tracing or Perfetto). Both
 require --parallel.
 
-serve runs the multi-client analysis service: a nonblocking ingest
-core feeding a work-stealing worker pool, each session an independent
-streaming detector. Text protocol: `open <order> <clock> [evict <n>]
+serve runs the multi-client analysis service: one blocking reader
+thread per connection feeding a work-stealing worker pool, each
+session an independent streaming detector. Sockets run with
+TCP_NODELAY; a connection's reader pauses while more than 2^17 of
+its decoded events wait unprocessed, and a reply not out within 5 s
+severs its connection (see `tc_read_paused_total`/`tc_conn_severed_total` in
+`metrics`). Text protocol: `open <order> <clock> [evict <n>]
 [no-retire] [recycle]` or `resume <checkpoint>`, then text-format event lines;
 `poll`/`races` report found races, `stats` one key=value line
 (per-session detector fields plus server-scope uptime, connection and

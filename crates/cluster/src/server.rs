@@ -34,7 +34,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use tc_stream::constant_time_eq;
+use tc_stream::{constant_time_eq, write_or_sever, CLIENT_WRITE_TIMEOUT};
 use tc_trace::wire::{self, CLUSTER_MAGIC, FRAME_MAGIC, MULTI_MAGIC};
 use tc_trace::ClusterMsg;
 
@@ -51,9 +51,6 @@ pub const DEFAULT_TICK: Duration = Duration::from_millis(50);
 /// crash. A node that is mis-declared anyway self-fences on the
 /// first eviction notice peers send back.
 pub const DEFAULT_MISS_LIMIT: u32 = 20;
-/// How long one queued client reply may block on a non-reading
-/// client socket before the connection is severed.
-const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct Shared {
     core: Mutex<NodeCore>,
@@ -286,21 +283,17 @@ fn feed(shared: &Arc<Shared>, f: impl FnOnce(&mut NodeCore)) {
 }
 
 /// Writes one reply to a client connection. The per-connection mutex
-/// serializes concurrent repliers, the stream's write timeout bounds
-/// how long a wedged client can hold it, and a failed write severs
-/// the socket so the reader side drops the connection.
+/// serializes concurrent repliers; [`write_or_sever`] bounds how long a
+/// wedged client can hold it and severs the socket on failure, so the
+/// reader side drops the connection.
 fn write_client(shared: &Arc<Shared>, conn: ConnId, text: &str) {
     let stream = {
         let clients = shared.clients.lock().expect("clients lock");
         clients.get(&conn).cloned()
     };
     let Some(stream) = stream else { return };
-    let mut stream = stream.lock().expect("client stream lock");
-    if stream.write_all(text.as_bytes()).is_err() {
-        // A dead (or non-reading, after the timeout) client is the
-        // client's problem.
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
+    let stream = stream.lock().expect("client stream lock");
+    write_or_sever(&stream, text.as_bytes());
 }
 
 /// Queues `msg` on the (lazily created) persistent link to `node`.
@@ -331,6 +324,9 @@ fn peer_writer(shared: &Arc<Shared>, addr: &str, rx: &mpsc::Receiver<ClusterMsg>
         }
         match TcpStream::connect(addr) {
             Ok(s) => {
+                // Replication messages are small and back to back; none
+                // should wait on the peer's delayed ACK.
+                let _ = s.set_nodelay(true);
                 stream = Some(s);
                 break;
             }

@@ -43,5 +43,8 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use detector::{DetectorConfig, FeedError, IncrementalDetector};
 pub use metrics::{phase_metric_name, PhaseMetrics, ServiceMetrics, SharedMetrics, PHASES};
 pub use parallel::{EpochPool, ParallelDetector, DEFAULT_MIN_PARALLEL_FRAME};
-pub use service::{constant_time_eq, parse_open, smoke, Client, ServeConfig, Server};
+pub use service::{
+    constant_time_eq, parse_open, smoke, write_or_sever, Client, ServeConfig, Server,
+    CLIENT_WRITE_TIMEOUT,
+};
 pub use session::{AnyDetector, ClockChoice, Session};

@@ -7,8 +7,9 @@
 //!   and session counts, ingested events, per-wire-kind message
 //!   counters and batch-size histograms, wire-level error counters,
 //!   queue-depth high-water, worker drain/steal counts, reply-latency
-//!   histograms, and detector memory gauges. One instance per server,
-//!   shared by the I/O thread and every worker.
+//!   histograms, per-connection flow-control counters, and detector
+//!   memory gauges. One instance per server, shared by the readers and
+//!   every worker.
 //! - [`PhaseMetrics`] — the epoch-parallel pipeline's five phases
 //!   (partition / scatter / execute / gather / barrier) as latency
 //!   histograms plus span rings for the chrome://tracing export —
@@ -78,7 +79,7 @@ impl PhaseMetrics {
 
 /// Every metric the streaming service records, as pre-resolved handles
 /// — the hot path never does a name lookup. Counters and gauges are
-/// shared cells; the latency histograms here are *I/O-thread* shards,
+/// shared cells; the histograms here are shared by every reader,
 /// workers register their own per-worker shards (merged at scrape).
 pub struct ServiceMetrics {
     registry: Registry,
@@ -109,6 +110,13 @@ pub struct ServiceMetrics {
     pub(crate) wire_err_auth: Counter,
     pub(crate) wire_errors_total: Counter,
     pub(crate) queue_depth_high_water: Gauge,
+    /// Connections cut because a reply write failed or timed out.
+    pub(crate) conns_severed: Counter,
+    /// Times a reader stopped reading because its connection had more
+    /// than the bound of decoded events queued.
+    pub(crate) reads_paused: Counter,
+    /// The most decoded events one connection had queued at once.
+    pub(crate) conn_queued_high_water: Gauge,
     pub(crate) peak_clock_bytes: Gauge,
     pub(crate) live_threads_high_water: Gauge,
     pub(crate) pool_bytes: Gauge,
@@ -152,6 +160,9 @@ impl ServiceMetrics {
             wire_err_auth: registry.counter(&labeled("tc_wire_errors_total", &[("kind", "auth")])),
             wire_errors_total: registry.counter("tc_wire_errors"),
             queue_depth_high_water: registry.gauge("tc_queue_depth_high_water"),
+            conns_severed: registry.counter("tc_conn_severed_total"),
+            reads_paused: registry.counter("tc_read_paused_total"),
+            conn_queued_high_water: registry.gauge("tc_conn_queued_events_high_water"),
             peak_clock_bytes: registry.gauge("tc_peak_clock_bytes"),
             live_threads_high_water: registry.gauge("tc_live_threads_high_water"),
             pool_bytes: registry.gauge("tc_pool_bytes"),
@@ -198,7 +209,7 @@ impl ServiceMetrics {
     }
 }
 
-/// `ServiceMetrics` shared across the I/O thread, the workers and the
+/// `ServiceMetrics` shared across the readers, the workers and the
 /// sessions.
 pub type SharedMetrics = Arc<ServiceMetrics>;
 

@@ -1,16 +1,17 @@
 //! The multi-client streaming service: `tcr serve`.
 //!
 //! A std-only TCP server (no async runtime — the container is offline
-//! and the workspace vendors no executor) built as a **nonblocking
-//! ingest core over a work-stealing worker pool**:
+//! and the workspace vendors no executor) built as **blocking
+//! per-connection readers over a work-stealing worker pool**:
 //!
-//! - One **I/O thread** owns the listener and every connection in
-//!   nonblocking mode, running a poll-style readiness loop: it accepts,
-//!   reads, splits the byte stream into messages (text lines or binary
+//! - An **acceptor** thread blocks in `accept` and gives every
+//!   connection its own **reader** thread. A reader blocks in `read`,
+//!   splits the byte stream into messages (text lines or binary
 //!   frames, sniffed by first byte), answers handshake lines inline,
 //!   and enqueues everything else onto the addressed session's work
-//!   queue. Shutdown is a flag the loop observes on its next pass — no
-//!   blocking `accept` to kick awake, no throwaway connections.
+//!   queue. Sockets run with `TCP_NODELAY`, so a short request written
+//!   behind a large frame goes out at once instead of waiting for the
+//!   peer's delayed ACK.
 //! - A pool of **workers** drains those queues. A session is *checked
 //!   out* by whichever worker gets to it first (own deque, then the
 //!   shared injector, then stealing from siblings), processed for its
@@ -19,6 +20,16 @@
 //!   cannot starve its neighbors and idle workers take work wherever
 //!   it piles up. Per-session order is preserved: a session is never
 //!   checked out by two workers at once, and its queue drains FIFO.
+//!
+//! Flow control is per connection. A reader stops reading while its
+//! connection has more than [`MAX_QUEUED_EVENTS`] decoded events queued
+//! and unprocessed (`tc_read_paused_total`), so TCP pushes back on a
+//! client that sends faster than the workers detect. A reply still not
+//! out after [`CLIENT_WRITE_TIMEOUT`] because its client stopped
+//! reading severs that connection (`tc_conn_severed_total`); the wait
+//! holds up only the thread writing it. Nothing polls on a timer: `close` and
+//! shutdown shut a socket's read side to wake its reader, and shutdown
+//! wakes the acceptor with a loopback connection.
 //!
 //! ## Wire protocols
 //!
@@ -56,11 +67,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tc_orders::PartialOrderKind;
 use tc_telemetry::{labeled, Counter, Histogram, Registry};
@@ -127,9 +138,44 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// connection broken (a missing newline must not buffer unboundedly).
 const MAX_LINE_LEN: usize = 1 << 20;
 
-/// Idle poll interval of the I/O loop (and the bound on how stale a
-/// shutdown request can go unnoticed).
-const IDLE_POLL: Duration = Duration::from_micros(500);
+/// Decoded events one connection may have queued and unprocessed
+/// before its reader stops reading. A paused reader leaves the rest in
+/// the socket, and TCP flow control then pushes back on the client.
+pub const MAX_QUEUED_EVENTS: usize = 1 << 17;
+
+/// Bytes a reader asks its socket for per read. The connection's
+/// buffer grows past this only to hold a longer partial message; a
+/// reader keeps no other scratch space.
+pub const READ_CHUNK: usize = 16 * 1024;
+
+/// How long one reply may take to reach a client's socket before the
+/// server severs the connection. Both serve modes also set it as the
+/// write timeout of every client socket they accept.
+pub const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Writes one whole reply to a client socket whose write timeout is
+/// [`CLIENT_WRITE_TIMEOUT`]. If the client is gone, or the reply is
+/// still not out when the timeout has passed, it shuts the socket down
+/// both ways, so its reader sees end of stream and drops the
+/// connection, and returns `false`. One blocked write returns within
+/// the socket's timeout, so a client that stops reading — or reads a
+/// trickle — holds the writer for less than twice the timeout. Callers
+/// serialize the writers of one socket.
+pub fn write_or_sever(stream: &TcpStream, bytes: &[u8]) -> bool {
+    let deadline = Instant::now() + CLIENT_WRITE_TIMEOUT;
+    let mut writer = stream;
+    let mut rest = bytes;
+    loop {
+        match writer.write(rest) {
+            Ok(n) if n == rest.len() => return true,
+            Ok(n) if n > 0 && Instant::now() < deadline => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => break,
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+    false
+}
 
 /// How long an idle worker sleeps between work scans (wakeups normally
 /// arrive via the condvar; the timeout only bounds steal latency).
@@ -152,7 +198,7 @@ enum ItemKind {
     Close,
 }
 
-/// A `stats-all` aggregation in flight. The I/O thread queues one
+/// A `stats-all` aggregation in flight. The reader queues one
 /// [`ItemKind::Stats`] per session the connection opened; each rides
 /// *behind* that session's pending frames, so the aggregate reflects
 /// everything sent before the `stats-all` line — the fan-in client's
@@ -259,7 +305,7 @@ impl StatsTicket {
             peak_clock_bytes,
             live_threads,
         ) {
-            let _ = self.conn.write_reply(self.agg.render().as_bytes());
+            self.conn.write_reply(self.agg.render().as_bytes());
         }
     }
 }
@@ -267,7 +313,7 @@ impl StatsTicket {
 impl Drop for StatsTicket {
     fn drop(&mut self) {
         if !self.folded && self.agg.skip() {
-            let _ = self.conn.write_reply(self.agg.render().as_bytes());
+            self.conn.write_reply(self.agg.render().as_bytes());
         }
     }
 }
@@ -275,7 +321,33 @@ impl Drop for StatsTicket {
 struct WorkItem {
     kind: ItemKind,
     /// Where replies go; `None` for connection-less teardown.
-    conn: Option<Arc<ConnShared>>,
+    origin: Option<Origin>,
+}
+
+/// A work item's tie to the connection it came from: where its replies
+/// go, and the decoded events it holds against that connection's
+/// [`MAX_QUEUED_EVENTS`] bound. Dropping it hands the events back, so
+/// an item discarded unprocessed — its session closed, the enqueue
+/// failed, the server stopped — still frees a paused reader.
+struct Origin {
+    conn: Arc<ConnShared>,
+    events: usize,
+}
+
+impl Origin {
+    fn new(conn: &Arc<ConnShared>, events: usize) -> Origin {
+        conn.charge(events);
+        Origin {
+            conn: Arc::clone(conn),
+            events,
+        }
+    }
+}
+
+impl Drop for Origin {
+    fn drop(&mut self) {
+        self.conn.release(self.events);
+    }
 }
 
 /// A session slot in the registry.
@@ -289,42 +361,98 @@ struct SessionSlot {
     scheduled: bool,
 }
 
-/// The write half of a connection, shared between the I/O thread
-/// (handshake replies) and the workers (session replies).
+/// One connection, shared by its reader (reads, handshake replies) and
+/// the workers (session replies).
 struct ConnShared {
-    writer: Mutex<TcpStream>,
-    /// Set by a worker after `close`; the I/O thread drops the
-    /// connection on its next pass.
-    closing: AtomicBool,
+    stream: TcpStream,
+    /// Held for a whole reply, so replies never interleave.
+    write_turn: Mutex<()>,
+    /// Decoded events from this connection not yet processed.
+    queued: AtomicUsize,
+    /// A paused reader waits on `room` (under `room_lock`) for `queued`
+    /// to fall back to the bound or for the connection to stop. The
+    /// lock guards no data, so a poisoned one is still safe to use.
+    room_lock: Mutex<()>,
+    room: Condvar,
+    /// Set once the connection is done — `close`, a failed write, or
+    /// server shutdown — so its reader exits instead of reading on.
+    stopped: AtomicBool,
+    metrics: SharedMetrics,
 }
 
 impl ConnShared {
-    /// Writes and flushes, riding out `WouldBlock` (the handle shares
-    /// the socket's nonblocking flag). Returns `Err` only for real
-    /// failures — a disappearing peer is not an error worth acting on.
-    fn write_reply(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut w = self.writer.lock().expect("conn writer lock");
-        let mut buf = bytes;
-        while !buf.is_empty() {
-            match w.write(buf) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => buf = &buf[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+    /// Writes one whole reply. A client that has gone, or whose reply
+    /// is not out within [`CLIENT_WRITE_TIMEOUT`], is severed; severing
+    /// a live connection counts in `tc_conn_severed_total`.
+    fn write_reply(&self, bytes: &[u8]) {
+        let _turn = self.write_turn.lock().expect("conn write lock");
+        if !write_or_sever(&self.stream, bytes) && self.stop() {
+            self.metrics.conns_severed.inc();
+        }
+    }
+
+    /// Marks the connection done and wakes its reader, whether blocked
+    /// in `read` or paused for room. Shutting only the read side leaves
+    /// replies still queued for the client free to go out. `true` for
+    /// the call that stopped it.
+    fn stop(&self) -> bool {
+        let first = !self.stopped.swap(true, Ordering::SeqCst);
+        let room = self
+            .room_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.room.notify_all();
+        drop(room);
+        let _ = self.stream.shutdown(Shutdown::Read);
+        first
+    }
+
+    /// Counts `events` newly queued from this connection.
+    fn charge(&self, events: usize) {
+        let queued = self.queued.fetch_add(events, Ordering::SeqCst) + events;
+        self.metrics
+            .conn_queued_high_water
+            .record_max(queued as u64);
+    }
+
+    /// Hands back `events` an item held, waking the reader when that
+    /// brings the connection back under the bound.
+    fn release(&self, events: usize) {
+        let was = self.queued.fetch_sub(events, Ordering::SeqCst);
+        if was > MAX_QUEUED_EVENTS && was - events <= MAX_QUEUED_EVENTS {
+            let room = self
+                .room_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.room.notify_all();
+            drop(room);
+        }
+    }
+
+    /// Blocks while more than [`MAX_QUEUED_EVENTS`] events from this
+    /// connection wait in queues. `false` once the connection stopped.
+    fn wait_for_room(&self) -> bool {
+        if self.queued.load(Ordering::SeqCst) > MAX_QUEUED_EVENTS {
+            self.metrics.reads_paused.inc();
+            let mut room = self
+                .room_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            while self.queued.load(Ordering::SeqCst) > MAX_QUEUED_EVENTS
+                && !self.stopped.load(Ordering::SeqCst)
+            {
+                room = self.room.wait(room).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        Ok(())
+        !self.stopped.load(Ordering::SeqCst)
     }
 }
 
-/// State shared by the I/O thread, the workers and the [`Server`]
-/// handle.
+/// State shared by the acceptor, the readers, the workers and the
+/// [`Server`] handle.
 struct ServiceShared {
     registry: Mutex<HashMap<u64, SessionSlot>>,
-    /// The shared work queue the I/O thread feeds.
+    /// The shared work queue the readers feed.
     injector: Mutex<VecDeque<u64>>,
     /// Per-worker local deques (push/pop at the back by the owner,
     /// stolen from the front by siblings).
@@ -341,6 +469,10 @@ struct ServiceShared {
     metrics: SharedMetrics,
     /// The admin token `shutdown` requires (when set).
     auth: Option<String>,
+    /// Every open connection by id, so shutdown can stop them all.
+    conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
+    /// Where shutdown connects to wake the acceptor out of `accept`.
+    wake_addr: SocketAddr,
 }
 
 impl ServiceShared {
@@ -369,9 +501,22 @@ impl ServiceShared {
         true
     }
 
+    /// Stops the server: workers finish the queued work and exit, every
+    /// reader is woken to tear its connection down, and a throwaway
+    /// loopback connection wakes the acceptor out of `accept`.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        if self.shutdown.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        // Under the injector lock, so a worker about to park sees the
+        // flag or gets the wakeup.
+        let queue = self.injector.lock().expect("injector lock");
         self.work_cv.notify_all();
+        drop(queue);
+        for conn in self.conns.lock().expect("conns lock").values() {
+            conn.stop();
+        }
+        let _ = TcpStream::connect(self.wake_addr);
     }
 }
 
@@ -379,20 +524,20 @@ impl ServiceShared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<ServiceShared>,
-    io: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts the service: the nonblocking I/O thread plus
-    /// `config.workers` work-stealing session workers.
+    /// Binds and starts the service: the acceptor (which starts one
+    /// reader per connection) plus `config.workers` work-stealing
+    /// session workers.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let worker_count = config.workers.max(1);
@@ -413,6 +558,8 @@ impl Server {
             epoch_workers: (config.parallel > 0).then(|| Arc::new(EpochPool::new(config.parallel))),
             metrics: Arc::new(ServiceMetrics::new(registry, worker_count)),
             auth: config.auth.clone(),
+            conns: Mutex::new(HashMap::new()),
+            wake_addr: loopback_for(addr),
         });
 
         let mut workers = Vec::with_capacity(worker_count);
@@ -426,16 +573,16 @@ impl Server {
             );
         }
 
-        let io_shared = Arc::clone(&shared);
-        let io = std::thread::Builder::new()
-            .name("tcr-serve-io".to_owned())
-            .spawn(move || io_loop(listener, &io_shared))
-            .expect("spawning the I/O thread cannot fail");
+        let acceptor_shared = Arc::clone(&shared);
+        let acceptor = std::thread::Builder::new()
+            .name("tcr-serve-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &acceptor_shared))
+            .expect("spawning the acceptor thread cannot fail");
 
         Ok(Server {
             addr,
             shared,
-            io: Some(io),
+            acceptor: Some(acceptor),
             workers,
         })
     }
@@ -457,20 +604,20 @@ impl Server {
         self.shared.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Requests shutdown. The nonblocking I/O loop observes the flag on
-    /// its next poll pass and the condvar wakes every parked worker —
-    /// clients may still be connected; their sockets are simply
-    /// dropped.
+    /// Requests shutdown. Clients may still be connected: every
+    /// connection's read side is shut, which wakes its reader to drop
+    /// it; the workers finish the work already queued (replies
+    /// included) and exit; a loopback connection wakes the acceptor.
     pub fn shutdown(&self) {
         self.shared.request_shutdown();
     }
 
-    /// Blocks until the I/O thread and every worker exit. Call
-    /// [`shutdown`](Self::shutdown) first (or let a client's `shutdown`
-    /// command do it).
+    /// Blocks until the acceptor, every reader and every worker exit.
+    /// Call [`shutdown`](Self::shutdown) first (or let a client's
+    /// `shutdown` command do it).
     pub fn join(mut self) {
-        if let Some(io) = self.io.take() {
-            let _ = io.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -564,7 +711,12 @@ fn worker_loop(shared: &ServiceShared, me: usize) {
 
         let mut reg = shared.registry.lock().expect("registry lock");
         if closed {
-            reg.remove(&id);
+            let slot = reg.remove(&id);
+            // Drop the slot's late arrivals outside the lock: a stats
+            // ticket among them writes its reply, and a client that
+            // stops reading must not stall the registry meanwhile.
+            drop(reg);
+            drop(slot);
         } else if let Some(slot) = reg.get_mut(&id) {
             slot.session = Some(session);
             if slot.pending.is_empty() {
@@ -639,23 +791,21 @@ fn process_item(
             .record_max(d.live_threads() as u64);
         m.pool_bytes.record_max(d.pool_bytes() as u64);
     }
-    if let Some(conn) = &item.conn {
-        if !out.is_empty() && conn.write_reply(out.as_bytes()).is_err() {
-            // The peer is gone; nothing to do — its connection close
-            // will reap the session.
+    if let Some(origin) = &item.origin {
+        if !out.is_empty() {
+            origin.conn.write_reply(out.as_bytes());
         }
         if *closed {
-            conn.closing.store(true, Ordering::Relaxed);
+            origin.conn.stop();
         }
     }
     wm.reply_us.end(t_reply);
 }
 
-// ---- the I/O thread -----------------------------------------------------
+// ---- the acceptor and the readers ----------------------------------------
 
-/// One connection owned by the I/O loop.
+/// One connection as its reader thread owns it.
 struct Conn {
-    reader: TcpStream,
     shared: Arc<ConnShared>,
     /// Unparsed bytes (partial lines / partial frames).
     buf: Vec<u8>,
@@ -669,100 +819,125 @@ struct Conn {
     authed: bool,
 }
 
-/// The nonblocking readiness loop: accept, read, split into messages,
-/// route. Runs until the shutdown flag is raised.
-fn io_loop(listener: TcpListener, shared: &ServiceShared) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            // Drop the listener and every connection; workers drain
-            // on their own via the flag.
-            shared.work_cv.notify_all();
-            return;
-        }
+/// Where to connect to reach a listener bound to `addr`: a wildcard
+/// bind address (`0.0.0.0`, `::`) is reached over loopback.
+fn loopback_for(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let ip: IpAddr = if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        };
+        addr.set_ip(ip);
+    }
+    addr
+}
 
-        let mut progressed = false;
-
-        // Accept every pending connection.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let Ok(writer) = stream.try_clone() else {
-                        continue;
-                    };
-                    conns.push(Conn {
-                        reader: stream,
-                        shared: Arc::new(ConnShared {
-                            writer: Mutex::new(writer),
-                            closing: AtomicBool::new(false),
-                        }),
-                        buf: Vec::new(),
-                        current: None,
-                        opened: Vec::new(),
-                        authed: false,
-                    });
-                    shared.metrics.conns_accepted.inc();
-                    shared.metrics.conns_active.add(1);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-
-        // Service every connection.
+/// Accepts connections until shutdown, giving each its own blocking
+/// reader thread, and joins every reader on the way out.
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServiceShared>) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        // Join the readers whose connections ended, so the server holds
+        // one thread per open connection, not per connection it ever
+        // accepted.
         let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let mut drop_conn = conn.shared.closing.load(Ordering::Relaxed);
-            while !drop_conn {
-                match conn.reader.read(&mut scratch) {
-                    Ok(0) => {
-                        drop_conn = true;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        conn.buf.extend_from_slice(&scratch[..n]);
-                        if !parse_messages(conn, shared) {
-                            drop_conn = true;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        drop_conn = true;
-                    }
-                }
-            }
-            if drop_conn || conn.shared.closing.load(Ordering::Relaxed) {
-                // Reap every session this connection opened, in queue
-                // order behind any in-flight work.
-                for id in conns[i].opened.clone() {
-                    shared.enqueue(
-                        id,
-                        WorkItem {
-                            kind: ItemKind::Close,
-                            conn: None,
-                        },
-                    );
-                }
-                conns.swap_remove(i);
-                shared.metrics.conns_active.sub(1);
-                progressed = true;
+        while i < readers.len() {
+            if readers[i].is_finished() {
+                let _ = readers.swap_remove(i).join();
             } else {
                 i += 1;
             }
         }
-
-        if !progressed {
-            std::thread::sleep(IDLE_POLL);
+        let Ok(stream) = stream else { continue };
+        if stream.set_nodelay(true).is_err()
+            || stream
+                .set_write_timeout(Some(CLIENT_WRITE_TIMEOUT))
+                .is_err()
+        {
+            continue;
+        }
+        let conn = Arc::new(ConnShared {
+            stream,
+            write_turn: Mutex::new(()),
+            queued: AtomicUsize::new(0),
+            room_lock: Mutex::new(()),
+            room: Condvar::new(),
+            stopped: AtomicBool::new(false),
+            metrics: Arc::clone(&shared.metrics),
+        });
+        {
+            // Checked under the lock shutdown takes to stop every
+            // connection, so no connection slips past it.
+            let mut conns = shared.conns.lock().expect("conns lock");
+            if shared.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            conns.insert(id, Arc::clone(&conn));
+        }
+        shared.metrics.conns_accepted.inc();
+        shared.metrics.conns_active.add(1);
+        let reader_shared = Arc::clone(shared);
+        match std::thread::Builder::new()
+            .name(format!("tcr-serve-conn-{id}"))
+            .spawn(move || read_loop(&reader_shared, id, conn))
+        {
+            Ok(reader) => readers.push(reader),
+            Err(_) => forget_conn(shared, id),
         }
     }
+    for reader in readers {
+        let _ = reader.join();
+    }
+}
+
+/// One connection's reader: reads, splits the bytes into messages and
+/// routes them until the client hangs up, a message is corrupt, or the
+/// connection stops; then reaps every session the connection opened,
+/// in queue order behind their in-flight work.
+fn read_loop(shared: &ServiceShared, id: u64, conn: Arc<ConnShared>) {
+    let mut conn = Conn {
+        shared: conn,
+        buf: Vec::new(),
+        current: None,
+        opened: Vec::new(),
+        authed: false,
+    };
+    while conn.shared.wait_for_room() {
+        match fill(&mut conn) {
+            Ok(0) => break,
+            Ok(_) if !parse_messages(&mut conn, shared) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    for &session in &conn.opened {
+        shared.enqueue(
+            session,
+            WorkItem {
+                kind: ItemKind::Close,
+                origin: None,
+            },
+        );
+    }
+    forget_conn(shared, id);
+}
+
+/// Blocks for up to [`READ_CHUNK`] more bytes onto the end of the
+/// connection's buffer.
+fn fill(conn: &mut Conn) -> io::Result<usize> {
+    let filled = conn.buf.len();
+    conn.buf.resize(filled + READ_CHUNK, 0);
+    let read = (&conn.shared.stream).read(&mut conn.buf[filled..]);
+    conn.buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+    read
+}
+
+/// Drops a finished connection from the server's books.
+fn forget_conn(shared: &ServiceShared, id: u64) {
+    shared.conns.lock().expect("conns lock").remove(&id);
+    shared.metrics.conns_active.sub(1);
 }
 
 /// Splits a connection's buffered bytes into messages and routes them.
@@ -800,17 +975,18 @@ fn parse_messages(conn: &mut Conn, shared: &ServiceShared) -> bool {
                         }
                     };
                     for frame in frames {
+                        let origin = Origin::new(&conn.shared, frame.events.len());
                         let delivered = shared.enqueue(
                             frame.session,
                             WorkItem {
                                 kind: ItemKind::Frame(frame.events, wire_kind),
-                                conn: Some(Arc::clone(&conn.shared)),
+                                origin: Some(origin),
                             },
                         );
                         if !delivered {
                             m.wire_err_unknown_session.inc();
                             m.wire_errors_total.inc();
-                            let _ = conn.shared.write_reply(
+                            conn.shared.write_reply(
                                 format!("err unknown session {}\n", frame.session).as_bytes(),
                             );
                         }
@@ -829,7 +1005,7 @@ fn parse_messages(conn: &mut Conn, shared: &ServiceShared) -> bool {
                     };
                     kind.inc();
                     shared.metrics.wire_errors_total.inc();
-                    let _ = conn.shared.write_reply(format!("err {e}\n").as_bytes());
+                    conn.shared.write_reply(format!("err {e}\n").as_bytes());
                     ok = false;
                     break;
                 }
@@ -839,7 +1015,7 @@ fn parse_messages(conn: &mut Conn, shared: &ServiceShared) -> bool {
                 if buf.len() > MAX_LINE_LEN {
                     shared.metrics.wire_err_line_overflow.inc();
                     shared.metrics.wire_errors_total.inc();
-                    let _ = conn.shared.write_reply(b"err line exceeds the 1 MiB cap\n");
+                    conn.shared.write_reply(b"err line exceeds the 1 MiB cap\n");
                     ok = false;
                 }
                 break; // partial line: wait for more bytes
@@ -857,8 +1033,7 @@ fn parse_messages(conn: &mut Conn, shared: &ServiceShared) -> bool {
                 text_block.push_str(&line);
                 text_block.push('\n');
             } else if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                let _ = conn
-                    .shared
+                conn.shared
                     .write_reply(b"err expected `open <order> <clock>`\n");
             }
         }
@@ -877,30 +1052,25 @@ fn flush_text(conn: &Conn, shared: &ServiceShared, block: &mut String) {
     }
     let text = std::mem::take(block);
     if let Some(id) = conn.current {
-        if !shared.metrics.registry().is_null() {
-            shared.metrics.msgs_text.inc();
-            shared
-                .metrics
-                .batch_text
-                .record(text.bytes().filter(|&b| b == b'\n').count() as u64);
-        }
+        let lines = text.bytes().filter(|&b| b == b'\n').count();
+        shared.metrics.msgs_text.inc();
+        shared.metrics.batch_text.record(lines as u64);
         if !shared.enqueue(
             id,
             WorkItem {
                 kind: ItemKind::Text(text),
-                conn: Some(Arc::clone(&conn.shared)),
+                origin: Some(Origin::new(&conn.shared, lines)),
             },
         ) {
             shared.metrics.wire_err_unknown_session.inc();
             shared.metrics.wire_errors_total.inc();
-            let _ = conn
-                .shared
+            conn.shared
                 .write_reply(format!("err session {id} is gone\n").as_bytes());
         }
     }
 }
 
-/// `true` for the lines the I/O thread answers itself.
+/// `true` for the lines a reader answers itself.
 fn is_handshake(line: &str) -> bool {
     line == "shutdown"
         || line == "stats-all"
@@ -1042,8 +1212,7 @@ fn handle_stats_all(conn: &Conn, shared: &ServiceShared) {
             .collect()
     };
     if live.is_empty() {
-        let _ = conn
-            .shared
+        conn.shared
             .write_reply(AggregateStats::new(0).render().as_bytes());
         return;
     }
@@ -1059,7 +1228,7 @@ fn handle_stats_all(conn: &Conn, shared: &ServiceShared) {
                     conn: Arc::clone(&conn.shared),
                     folded: false,
                 }),
-                conn: None,
+                origin: None,
             },
         );
     }
@@ -1099,13 +1268,13 @@ fn reply_ordered(conn: &Conn, shared: &ServiceShared, prev: Option<u64>, reply: 
             if slot.scheduled {
                 slot.pending.push_back(WorkItem {
                     kind: ItemKind::Write(reply),
-                    conn: Some(Arc::clone(&conn.shared)),
+                    origin: Some(Origin::new(&conn.shared, 0)),
                 });
                 return;
             }
         }
     }
-    let _ = conn.shared.write_reply(reply.as_bytes());
+    conn.shared.write_reply(reply.as_bytes());
 }
 
 /// Parses the `open` line's arguments: `<order> <clock> [evict <n>]
@@ -1229,6 +1398,9 @@ impl Client {
     /// retry decision in [`Client::open`].
     fn try_open(addr: SocketAddr, open_args: &str) -> Result<Client, OpenError> {
         let stream = TcpStream::connect(addr).map_err(|e| OpenError::io(&e))?;
+        // A sync line flushed behind a frame must not wait for the
+        // server's delayed ACK of the frame.
+        stream.set_nodelay(true).map_err(|e| OpenError::io(&e))?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| OpenError::io(&e))?);
         let mut client = Client {
             reader,
@@ -1280,6 +1452,19 @@ impl Client {
     /// The session id of the most recent `open` on this client.
     pub fn session(&self) -> u64 {
         self.session
+    }
+
+    /// Bounds how long a read of a reply may block (`None` blocks
+    /// forever, the default); a read that times out returns an error.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures as strings.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), String> {
+        self.reader
+            .get_ref()
+            .set_read_timeout(timeout)
+            .map_err(|e| e.to_string())
     }
 
     /// A request whose reply may be a single `err` line (handshake
@@ -1631,7 +1816,7 @@ pub fn smoke() -> Result<(), String> {
     }
 
     // Shutdown through the protocol while a client is still connected
-    // (the nonblocking loop needs no throwaway-connection kick).
+    // (its reader is woken by shutting the socket's read side).
     let spectator = TcpStream::connect(addr).map_err(|e| e.to_string())?;
     let mut admin = TcpStream::connect(addr).map_err(|e| e.to_string())?;
     writeln!(admin, "shutdown").map_err(|e| e.to_string())?;

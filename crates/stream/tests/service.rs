@@ -1,12 +1,16 @@
 //! End-to-end service tests over real sockets: concurrent sessions,
 //! protocol behavior, both wire protocols (text lines and batched
 //! binary frames) on one port, checkpoint/resume across connections,
-//! and the smoke driver the CI job runs.
+//! per-connection flow control and teardown, and the smoke driver the
+//! CI job runs.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
-use tc_stream::{smoke, Client, ServeConfig, Server};
+use tc_stream::service::{MAX_QUEUED_EVENTS, READ_CHUNK};
+use tc_stream::{smoke, Client, ServeConfig, Server, CLIENT_WRITE_TIMEOUT};
 use tc_trace::gen::WorkloadSpec;
 use tc_trace::wire;
 use tc_trace::{Event, Op, ThreadId, VarId};
@@ -142,10 +146,9 @@ fn wire_trace(seed: u64) -> tc_trace::Trace {
 
 #[test]
 fn shutdown_while_clients_are_mid_session() {
-    // The old blocking core needed a throwaway connection to unstick
-    // its acceptor and could only shut down between sessions; the
-    // nonblocking loop must exit promptly even with clients connected
-    // and events still arriving unsynchronized.
+    // Shutdown must wake every connection's reader and the acceptor
+    // and exit promptly, even with clients connected and events still
+    // arriving unsynchronized.
     let server = start();
     let addr = server.local_addr();
     let mut a = Client::open(addr, "hb tc").unwrap();
@@ -581,8 +584,8 @@ fn metrics_scrape_agrees_with_stats_and_counts_wire_errors() {
 
     // Two classified wire errors: a frame for a session that never
     // existed, and an oversize length header that hangs up the
-    // connection. Both are counted by the I/O thread before it
-    // replies, so they are visible once the reply (or EOF) is read.
+    // connection. Both are counted by the connection's reader before
+    // it replies, so they are visible once the reply (or EOF) is read.
     let mut stray = TcpStream::connect(addr).unwrap();
     stray
         .write_all(&wire::encode_frame(4096, &[]).unwrap())
@@ -760,4 +763,163 @@ fn evicting_session_rejects_spontaneous_threads_via_protocol() {
     client.request("close").unwrap();
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn a_sync_behind_a_large_frame_is_not_held_for_a_delayed_ack() {
+    // Each round is one frame over 8 KiB plus `stats-all`, written
+    // through the public client. With Nagle's algorithm on, the short
+    // sync waits behind the frame for the server's delayed ACK — about
+    // 40 ms on Linux — instead of going out at once.
+    let server = start();
+    let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
+    let id = client.session();
+    let frame = epoch_frame(512);
+    assert!(wire::encode_frame(id, &frame).unwrap().len() > 8 * 1024);
+    let mut round_ms: Vec<f64> = (0..21)
+        .map(|_| {
+            let start = Instant::now();
+            client.send_frame(id, &frame).unwrap();
+            let (sessions, _, rejected, _) = client.stats_all().unwrap();
+            assert_eq!((sessions, rejected), (1, 0));
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    round_ms.sort_by(f64::total_cmp);
+    let median = round_ms[round_ms.len() / 2];
+    assert!(median < 20.0, "median round {median:.2} ms: {round_ms:?}");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_client_that_never_reads_is_severed_without_stalling_others() {
+    let server = start();
+    let addr = server.local_addr();
+    let metrics = server.metrics();
+    let severed = || metrics.registry().counter_value("tc_conn_severed_total");
+
+    // One raw connection pipelines far more `metrics` replies than the
+    // socket buffers on both ends can hold, and never reads any.
+    let mut good = Client::open(addr, "hb tc").unwrap();
+    good.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let reply_len = good.metrics_scrape().unwrap().len();
+    let hostile = TcpStream::connect(addr).unwrap();
+    let flood = "metrics\n".repeat((64 << 20) / reply_len + 1);
+    let started = Instant::now();
+    let writer = std::thread::spawn({
+        let mut hostile = hostile.try_clone().unwrap();
+        move || {
+            // Fails once the server severs the connection mid-flood.
+            let _ = hostile.write_all(flood.as_bytes());
+        }
+    });
+
+    // Meanwhile the well-behaved client keeps completing frame + sync
+    // rounds; its read timeout turns a stall into a failure.
+    let id = good.session();
+    let frame = epoch_frame(8);
+    let mut rounds = 0;
+    while severed() == 0 {
+        assert!(
+            started.elapsed() < 3 * CLIENT_WRITE_TIMEOUT,
+            "the non-reading connection was never severed"
+        );
+        good.send_frame(id, &frame).unwrap();
+        let (sessions, events, rejected, _) = good.stats_all().unwrap();
+        rounds += 1;
+        assert_eq!((sessions, events, rejected), (1, rounds * 64, 0));
+    }
+    assert!(
+        started.elapsed() >= CLIENT_WRITE_TIMEOUT,
+        "severed before the write timeout ran out"
+    );
+    assert!(rounds > 10, "only {rounds} round(s) completed meanwhile");
+
+    // The severed client reads what the buffers held, then the end of
+    // the stream (or a reset), not silence.
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut sink = Vec::new();
+    if let Err(e) = (&hostile).read_to_end(&mut sink) {
+        assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+    }
+    writer.join().unwrap();
+    assert_eq!(severed(), 1);
+    let (_, events, _, _) = good.stats_all().unwrap();
+    assert_eq!(events, rounds * 64);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn pipelined_events_stay_within_the_queue_bound_and_teardown_is_prompt() {
+    let server = start();
+    let addr = server.local_addr();
+    let metrics = server.metrics();
+    let registry = metrics.registry();
+
+    // One connection pipelines eight times the bound in 7-byte lines
+    // and synchronizes once: its reader must pause rather than decode
+    // ahead of the worker, so at most one read's worth of lines ever
+    // sits past the bound.
+    let line = "t0 w x\n";
+    let lines = 8 * MAX_QUEUED_EVENTS;
+    let mut flood = Client::open(addr, "hb tc").unwrap();
+    flood.send_raw(line.repeat(lines).as_bytes()).unwrap();
+    let stats = flood.request("stats").unwrap();
+    let last = stats.last().unwrap();
+    assert!(last.contains(&format!("events={lines}")), "{last}");
+    assert!(last.contains("rejected=0"), "{last}");
+    let high_water = registry.gauge_value("tc_conn_queued_events_high_water") as usize;
+    assert!(
+        high_water <= MAX_QUEUED_EVENTS + READ_CHUNK / line.len() + 1,
+        "{high_water} events queued against a bound of {MAX_QUEUED_EVENTS}"
+    );
+    assert!(registry.counter_value("tc_read_paused_total") > 0);
+
+    // `close` ends the connection: the client reads the reply, then
+    // the end of the stream, promptly.
+    let mut closing = Client::open(addr, "hb tc").unwrap();
+    closing
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    assert_eq!(closing.request("close").unwrap(), ["ok bye"]);
+    let eof = closing.read_reply().unwrap_err();
+    assert!(eof.contains("closed the connection"), "{eof}");
+
+    // Shutdown with idle clients blocked in read: every reader wakes,
+    // `join` returns within a second, the clients see the end of the
+    // stream and no connection is left on the books.
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let idle: Vec<_> = (0..3)
+        .map(|_| {
+            let mut client = Client::open(addr, "hb tc").unwrap();
+            let ready = ready_tx.clone();
+            std::thread::spawn(move || {
+                ready.send(()).unwrap();
+                client.read_reply()
+            })
+        })
+        .collect();
+    for _ in 0..idle.len() {
+        ready_rx.recv().unwrap();
+    }
+    let (done_tx, done_rx) = mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        server.shutdown();
+        server.join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .unwrap_or_else(|_| panic!("join() still blocked after {:?}", started.elapsed()));
+    for client in idle {
+        let eof = client.join().unwrap().unwrap_err();
+        assert!(eof.contains("closed the connection"), "{eof}");
+    }
+    assert_eq!(registry.gauge_value("tc_connections_active"), 0);
+    drop(flood);
 }

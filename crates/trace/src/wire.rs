@@ -37,8 +37,8 @@
 //!   clients);
 //! - [`try_frame`] — incremental, from a byte buffer: returns
 //!   `Ok(None)` until a full frame is buffered, then the decoded frame
-//!   plus the number of bytes consumed. This is the form a nonblocking
-//!   readiness loop wants.
+//!   plus the number of bytes consumed. This is the form a reader that
+//!   buffers whatever each socket read returns wants.
 
 use std::error::Error;
 use std::fmt;
@@ -322,9 +322,9 @@ pub fn read_frame<R: Read>(mut reader: R) -> Result<Frame, WireError> {
 /// blocking: returns `Ok(None)` while the buffer holds only a partial
 /// frame, or the decoded frame plus the number of bytes it consumed.
 ///
-/// The caller owns buffer compaction (`drain(..consumed)`); the
-/// nonblocking service loop calls this after every read readiness
-/// event.
+/// The caller owns buffer compaction (`drain(..consumed)`) and calls
+/// this after every read; the service's per-connection readers do so
+/// through [`try_message`].
 ///
 /// # Errors
 ///
