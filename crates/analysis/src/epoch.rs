@@ -220,20 +220,6 @@ impl VarHistories {
         self.vars.is_empty()
     }
 
-    /// Moves `x`'s history out, leaving a fresh one in its place (and
-    /// growing the collection as [`entry`](Self::entry) would). The
-    /// parallel detector uses this to hand a conflict-free partition's
-    /// variables to an epoch shard; [`put`](Self::put) moves them back.
-    pub fn take(&mut self, x: VarId) -> VarHistory {
-        std::mem::replace(self.entry(x), VarHistory::new(x))
-    }
-
-    /// Installs `history` as `x`'s entry (growing as needed), replacing
-    /// whatever was there — the inverse of [`take`](Self::take).
-    pub fn put(&mut self, x: VarId, history: VarHistory) {
-        *self.entry(x) = history;
-    }
-
     /// Captures every touched variable's history for a checkpoint.
     pub fn snapshot(&self) -> Vec<VarHistorySnapshot> {
         self.vars.iter().map(VarHistory::snapshot).collect()

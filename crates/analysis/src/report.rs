@@ -58,32 +58,14 @@ impl fmt::Display for Race {
 pub const MAX_STORED_RACES: usize = 10_000;
 
 /// The aggregate result of one analysis run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RaceReport {
-    /// Reported pairs, up to the report's storage cap
-    /// ([`MAX_STORED_RACES`] unless built with
-    /// [`unbounded`](RaceReport::unbounded)).
+    /// Reported pairs, up to [`MAX_STORED_RACES`].
     pub races: Vec<Race>,
     /// Total number of pairs reported (may exceed `races.len()`).
     pub total: u64,
     /// Total number of O(1) concurrency checks performed.
     pub checks: u64,
-    /// Stored-race cap. Private: every externally visible report uses
-    /// [`MAX_STORED_RACES`]; only short-lived internal accumulators
-    /// (the parallel detector's per-epoch shards, whose races are
-    /// replayed through a capped report afterwards) lift it.
-    cap: usize,
-}
-
-impl Default for RaceReport {
-    fn default() -> Self {
-        RaceReport {
-            races: Vec::new(),
-            total: 0,
-            checks: 0,
-            cap: MAX_STORED_RACES,
-        }
-    }
 }
 
 impl RaceReport {
@@ -92,32 +74,10 @@ impl RaceReport {
         RaceReport::default()
     }
 
-    /// Creates an empty report that stores every race verbatim, with
-    /// no [`MAX_STORED_RACES`] cap — for bounded internal accumulation
-    /// only (see the `cap` field docs); never hold one across an
-    /// unbounded stream.
-    pub fn unbounded() -> Self {
-        RaceReport {
-            cap: usize::MAX,
-            ..RaceReport::default()
-        }
-    }
-
-    /// Reassembles a report from persisted parts (checkpoint restore);
-    /// the cap is the standard [`MAX_STORED_RACES`].
-    pub fn from_parts(races: Vec<Race>, total: u64, checks: u64) -> Self {
-        RaceReport {
-            races,
-            total,
-            checks,
-            cap: MAX_STORED_RACES,
-        }
-    }
-
     /// Records one found race.
     pub fn record(&mut self, race: Race) {
         self.total += 1;
-        if self.races.len() < self.cap {
+        if self.races.len() < MAX_STORED_RACES {
             self.races.push(race);
         }
     }
@@ -183,16 +143,13 @@ mod tests {
     }
 
     #[test]
-    fn capped_and_unbounded_reports_diverge_only_past_the_cap() {
+    fn reports_stop_storing_past_the_cap_but_keep_counting() {
         let mut capped = RaceReport::new();
-        let mut open = RaceReport::unbounded();
         for i in 0..(MAX_STORED_RACES as u32 + 5) {
             capped.record(race(i, 0, i + 1, 1, i + 1));
-            open.record(race(i, 0, i + 1, 1, i + 1));
         }
         assert_eq!(capped.races.len(), MAX_STORED_RACES);
-        assert_eq!(open.races.len(), MAX_STORED_RACES + 5);
-        assert_eq!(capped.total, open.total);
+        assert_eq!(capped.total, MAX_STORED_RACES as u64 + 5);
     }
 
     #[test]

@@ -80,7 +80,11 @@ pub const SCHEMA: &str = "treeclocks/bench-baseline";
 /// and the `obs-period` record kind (the hybrid's tree-observation-
 /// period A/B on the dense star workload, which justified widening the
 /// default period from 2 to 4).
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8: removed the `parallel` and `phase` record kinds together with
+/// the epoch-parallel pipeline they measured; a v8 document carrying
+/// either kind fails validation as an unknown kind.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// One measured cell of the baseline grid.
 #[derive(Clone, Debug)]
@@ -523,9 +527,9 @@ fn counted_run<C: LogicalClock>(
     }
 }
 
-/// A full baseline document: engine grid cells plus the v3/v4 record
-/// families (ingest throughput, suite fold, cutoff calibration,
-/// parallel detection).
+/// A full baseline document: engine grid cells plus the other record
+/// families (ingest throughput, suite fold, cutoff calibration, churn,
+/// telemetry, cluster, observation period).
 #[derive(Clone, Debug, Default)]
 pub struct BenchDoc {
     /// Engine grid cells (`kind: "engine"`).
@@ -536,14 +540,10 @@ pub struct BenchDoc {
     pub suite: Vec<SuiteFoldRecord>,
     /// Dense-cutoff calibration cells (`kind: "calibration"`).
     pub calibration: Vec<CalibrationRecord>,
-    /// Epoch-parallel detection cells (`kind: "parallel"`).
-    pub parallel: Vec<crate::parallel::ParallelRecord>,
     /// Spawn/join-churn memory cells (`kind: "churn"`).
     pub churn: Vec<ChurnRecord>,
     /// Telemetry-overhead A/B cells (`kind: "telemetry"`).
     pub telemetry: Vec<crate::telemetry::TelemetryOverheadRecord>,
-    /// Epoch-parallel phase summaries (`kind: "phase"`).
-    pub phases: Vec<crate::telemetry::PhaseBreakdownRecord>,
     /// Multi-node serve cells (`kind: "cluster"`).
     pub cluster: Vec<crate::cluster::ClusterRecord>,
     /// Tree-observation-period A/B cells (`kind: "obs-period"`).
@@ -620,16 +620,6 @@ pub fn to_json_doc(doc: &BenchDoc, mode: &str) -> String {
             ("seconds", r.seconds.into()),
         ])
     }));
-    records.extend(doc.parallel.iter().map(|r| {
-        Value::obj([
-            ("kind", "parallel".into()),
-            ("backend", r.backend.into()),
-            ("workers", r.workers.into()),
-            ("events", r.events.into()),
-            ("seconds", r.seconds.into()),
-            ("events_per_sec", r.events_per_sec().into()),
-        ])
-    }));
     records.extend(doc.churn.iter().map(|r| {
         Value::obj([
             ("kind", "churn".into()),
@@ -650,18 +640,6 @@ pub fn to_json_doc(doc: &BenchDoc, mode: &str) -> String {
             ("on_events_per_sec", r.on_events_per_sec.into()),
             ("off_events_per_sec", r.off_events_per_sec.into()),
             ("overhead_pct", r.overhead_pct().into()),
-        ])
-    }));
-    records.extend(doc.phases.iter().map(|r| {
-        Value::obj([
-            ("kind", "phase".into()),
-            ("phase", r.phase.into()),
-            ("workers", r.workers.into()),
-            ("count", r.count.into()),
-            ("total_us", r.total_us.into()),
-            ("p50_us", r.p50_us.into()),
-            ("p95_us", r.p95_us.into()),
-            ("p99_us", r.p99_us.into()),
         ])
     }));
     records.extend(doc.cluster.iter().map(|r| {
@@ -761,17 +739,10 @@ pub struct BaselineSummary {
     /// Best binary-over-text events/sec ratio among ingest cells with
     /// matching session counts (0.0 when the document has none).
     pub binary_speedup: f64,
-    /// Parallel-detection records in the document.
-    pub parallel: usize,
-    /// Best parallel-over-sequential events/sec ratio among parallel
-    /// cells of the same backend (0.0 when the document has none).
-    pub parallel_speedup: f64,
     /// Spawn/join-churn memory records in the document.
     pub churn: usize,
     /// Telemetry-overhead A/B records in the document.
     pub telemetry: usize,
-    /// Epoch-parallel phase-summary records in the document.
-    pub phase: usize,
     /// Worst `overhead_pct` among telemetry records (0.0 when the
     /// document has none; negative means telemetry-on was faster).
     pub telemetry_overhead_pct: f64,
@@ -803,11 +774,6 @@ const REQUIRED_NUMS: [&str; 10] = [
 
 const BACKENDS: [&str; 3] = ["tree", "vector", "hybrid"];
 
-/// Valid `phase` values of the v6 `phase` record kind (kept in sync
-/// with [`tc_stream::PHASES`], but spelled out so validation does not
-/// depend on the service crate's ordering).
-const PHASE_NAMES: [&str; 5] = ["partition", "scatter", "execute", "gather", "barrier"];
-
 /// Parses and schema-checks a baseline document.
 ///
 /// # Errors
@@ -838,11 +804,8 @@ pub fn validate(text: &str) -> Result<BaselineSummary, String> {
     let mut configs: Vec<(String, BackendSeconds)> = Vec::new();
     // (sessions, events/sec) per ingest mode, for the speedup summary.
     let mut ingest_cells: Vec<(&str, f64, f64)> = Vec::new();
-    // (backend, workers, events/sec) for the parallel speedup summary.
-    let mut parallel_cells: Vec<(&str, f64, f64)> = Vec::new();
-    let (mut ingest, mut suite, mut calibration, mut parallel, mut churn) =
+    let (mut ingest, mut suite, mut calibration, mut churn, mut telemetry) =
         (0usize, 0usize, 0usize, 0usize, 0usize);
-    let (mut telemetry, mut phase) = (0usize, 0usize);
     let mut telemetry_overhead_pct = 0.0f64;
     let (mut cluster, mut obs_period) = (0usize, 0usize);
     let mut cluster_forward_overhead_pct = 0.0f64;
@@ -916,21 +879,6 @@ pub fn validate(text: &str) -> Result<BaselineSummary, String> {
                 }
                 continue;
             }
-            "parallel" => {
-                parallel += 1;
-                let backend = field("backend")?
-                    .as_str()
-                    .ok_or_else(|| format!("record {i}: `backend` is not a string"))?;
-                if !BACKENDS.contains(&backend) {
-                    return Err(format!("record {i}: unknown backend `{backend}`"));
-                }
-                let workers = num_field("workers")?;
-                num_field("events")?;
-                num_field("seconds")?;
-                let rate = num_field("events_per_sec")?;
-                parallel_cells.push((backend, workers, rate));
-                continue;
-            }
             "churn" => {
                 churn += 1;
                 field("scenario")?
@@ -969,25 +917,6 @@ pub fn validate(text: &str) -> Result<BaselineSummary, String> {
                     .as_num()
                     .ok_or_else(|| format!("record {i}: `overhead_pct` is not a number"))?;
                 telemetry_overhead_pct = telemetry_overhead_pct.max(pct);
-                continue;
-            }
-            "phase" => {
-                phase += 1;
-                let name = field("phase")?
-                    .as_str()
-                    .ok_or_else(|| format!("record {i}: `phase` is not a string"))?;
-                if !PHASE_NAMES.contains(&name) {
-                    return Err(format!("record {i}: unknown phase `{name}`"));
-                }
-                for name in ["workers", "count", "total_us", "p50_us", "p95_us", "p99_us"] {
-                    num_field(name)?;
-                }
-                if num_field("count")? < 1.0 {
-                    return Err(format!(
-                        "record {i}: phase `count` must be >= 1 (an unsampled phase \
-                         means the run never took the epoch path)"
-                    ));
-                }
                 continue;
             }
             "cluster" => {
@@ -1121,19 +1050,6 @@ pub fn validate(text: &str) -> Result<BaselineSummary, String> {
             }
         }
     }
-    // Best parallel/sequential ratio among same-backend parallel cells
-    // (the `workers == 0` row is each backend's sequential baseline).
-    let mut parallel_speedup = 0.0f64;
-    for (backend, workers, rate) in &parallel_cells {
-        if *workers == 0.0 {
-            continue;
-        }
-        for (base_backend, base_workers, base_rate) in &parallel_cells {
-            if base_backend == backend && *base_workers == 0.0 && *base_rate > 0.0 {
-                parallel_speedup = parallel_speedup.max(rate / base_rate);
-            }
-        }
-    }
     Ok(BaselineSummary {
         records: records.len(),
         configs: configs.len(),
@@ -1143,11 +1059,8 @@ pub fn validate(text: &str) -> Result<BaselineSummary, String> {
         suite,
         calibration,
         binary_speedup,
-        parallel,
-        parallel_speedup,
         churn,
         telemetry,
-        phase,
         telemetry_overhead_pct,
         cluster,
         obs_period,
@@ -1207,20 +1120,6 @@ mod tests {
                 cutoff: 128,
                 seconds: 0.02,
             }],
-            parallel: vec![
-                crate::parallel::ParallelRecord {
-                    backend: "tree",
-                    workers: 0,
-                    events: 10_000,
-                    seconds: 0.04,
-                },
-                crate::parallel::ParallelRecord {
-                    backend: "tree",
-                    workers: 4,
-                    events: 10_000,
-                    seconds: 0.02,
-                },
-            ],
             churn: vec![ChurnRecord {
                 scenario: "spawn-join-churn".into(),
                 total_threads: 128,
@@ -1235,15 +1134,6 @@ mod tests {
                 events: 30_000,
                 on_events_per_sec: 990_000.0,
                 off_events_per_sec: 1_000_000.0,
-            }],
-            phases: vec![crate::telemetry::PhaseBreakdownRecord {
-                phase: "execute",
-                workers: 2,
-                count: 24,
-                total_us: 4_800,
-                p50_us: 127,
-                p95_us: 255,
-                p99_us: 511,
             }],
             cluster: vec![
                 crate::cluster::ClusterRecord::Forward {
@@ -1288,10 +1178,8 @@ mod tests {
         assert_eq!(summary.ingest, 2);
         assert_eq!(summary.suite, 1);
         assert_eq!(summary.calibration, 1);
-        assert_eq!(summary.parallel, 2);
         assert_eq!(summary.churn, 1);
         assert_eq!(summary.telemetry, 1);
-        assert_eq!(summary.phase, 1);
         assert_eq!(summary.cluster, 3);
         assert_eq!(summary.obs_period, 2);
         assert!(
@@ -1314,11 +1202,6 @@ mod tests {
             "binary at 5x text: {}",
             summary.binary_speedup
         );
-        assert!(
-            (summary.parallel_speedup - 2.0).abs() < 1e-9,
-            "4 workers at 2x sequential: {}",
-            summary.parallel_speedup
-        );
 
         let bad = json.replace(
             "\"kind\": \"ingest\", \"mode\": \"text\"",
@@ -1329,22 +1212,11 @@ mod tests {
         }
         let bad = json.replace("\"kind\": \"calibration\"", "\"kind\": \"calibrations\"");
         assert!(validate(&bad).unwrap_err().contains("kind"));
-        let bad = json.replace(
-            "\"kind\": \"parallel\", \"backend\": \"tree\"",
-            "\"kind\": \"parallel\", \"backend\": \"forest\"",
-        );
-        if bad != json {
-            assert!(validate(&bad).unwrap_err().contains("backend"));
-        }
+        // Kinds outside the v8 schema, such as `parallel`, are rejected.
+        let bad = json.replace("\"kind\": \"calibration\"", "\"kind\": \"parallel\"");
+        assert!(validate(&bad).unwrap_err().contains("kind"));
         let bad = json.replace("\"peak_clock_bytes_off\"", "\"peak_clock_bytes_of\"");
         assert!(validate(&bad).unwrap_err().contains("peak_clock_bytes_off"));
-        let bad = json.replace(
-            "\"kind\": \"phase\", \"phase\": \"execute\"",
-            "\"kind\": \"phase\", \"phase\": \"reticulate\"",
-        );
-        if bad != json {
-            assert!(validate(&bad).unwrap_err().contains("phase"));
-        }
         let bad = json.replace("\"overhead_pct\"", "\"overhead_cpt\"");
         assert!(validate(&bad).unwrap_err().contains("overhead_pct"));
         let bad = json.replace("\"cell\": \"stable-gc\"", "\"cell\": \"stable-fc\"");

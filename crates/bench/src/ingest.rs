@@ -110,9 +110,6 @@ pub fn collect(scale: IngestScale, mut progress: impl FnMut(&str)) -> Vec<Ingest
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        // Ingest cells measure the wire/dispatch path; intra-session
-        // parallelism is benched separately (the `parallel` records).
-        parallel: 0,
         telemetry: true,
         auth: None,
     })

@@ -31,7 +31,6 @@ pub mod cluster;
 pub mod figures;
 pub mod ingest;
 pub mod json;
-pub mod parallel;
 pub mod render;
 pub mod runner;
 pub mod suite;
@@ -41,7 +40,6 @@ pub mod telemetry;
 pub use baseline::{BaselineRecord, BaselineSummary, BenchDoc, ChurnRecord};
 pub use cluster::ClusterRecord;
 pub use ingest::{IngestRecord, IngestScale};
-pub use parallel::{ParallelRecord, ParallelScale};
 pub use runner::{ClockKind, Measurement, Mode};
 pub use suite::{suite, Scale, SuiteEntry};
-pub use telemetry::{PhaseBreakdownRecord, TelemetryOverheadRecord};
+pub use telemetry::TelemetryOverheadRecord;

@@ -1,29 +1,12 @@
-//! Telemetry's own cost, measured two ways:
-//!
-//! - **Overhead A/B** — the same single-session binary ingest workload
-//!   driven against a telemetry-on server and a `NullRecorder`
-//!   (telemetry-off) server. Best-of-`passes` events/sec per
-//!   configuration, so per-pass loopback noise does not masquerade as
-//!   tax. The budget the baseline enforces socially (not in
-//!   `validate`, which would make CI flaky): always-on telemetry
-//!   stays within ~2% of the null configuration.
-//! - **Phase breakdown** — the epoch-parallel pipeline's five phases
-//!   (partition / scatter / execute / gather / barrier) as merged
-//!   histogram summaries over the same epoch-friendly frames the
-//!   `parallel` records measure. This is the measured decomposition
-//!   ROADMAP item 1's coordination-tax work anchors on.
+//! Telemetry's own cost, as an overhead A/B: the same single-session
+//! binary ingest workload driven against a telemetry-on server and a
+//! `NullRecorder` (telemetry-off) server. Best-of-`passes` events/sec
+//! per configuration, so per-pass loopback noise does not masquerade
+//! as tax. The budget the baseline enforces socially (not in
+//! `validate`, which would make CI flaky): always-on telemetry stays
+//! within ~2% of the null configuration.
 
-use std::sync::Arc;
-
-use tc_core::TreeClock;
-use tc_orders::PartialOrderKind;
-use tc_stream::{
-    phase_metric_name, DetectorConfig, EpochPool, ParallelDetector, PhaseMetrics, ServeConfig,
-    Server, PHASES,
-};
-use tc_telemetry::Registry;
-
-use crate::parallel::ParallelScale;
+use tc_stream::{ServeConfig, Server};
 
 /// One telemetry-overhead A/B cell.
 #[derive(Clone, Debug)]
@@ -48,25 +31,6 @@ impl TelemetryOverheadRecord {
     }
 }
 
-/// One merged phase-latency summary from the epoch-parallel pipeline.
-#[derive(Clone, Debug)]
-pub struct PhaseBreakdownRecord {
-    /// Phase name (one of [`PHASES`]).
-    pub phase: &'static str,
-    /// Epoch-pool workers of the measured run.
-    pub workers: usize,
-    /// Samples recorded (execute counts once per epoch shard).
-    pub count: u64,
-    /// Total microseconds across all samples.
-    pub total_us: u64,
-    /// Median latency (bucket upper bound, microseconds).
-    pub p50_us: u64,
-    /// 95th-percentile latency.
-    pub p95_us: u64,
-    /// 99th-percentile latency.
-    pub p99_us: u64,
-}
-
 /// Measures the overhead A/B: `passes` single-session binary ingest
 /// runs against a telemetry-on and a telemetry-off server, keeping
 /// each configuration's best rate. `progress` is called before each
@@ -81,7 +45,6 @@ pub fn collect_overhead(
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
-            parallel: 0,
             telemetry,
             auth: None,
         })
@@ -103,46 +66,6 @@ pub fn collect_overhead(
     }
 }
 
-/// Measures the phase breakdown: the epoch-friendly frame workload fed
-/// through a tree-clock [`ParallelDetector`] with live [`PhaseMetrics`]
-/// attached, summarized per phase from the merged histogram shards.
-pub fn collect_phases(
-    scale: ParallelScale,
-    workers: usize,
-    mut progress: impl FnMut(&str),
-) -> Vec<PhaseBreakdownRecord> {
-    progress(&format!("phases/{workers}"));
-    let frames = crate::parallel::epoch_frames(scale);
-    let registry = Registry::new();
-    let config = DetectorConfig::for_order(PartialOrderKind::Hb);
-    let mut detector =
-        ParallelDetector::<TreeClock>::new(config, Arc::new(EpochPool::new(workers)), 2);
-    detector.set_phase_metrics(PhaseMetrics::new(&registry));
-    for frame in &frames {
-        detector.feed_frame(frame).expect("bench events are valid");
-    }
-    assert_eq!(
-        detector.parallel_frames(),
-        frames.len() as u64,
-        "phase breakdown must measure the epoch path, not the fallback"
-    );
-    PHASES
-        .iter()
-        .map(|&phase| {
-            let snap = registry.histogram_snapshot(&phase_metric_name(phase));
-            PhaseBreakdownRecord {
-                phase,
-                workers,
-                count: snap.count,
-                total_us: snap.sum,
-                p50_us: snap.quantile(0.5),
-                p95_us: snap.quantile(0.95),
-                p99_us: snap.quantile(0.99),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,26 +77,6 @@ mod tests {
         assert!(record.on_events_per_sec > 0.0, "{record:?}");
         assert!(record.off_events_per_sec > 0.0, "{record:?}");
         assert!(record.overhead_pct().is_finite(), "{record:?}");
-    }
-
-    #[test]
-    fn phase_breakdown_covers_all_five_phases_with_samples() {
-        let scale = ParallelScale {
-            pairs: 4,
-            frames: 3,
-            frame_events: 256,
-        };
-        let records = collect_phases(scale, 2, |_| {});
-        let names: Vec<&str> = records.iter().map(|r| r.phase).collect();
-        assert_eq!(names, PHASES.to_vec());
-        for r in &records {
-            assert!(r.count > 0, "{r:?}");
-            assert_eq!(r.workers, 2);
-            assert!(r.p50_us <= r.p95_us && r.p95_us <= r.p99_us, "{r:?}");
-        }
-        // Execute samples once per epoch shard: pairs x frames.
-        let execute = records.iter().find(|r| r.phase == "execute").unwrap();
-        assert_eq!(execute.count, 4 * 3);
     }
 
     #[test]

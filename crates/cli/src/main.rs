@@ -21,7 +21,6 @@ use std::io::{BufReader, BufWriter, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, RaceReport, ShbRaceDetector};
 use tc_bench::baseline::{self, BaselineScale};
@@ -30,13 +29,9 @@ use tc_bench::ClockKind;
 use tc_conformance::{check_trace, run_sweep, Corpus, Fault, SweepOptions};
 use tc_core::{HybridClock, TreeClock, VectorClock};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, ShbEngine};
-use tc_stream::{
-    phase_metric_name, AnyDetector, Checkpoint, ClockChoice, DetectorConfig, EpochPool,
-    PhaseMetrics, ServeConfig, Server, Session, DEFAULT_MIN_PARALLEL_FRAME, PHASES,
-};
-use tc_telemetry::Registry;
+use tc_stream::{AnyDetector, Checkpoint, ClockChoice, DetectorConfig, ServeConfig, Server};
 use tc_trace::gen::{Scenario, WorkloadSpec};
-use tc_trace::{binary_format, text_format, Event, EventReader, SessionValidator, Trace};
+use tc_trace::{binary_format, text_format, EventReader, SessionValidator, Trace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -478,29 +473,18 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             } else {
                 tc_bench::IngestScale::default_scale()
             };
-            let parallel_scale = if quick {
-                tc_bench::ParallelScale::quick()
-            } else {
-                tc_bench::ParallelScale::default_scale()
-            };
             let (overhead_events, overhead_passes) = if quick { (30_000, 2) } else { (120_000, 3) };
             tc_bench::BenchDoc {
                 engine: records,
                 ingest: tc_bench::ingest::collect(ingest_scale, |cell| eprintln!("bench: {cell}")),
                 suite: baseline::collect_suite_fold(|cell| eprintln!("bench: {cell}")),
                 calibration: baseline::collect_calibration(|cell| eprintln!("bench: {cell}")),
-                parallel: tc_bench::parallel::collect(parallel_scale, |cell| {
-                    eprintln!("bench: {cell}")
-                }),
                 churn: baseline::collect_churn(|cell| eprintln!("bench: {cell}")),
                 telemetry: vec![tc_bench::telemetry::collect_overhead(
                     overhead_events,
                     overhead_passes,
                     |cell| eprintln!("bench: {cell}"),
                 )],
-                phases: tc_bench::telemetry::collect_phases(parallel_scale, 2, |cell| {
-                    eprintln!("bench: {cell}")
-                }),
                 cluster: tc_bench::cluster::collect(quick, |cell| eprintln!("bench: {cell}")),
                 obs_period: baseline::collect_obs_period(|cell| eprintln!("bench: {cell}")),
             }
@@ -511,9 +495,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         println!(
             "wrote {out}: {} record(s), {} configuration(s), tree <= vector wall time on {}, \
              hybrid within 2x of vector on {}, {} ingest / {} suite / {} calibration / {} \
-             parallel / {} churn / {} telemetry / {} phase / {} cluster / {} obs-period \
-             record(s), binary ingest at {:.1}x text, parallel detection at {:.2}x sequential, \
-             telemetry tax {:.2}%, cluster forwarding tax {:.2}%, failover recovery {:.1}ms",
+             churn / {} telemetry / {} cluster / {} obs-period record(s), binary ingest at \
+             {:.1}x text, telemetry tax {:.2}%, cluster forwarding tax {:.2}%, failover \
+             recovery {:.1}ms",
             summary.records,
             summary.configs,
             summary.tree_wins,
@@ -521,14 +505,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             summary.ingest,
             summary.suite,
             summary.calibration,
-            summary.parallel,
             summary.churn,
             summary.telemetry,
-            summary.phase,
             summary.cluster,
             summary.obs_period,
             summary.binary_speedup,
-            summary.parallel_speedup,
             summary.telemetry_overhead_pct,
             summary.cluster_forward_overhead_pct,
             summary.cluster_recovery_ms
@@ -569,10 +550,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "checkpoint",
             "checkpoint-every",
             "resume",
-            "parallel",
-            "trace-out",
         ],
-        &["no-retire", "recycle", "profile"],
+        &["no-retire", "recycle"],
     )?;
     let [path] = flags.positional[..] else {
         return Err("stream requires exactly one FILE".into());
@@ -590,20 +569,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if checkpoint_every.is_some() && checkpoint_path.is_none() {
         return Err("--checkpoint-every requires --checkpoint FILE".into());
     }
-    let parallel_workers: usize = value(&kv, "parallel")
-        .map(|v| v.parse::<usize>().map_err(|_| "invalid --parallel"))
-        .transpose()?
-        .unwrap_or(0);
     let recycle = value(&kv, "recycle").is_some();
     if recycle && value(&kv, "no-retire").is_some() {
         return Err("--recycle requires join retirement; drop --no-retire".into());
-    }
-    let profile = value(&kv, "profile").is_some();
-    let trace_out = value(&kv, "trace-out");
-    if (profile || trace_out.is_some()) && parallel_workers == 0 {
-        return Err(
-            "--profile/--trace-out instrument the epoch-parallel pipeline; add --parallel N".into(),
-        );
     }
     let mut config = DetectorConfig {
         order,
@@ -650,21 +618,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         }
         None => (AnyDetector::new(clock, config), SessionValidator::new()),
     };
-
-    if parallel_workers > 0 {
-        return stream_parallel(
-            path,
-            reader,
-            detector,
-            validator,
-            parallel_workers,
-            limit,
-            checkpoint_path,
-            checkpoint_every,
-            profile,
-            trace_out,
-        );
-    }
 
     let start = std::time::Instant::now();
     let stdout = std::io::stdout();
@@ -747,167 +700,6 @@ fn write_checkpoint(
     writer.flush().map_err(|e| e.to_string())
 }
 
-/// Events per frame of the `--parallel` streaming path — a multiple of
-/// the epoch scheduler's minimum so frames are worth splitting, small
-/// enough that race emission and checkpoints stay responsive.
-const STREAM_FRAME_EVENTS: usize = 4096;
-
-/// The `tcr stream --parallel N` loop: events are batched into frames
-/// and driven through the same epoch-parallel [`Session`] machinery the
-/// service uses. Frames the scheduler cannot prove splittable fall back
-/// to sequential feeding; either way reports and timestamps are
-/// identical to the sequential path (conformance-enforced), so only
-/// throughput and race-emission granularity change.
-#[allow(clippy::too_many_arguments)]
-fn stream_parallel(
-    path: &str,
-    mut reader: EventReader<BufReader<File>>,
-    detector: AnyDetector,
-    validator: SessionValidator,
-    workers: usize,
-    limit: usize,
-    checkpoint_path: Option<&str>,
-    checkpoint_every: Option<u64>,
-    profile: bool,
-    trace_out: Option<&str>,
-) -> Result<(), String> {
-    let order = detector.config().order;
-    let mut session = Session::from_parts(0, detector, validator);
-    session.enable_parallel(
-        Arc::new(EpochPool::new(workers)),
-        DEFAULT_MIN_PARALLEL_FRAME,
-    );
-    // Only pay for phase telemetry when the run asked to see it; the
-    // null registry hands out inert handles.
-    let registry = if profile || trace_out.is_some() {
-        Registry::new()
-    } else {
-        Registry::null()
-    };
-    session.set_phase_metrics(PhaseMetrics::new(&registry));
-
-    let start = std::time::Instant::now();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut printed = 0usize;
-    let mut reported_before = 0usize;
-    let mut frames_fed = 0u64;
-    let mut checkpoints_due = 0u64;
-    let mut frame: Vec<Event> = Vec::with_capacity(STREAM_FRAME_EVENTS);
-    let mut done = false;
-    while !done {
-        match reader.next_event() {
-            Ok(Some(e)) => frame.push(e),
-            Ok(None) => done = true,
-            Err(e) => return Err(e.to_string()),
-        }
-        if frame.len() < STREAM_FRAME_EVENTS && (!done || frame.is_empty()) {
-            continue;
-        }
-        // An invalid or rejected event fails the whole run, like the
-        // sequential path — but only after its frame was fed, so the
-        // error surfaces at frame granularity.
-        let mut replies = String::new();
-        session.handle_frame(&frame, &mut replies);
-        frames_fed += 1;
-        frame.clear();
-        if let Some(first) = replies.lines().next() {
-            return Err(format!("{path}: {}", first.trim_start_matches("err ")));
-        }
-        let report = session.detector().report();
-        for race in report.races_since(reported_before) {
-            if printed < limit {
-                let _ = writeln!(out, "  [frame {}] {race}", frames_fed - 1);
-                printed += 1;
-            }
-        }
-        reported_before = report.races.len();
-        if let (Some(every), Some(cp_path)) = (checkpoint_every, checkpoint_path) {
-            let due = session.detector().events() / every.max(1);
-            if every > 0 && due > checkpoints_due {
-                checkpoints_due = due;
-                write_session_checkpoint(&session, cp_path)?;
-            }
-        }
-    }
-    if let (None, Some(cp_path)) = (checkpoint_every, checkpoint_path) {
-        write_session_checkpoint(&session, cp_path)?;
-    }
-    let elapsed = start.elapsed();
-    let d = session.detector();
-    let report = d.report();
-    if report.total as usize > printed {
-        let _ = writeln!(out, "  ... and {} more", report.total as usize - printed);
-    }
-    let _ = writeln!(
-        out,
-        "{} streaming analysis with {} clocks over {} events: {} in {:.3}s \
-         ({} of {} frame(s) epoch-parallel across {} worker(s))",
-        order,
-        d.backend_name(),
-        d.events(),
-        report,
-        elapsed.as_secs_f64(),
-        session.parallel_frames(),
-        frames_fed,
-        workers,
-    );
-    let _ = writeln!(
-        out,
-        "memory: threads={} retired={} evicted={} live_clock_bytes={} pool_bytes={} \
-         live_threads={} total_threads={} recycled_slots={} peak_clock_bytes={}",
-        d.threads_seen(),
-        d.retired_count(),
-        d.evicted(),
-        d.clock_bytes(),
-        d.pool_bytes(),
-        d.live_threads(),
-        d.total_threads(),
-        d.recycled_slots(),
-        d.peak_clock_bytes(),
-    );
-    if profile {
-        let mut table =
-            TextTable::new(["phase", "count", "total_ms", "mean_us", "p50", "p95", "p99"])
-                .with_title("epoch-parallel phase breakdown (microseconds)");
-        for phase in PHASES {
-            let snap = registry.histogram_snapshot(&phase_metric_name(phase));
-            let mean = if snap.count > 0 {
-                snap.sum as f64 / snap.count as f64
-            } else {
-                0.0
-            };
-            table.row([
-                phase.to_owned(),
-                snap.count.to_string(),
-                format!("{:.3}", snap.sum as f64 / 1000.0),
-                format!("{mean:.1}"),
-                snap.quantile(0.5).to_string(),
-                snap.quantile(0.95).to_string(),
-                snap.quantile(0.99).to_string(),
-            ]);
-        }
-        let _ = write!(out, "{table}");
-    }
-    if let Some(trace_path) = trace_out {
-        std::fs::write(trace_path, registry.chrome_trace())
-            .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
-        let _ = writeln!(
-            out,
-            "chrome trace written to {trace_path} (load in chrome://tracing or Perfetto)"
-        );
-    }
-    Ok(())
-}
-
-fn write_session_checkpoint(session: &Session, path: &str) -> Result<(), String> {
-    let cp = session.checkpoint();
-    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    let mut writer = BufWriter::new(file);
-    cp.write(&mut writer).map_err(|e| e.to_string())?;
-    writer.flush().map_err(|e| e.to_string())
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (flags, kv) = Flags::parse(
         args,
@@ -915,7 +707,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "addr",
             "port",
             "workers",
-            "parallel-sessions",
             "auth",
             "node",
             "peers",
@@ -952,26 +743,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .unwrap_or("4")
         .parse()
         .map_err(|_| "invalid --workers")?;
-    let parallel: usize = value(&kv, "parallel-sessions")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "invalid --parallel-sessions")?;
     let auth = value(&kv, "auth").map(str::to_owned);
     let server = Server::start(ServeConfig {
         addr,
         workers,
-        parallel,
         telemetry: true,
         auth,
     })
     .map_err(|e| format!("cannot start server: {e}"))?;
-    let parallel_note = if parallel > 0 {
-        format!("; large binary frames split across {parallel} epoch worker(s) per session")
-    } else {
-        String::new()
-    };
     println!(
-        "tcr serve: listening on {} with {workers} work-stealing worker(s){parallel_note}; \
+        "tcr serve: listening on {} with {workers} work-stealing worker(s); \
          open a TCP connection and speak the line protocol \
          (`open <order> <clock>`, then event lines) or stream batched \
          binary frames to session ids; `shutdown` stops the server",
@@ -992,8 +773,8 @@ fn serve_cluster(kv: &FlagValues<'_>) -> Result<(), String> {
     if value(kv, "addr").is_some() || value(kv, "port").is_some() {
         return Err("--cluster binds the --peers entry for --node; drop --addr/--port".into());
     }
-    if value(kv, "workers").is_some() || value(kv, "parallel-sessions").is_some() {
-        return Err("--workers/--parallel-sessions do not apply to --cluster nodes".into());
+    if value(kv, "workers").is_some() {
+        return Err("--workers does not apply to --cluster nodes".into());
     }
     let peers: Vec<String> = value(kv, "peers")
         .ok_or("--cluster requires --peers host:port,host:port,... (one entry per node)")?
@@ -1070,10 +851,8 @@ USAGE:
             [--check FILE]
   tcr stream FILE [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N]
              [--evict N] [--no-retire] [--recycle] [--checkpoint FILE]
-             [--checkpoint-every N] [--resume FILE] [--parallel N]
-             [--profile] [--trace-out FILE]
-  tcr serve [--port P | --addr A] [--workers N]
-            [--parallel-sessions N] [--auth TOKEN] [--smoke]
+             [--checkpoint-every N] [--resume FILE]
+  tcr serve [--port P | --addr A] [--workers N] [--auth TOKEN] [--smoke]
   tcr serve --cluster --node I --peers A,B,C [--delta-every N]
             [--auth TOKEN]
 
@@ -1100,11 +879,10 @@ ingest-throughput records (events/sec through the live serve socket
 path, text vs binary x single-session vs 1000-session fan-in via
 multi-session frames + stats-all), the 39-entry synthetic suite's
 per-backend wall times, the hybrid's dense-cutoff calibration cells,
-epoch-parallel detection cells (backend x worker count against a
-sequential baseline), the telemetry-overhead A/B (live registry vs
-NullRecorder ingest rate), the epoch-parallel per-phase latency
-summary, the cluster cells (gateway-forwarding tax, crash-to-promoted
-failover latency, stable-prefix delta-GC byte counts) and the hybrid's
+spawn/join-churn memory cells, the telemetry-overhead A/B (live
+registry vs NullRecorder ingest rate), the cluster cells
+(gateway-forwarding tax, crash-to-promoted failover latency,
+stable-prefix delta-GC byte counts) and the hybrid's
 tree-observation-period A/B; --check validates an existing baseline;
 --trace benches one trace file (engine records only).
 
@@ -1115,16 +893,10 @@ dominated lock/variable clocks every N events (requires fork
 discipline). --recycle routes thread ids through an identity map so
 retired threads' clock slots are reused once every live clock
 dominates them — clock width stays O(live threads) under spawn/join
-churn, with identical races and timestamps. --checkpoint writes a resumable snapshot (periodically
-with --checkpoint-every); --resume FILE fast-forwards past a
-checkpoint's events and continues with byte-identical reports.
---parallel N batches events into frames and splits each frame into
-conflict-free epochs fanned across N workers — same reports and
-timestamps, higher throughput on epoch-rich traces. --profile prints a
-per-phase latency table (partition/scatter/execute/gather/barrier) for
-the parallel pipeline; --trace-out FILE dumps the recorded phase spans
-as chrome://tracing JSON (load in chrome://tracing or Perfetto). Both
-require --parallel.
+churn, with identical races and timestamps. --checkpoint writes a
+resumable snapshot (periodically with --checkpoint-every); --resume
+FILE fast-forwards past a checkpoint's events and continues with
+byte-identical reports.
 
 serve runs the multi-client analysis service: one blocking reader
 thread per connection feeding a work-stealing worker pool, each
@@ -1145,8 +917,6 @@ latency summaries; terminated by `# EOF`) — it needs no handshake, so
 port, sniffed by first byte): length-prefixed frames batching events
 for an explicit session id — or one multi-session frame carrying
 batches for many ids — so one connection can fan into many sessions.
---parallel-sessions N shares an N-worker epoch pool across sessions,
-splitting each large binary frame into conflict-free epochs.
 --smoke runs the self-test: three concurrent sessions (two text, one
 binary) driven over real sockets, asserted equal to the batch
 detectors (what `tcr race` runs), then a shutdown with a client still
@@ -1553,60 +1323,6 @@ mod tests {
         let e = run(&args(&["stream", "--checkpoint-every", "10", trace_s])).unwrap_err();
         assert!(e.contains("--checkpoint"), "{e}");
         assert!(run(&args(&["stream"])).is_err());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn stream_parallel_analyzes_checkpoints_and_resumes() {
-        let dir = temp_dir("stream-parallel");
-        let trace = dir.join("t.trace");
-        let trace_s = trace.to_str().unwrap();
-        run(&args(&[
-            "gen",
-            "--threads",
-            "8",
-            "--events",
-            "6000",
-            "--sync",
-            "5",
-            "--vars",
-            "32",
-            "-o",
-            trace_s,
-        ]))
-        .unwrap();
-        // The epoch-parallel path completes on the same file the
-        // sequential path handles (equivalence is library-enforced).
-        run(&args(&["stream", "--parallel", "2", trace_s])).unwrap();
-
-        // Checkpoints work at frame granularity, and a resumed session
-        // can itself run parallel.
-        let cp = dir.join("par.tccp");
-        let cp_s = cp.to_str().unwrap();
-        run(&args(&[
-            "stream",
-            "--parallel",
-            "2",
-            "--checkpoint",
-            cp_s,
-            "--checkpoint-every",
-            "2000",
-            trace_s,
-        ]))
-        .unwrap();
-        assert!(cp.exists(), "parallel checkpoint file missing");
-        run(&args(&[
-            "stream",
-            "--resume",
-            cp_s,
-            "--parallel",
-            "2",
-            trace_s,
-        ]))
-        .unwrap();
-
-        let e = run(&args(&["stream", "--parallel", "many", trace_s])).unwrap_err();
-        assert!(e.contains("--parallel"), "{e}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

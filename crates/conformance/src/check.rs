@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, RaceReport, ShbRaceDetector};
 use tc_core::{ClockPool, Epoch, HybridClock, TreeClock, VectorClock, VectorTime};
@@ -35,23 +34,12 @@ pub struct EnginePools {
     tree: ClockPool<TreeClock>,
     vector: ClockPool<VectorClock>,
     hybrid: ClockPool<HybridClock>,
-    /// The epoch-worker pool the parallel check scatters shards onto,
-    /// spawned lazily on the first parallel check and reused for every
-    /// remaining case of the sweep.
-    epoch_workers: Option<Arc<tc_stream::EpochPool>>,
 }
 
 impl EnginePools {
     /// Creates a set of empty pools.
     pub fn new() -> Self {
         EnginePools::default()
-    }
-
-    fn epoch_workers(&mut self) -> Arc<tc_stream::EpochPool> {
-        Arc::clone(
-            self.epoch_workers
-                .get_or_insert_with(|| Arc::new(tc_stream::EpochPool::new(2))),
-        )
     }
 }
 
@@ -73,13 +61,6 @@ pub enum CheckKind {
     /// events (the `tcr serve` binary ingest path) must produce a
     /// report event-identical to the batch detector's.
     Wire,
-    /// Epoch-parallel equivalence: a [`ParallelDetector`] fed the trace
-    /// in frames — shards fanned across a shared worker pool — must
-    /// produce per-event timestamps and a report identical to the
-    /// sequential detector's, for every backend.
-    ///
-    /// [`ParallelDetector`]: tc_stream::ParallelDetector
-    Parallel,
     /// Identity-recycling equivalence: a streaming detector with
     /// generation-based slot recycling enabled must produce per-event
     /// external-coordinate timestamps and a report identical to the
@@ -99,13 +80,12 @@ pub enum CheckKind {
 
 /// The check families every sweep case runs, in execution order
 /// (per partial order; the backend fan-out happens inside each).
-pub const CHECKS_PER_CASE: [CheckKind; 8] = [
+pub const CHECKS_PER_CASE: [CheckKind; 7] = [
     CheckKind::Timestamps,
     CheckKind::Reports,
     CheckKind::Metrics,
     CheckKind::Streaming,
     CheckKind::Wire,
-    CheckKind::Parallel,
     CheckKind::Recycling,
     CheckKind::Cluster,
 ];
@@ -118,7 +98,6 @@ impl fmt::Display for CheckKind {
             CheckKind::Metrics => "metrics",
             CheckKind::Streaming => "streaming",
             CheckKind::Wire => "wire",
-            CheckKind::Parallel => "parallel",
             CheckKind::Recycling => "recycling",
             CheckKind::Cluster => "cluster",
         })
@@ -749,120 +728,6 @@ fn check_recycling(
     Ok(BACKENDS)
 }
 
-/// Feeds `trace` through a [`ParallelDetector`] in frames of 64 with
-/// the minimum parallel frame forced down to 2 (so even small corpus
-/// cases exercise the epoch split) and compares every event's
-/// timestamp plus the final report against the batch results.
-///
-/// [`ParallelDetector`]: tc_stream::ParallelDetector
-fn parallel_one_backend<C: tc_core::LogicalClock + Send + 'static>(
-    trace: &Trace,
-    kind: PartialOrderKind,
-    backend: &str,
-    batch_ts: &[VectorTime],
-    batch_report: &RaceReport,
-    pool: &mut ClockPool<C>,
-    workers: Arc<tc_stream::EpochPool>,
-) -> Result<(), Failure> {
-    use tc_stream::{DetectorConfig, IncrementalDetector, ParallelDetector};
-    let config = DetectorConfig {
-        order: kind,
-        retire_on_join: true,
-        evict_every: None,
-        recycle_slots: false,
-    };
-    let inner = IncrementalDetector::<C>::with_pool(config, std::mem::take(pool));
-    let mut d = ParallelDetector::from_detector(inner, workers, 2);
-    let mut failure = None;
-    let mut i = 0usize;
-    'frames: for (f, frame) in trace.events().chunks(64).enumerate() {
-        match d.feed_frame_traced(frame) {
-            Err(err) => {
-                failure = Some(fail(
-                    kind,
-                    CheckKind::Parallel,
-                    format!("{backend} parallel feed rejected frame {f}: {err}"),
-                ));
-                break 'frames;
-            }
-            Ok((_races, stamps)) => {
-                for (k, got) in stamps.iter().enumerate() {
-                    if *got != batch_ts[i + k] {
-                        failure = Some(fail(
-                            kind,
-                            CheckKind::Parallel,
-                            format!(
-                                "{backend} parallel timestamp diverges from batch at \
-                                 event {} ({}): got {got}, batch {}",
-                                i + k,
-                                trace[i + k],
-                                batch_ts[i + k]
-                            ),
-                        ));
-                        break 'frames;
-                    }
-                }
-            }
-        }
-        i += frame.len();
-    }
-    if failure.is_none() && *d.detector().report() != *batch_report {
-        let served = d.detector().report();
-        failure = Some(fail(
-            kind,
-            CheckKind::Parallel,
-            format!(
-                "{backend} parallel report diverges from batch: {} vs {} race(s) \
-                 over {} vs {} check(s)",
-                served.total, batch_report.total, served.checks, batch_report.checks
-            ),
-        ));
-    }
-    *pool = d.into_inner().into_pool();
-    match failure {
-        Some(f) => Err(f),
-        None => Ok(()),
-    }
-}
-
-fn check_parallel(
-    trace: &Trace,
-    kind: PartialOrderKind,
-    pools: &mut EnginePools,
-) -> Result<(), Failure> {
-    let [ts_tc, ts_vc, ts_hc] = timestamps_of(trace, kind, pools);
-    let [rep_tc, rep_vc, rep_hc] = reports_of(trace, kind, pools);
-    let workers = pools.epoch_workers();
-    parallel_one_backend::<TreeClock>(
-        trace,
-        kind,
-        "tree",
-        &ts_tc,
-        &rep_tc,
-        &mut pools.tree,
-        Arc::clone(&workers),
-    )?;
-    parallel_one_backend::<VectorClock>(
-        trace,
-        kind,
-        "vector",
-        &ts_vc,
-        &rep_vc,
-        &mut pools.vector,
-        Arc::clone(&workers),
-    )?;
-    parallel_one_backend::<HybridClock>(
-        trace,
-        kind,
-        "hybrid",
-        &ts_hc,
-        &rep_hc,
-        &mut pools.hybrid,
-        workers,
-    )?;
-    Ok(())
-}
-
 /// Feeds `trace` into a protocol [`Session`] as frame-batched binary
 /// events — the exact path `tcr serve` runs for binary clients — and
 /// asserts the session's report is event-identical to the batch
@@ -1072,7 +937,6 @@ pub fn check_trace_pooled(
         };
         check_wire(trace, kind, &reports[idx], backend)?;
         check_cluster(trace, kind, &reports[idx])?;
-        check_parallel(trace, kind, pools)?;
         summary.recycling_passes += check_recycling(trace, kind, pools)?;
     }
     Ok(summary)
@@ -1180,20 +1044,6 @@ mod tests {
                     panic!("{scenario}/{events} events failed the plain 3× bound: {f}")
                 });
             }
-        }
-    }
-
-    #[test]
-    fn parallel_check_matches_sequential_on_a_multi_epoch_workload() {
-        // The racy workload's threads split across several epochs in
-        // most frames; the parallel pass must agree with the batch
-        // run for every order and backend (check_parallel fans all
-        // three backends internally).
-        let mut pools = EnginePools::new();
-        let trace = racy_trace();
-        for kind in PartialOrderKind::ALL {
-            check_parallel(&trace, kind, &mut pools)
-                .unwrap_or_else(|f| panic!("parallel check failed for {kind}: {f}"));
         }
     }
 

@@ -226,23 +226,6 @@ impl<C: LogicalClock> ClockPool<C> {
     pub fn peak_bytes(&self) -> usize {
         self.peak_free_bytes
     }
-
-    /// Drains another pool's free list into this one (respecting this
-    /// pool's high-water mark), merging its traffic counters — used
-    /// when an engine hands back its pool.
-    pub fn absorb(&mut self, mut other: ClockPool<C>) {
-        let room = self.high_water.saturating_sub(self.free.len());
-        if other.free.len() > room {
-            self.dropped += (other.free.len() - room) as u64;
-            other.free.truncate(room);
-        }
-        self.free_bytes += other.free.iter().map(C::heap_bytes).sum::<usize>();
-        self.peak_free_bytes = self.peak_free_bytes.max(self.free_bytes);
-        self.free.append(&mut other.free);
-        self.fresh += other.fresh;
-        self.recycled += other.recycled;
-        self.dropped += other.dropped;
-    }
 }
 
 impl<C: LogicalClock> Default for ClockPool<C> {
@@ -402,30 +385,11 @@ mod tests {
         assert_eq!(pool.free_len(), 1);
         assert_eq!(pool.dropped(), 3);
         assert_eq!(pool.high_water(), 1);
-
-        // Absorbing another pool respects the cap too.
-        let mut donor = ClockPool::<VectorClock>::new();
-        let c = donor.acquire();
-        donor.release(c);
-        pool.absorb(donor);
-        assert_eq!(pool.free_len(), 1);
-        assert_eq!(pool.dropped(), 4);
     }
 
     #[test]
     fn hybrid_clocks_pool_and_recycle() {
         exercise_pool::<crate::HybridClock>();
-    }
-
-    #[test]
-    fn absorb_merges_free_lists_and_counters() {
-        let mut a = ClockPool::<VectorClock>::new();
-        let mut b = ClockPool::<VectorClock>::new();
-        let c = b.acquire();
-        b.release(c);
-        a.absorb(b);
-        assert_eq!(a.free_len(), 1);
-        assert_eq!(a.fresh(), 1);
     }
 
     #[test]

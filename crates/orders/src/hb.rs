@@ -8,7 +8,7 @@
 //! clock.
 
 use tc_core::{ClockPool, LogicalClock, ThreadId, VectorTime};
-use tc_trace::{Event, LockId, Trace, VarId};
+use tc_trace::{Event, Trace};
 
 use crate::metrics::RunMetrics;
 use crate::sync_core::SyncCore;
@@ -153,43 +153,6 @@ impl<C: LogicalClock> HbEngine<C> {
     /// pool for the next run to reuse.
     pub fn into_pool(self) -> ClockPool<C> {
         self.core.into_pool()
-    }
-
-    /// Moves one conflict-free partition of the engine's state — the
-    /// given threads and locks; `vars` is accepted for signature
-    /// uniformity (HB keeps no per-variable clocks) — into a shard
-    /// engine that can process the partition's events independently.
-    /// The partition must be *closed*: no event fed to the shard may
-    /// name a thread, lock or variable outside it. `pool` seeds the
-    /// shard's clock pool. Reverse with
-    /// [`absorb_epoch_shard`](Self::absorb_epoch_shard).
-    pub fn extract_epoch_shard(
-        &mut self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-        pool: ClockPool<C>,
-    ) -> Self {
-        let _ = vars;
-        HbEngine {
-            core: self.core.extract_shard(tids, locks, pool),
-        }
-    }
-
-    /// Moves a partition's state back from a shard produced by
-    /// [`extract_epoch_shard`](Self::extract_epoch_shard); returns the
-    /// shard's pool for reuse. Clock values and rooted/retired flags of
-    /// the partition's threads come back verbatim, so the merged state
-    /// is exactly what sequential processing would have produced.
-    pub fn absorb_epoch_shard(
-        &mut self,
-        shard: Self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-    ) -> ClockPool<C> {
-        let _ = vars;
-        self.core.absorb_shard(shard.core, tids, locks)
     }
 
     /// Heap bytes currently owned by the engine's clocks (the
@@ -456,56 +419,6 @@ mod tests {
             assert_eq!(
                 original.timestamp_of(ThreadId::new(t)),
                 restored.timestamp_of(ThreadId::new(t)),
-                "thread {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn epoch_shard_round_trip_matches_sequential() {
-        // Two closed partitions: {t0, t1, lock m} and {t2, t3, lock n}.
-        let mut b = TraceBuilder::new();
-        b.acquire(0, "m").release(0, "m").acquire(1, "m");
-        b.acquire(2, "n").release(2, "n").acquire(3, "n");
-        let trace = b.finish();
-
-        let mut seq = HbEngine::<TreeClock>::with_counts(4, 2);
-        let mut par = HbEngine::<TreeClock>::with_counts(4, 2);
-        for e in &trace {
-            seq.process(e);
-        }
-
-        let part_a: Vec<Event> = trace
-            .iter()
-            .copied()
-            .filter(|e| e.tid.index() < 2)
-            .collect();
-        let part_b: Vec<Event> = trace
-            .iter()
-            .copied()
-            .filter(|e| e.tid.index() >= 2)
-            .collect();
-        let tids_a = [ThreadId::new(0), ThreadId::new(1)];
-        let tids_b = [ThreadId::new(2), ThreadId::new(3)];
-        let locks_a = [LockId::new(0)];
-        let locks_b = [LockId::new(1)];
-
-        let mut shard_a = par.extract_epoch_shard(&tids_a, &locks_a, &[], ClockPool::new());
-        let mut shard_b = par.extract_epoch_shard(&tids_b, &locks_b, &[], ClockPool::new());
-        // Feed partition B first: cross-shard order must not matter.
-        for e in &part_b {
-            shard_b.process(e);
-        }
-        for e in &part_a {
-            shard_a.process(e);
-        }
-        let _ = par.absorb_epoch_shard(shard_b, &tids_b, &locks_b, &[]);
-        let _ = par.absorb_epoch_shard(shard_a, &tids_a, &locks_a, &[]);
-
-        for t in 0..4u32 {
-            assert_eq!(
-                par.timestamp_of(ThreadId::new(t)),
-                seq.timestamp_of(ThreadId::new(t)),
                 "thread {t}"
             );
         }

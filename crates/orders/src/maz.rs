@@ -11,7 +11,7 @@
 //! write-to-write edge, which keeps the total time O(n·k).
 
 use tc_core::{ClockPool, LazyClock, LogicalClock, ThreadId, VectorTime};
-use tc_trace::{Event, LockId, Op, Trace, VarId};
+use tc_trace::{Event, Op, Trace, VarId};
 
 use crate::metrics::RunMetrics;
 use crate::sync_core::SyncCore;
@@ -246,55 +246,6 @@ impl<C: LogicalClock> MazEngine<C> {
         if x.index() >= self.vars.len() {
             self.vars.resize_with(x.index() + 1, VarState::new);
         }
-    }
-
-    /// Moves one conflict-free partition (threads, locks, and the
-    /// partition variables' full access state — `LW_x`, `R_{t,x}` and
-    /// `LRDs_x`) into a shard engine that can process the partition's
-    /// events independently; see
-    /// [`HbEngine::extract_epoch_shard`](crate::HbEngine::extract_epoch_shard).
-    pub fn extract_epoch_shard(
-        &mut self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-        pool: ClockPool<C>,
-    ) -> Self {
-        let core = self.core.extract_shard(tids, locks, pool);
-        let mut shard_vars: Vec<VarState<C>> =
-            (0..self.vars.len()).map(|_| VarState::new()).collect();
-        for &x in vars {
-            if x.index() < self.vars.len() {
-                std::mem::swap(&mut shard_vars[x.index()], &mut self.vars[x.index()]);
-            }
-        }
-        MazEngine {
-            core,
-            vars: shard_vars,
-        }
-    }
-
-    /// Moves a partition's state back from a shard produced by
-    /// [`extract_epoch_shard`](Self::extract_epoch_shard); returns the
-    /// shard's pool for reuse.
-    pub fn absorb_epoch_shard(
-        &mut self,
-        mut shard: Self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-    ) -> ClockPool<C> {
-        if shard.vars.len() > self.vars.len() {
-            self.vars.resize_with(shard.vars.len(), VarState::new);
-        }
-        for &x in vars {
-            std::mem::swap(&mut self.vars[x.index()], &mut shard.vars[x.index()]);
-        }
-        let mut pool = self.core.absorb_shard(shard.core, tids, locks);
-        for var in shard.vars {
-            var.release_into(&mut pool);
-        }
-        pool
     }
 
     /// Processes one event (events must be fed in trace order).
@@ -580,64 +531,6 @@ mod tests {
             engine.vars.iter().map(VarState::heap_bytes).sum::<usize>(),
             0,
             "untouched variables must not own clock memory"
-        );
-    }
-
-    #[test]
-    fn epoch_shard_moves_variable_state_and_matches_sequential() {
-        // Two closed partitions: {t0, t1, x} and {t2, t3, y} — the
-        // shard must carry LW_x, R_{t,x} and LRDs_x along.
-        let mut b = TraceBuilder::new();
-        b.write(0, "x").read(1, "x").write(1, "x").read(0, "x");
-        b.write(2, "y").read(3, "y").write(3, "y").read(2, "y");
-        let trace = b.finish();
-
-        let mut seq = MazEngine::<TreeClock>::with_capacity(4, 0, 2, ClockPool::new());
-        let mut par = MazEngine::<TreeClock>::with_capacity(4, 0, 2, ClockPool::new());
-        for e in &trace {
-            seq.process(e);
-        }
-
-        let part_a: Vec<Event> = trace
-            .iter()
-            .copied()
-            .filter(|e| e.tid.index() < 2)
-            .collect();
-        let part_b: Vec<Event> = trace
-            .iter()
-            .copied()
-            .filter(|e| e.tid.index() >= 2)
-            .collect();
-        let tids_a = [ThreadId::new(0), ThreadId::new(1)];
-        let tids_b = [ThreadId::new(2), ThreadId::new(3)];
-        let vars_a = [VarId::new(0)];
-        let vars_b = [VarId::new(1)];
-
-        let mut shard_a = par.extract_epoch_shard(&tids_a, &[], &vars_a, ClockPool::new());
-        let mut shard_b = par.extract_epoch_shard(&tids_b, &[], &vars_b, ClockPool::new());
-        for e in &part_b {
-            shard_b.process(e);
-        }
-        for e in &part_a {
-            shard_a.process(e);
-        }
-        let _ = par.absorb_epoch_shard(shard_b, &tids_b, &[], &vars_b);
-        let _ = par.absorb_epoch_shard(shard_a, &tids_a, &[], &vars_a);
-
-        for t in 0..4u32 {
-            assert_eq!(
-                par.timestamp_of(ThreadId::new(t)),
-                seq.timestamp_of(ThreadId::new(t)),
-                "thread {t}"
-            );
-        }
-        // A later cross-partition write still sees the moved-back state.
-        let late = Event::new(ThreadId::new(2), Op::Write(VarId::new(0)));
-        seq.process(&late);
-        par.process(&late);
-        assert_eq!(
-            par.timestamp_of(ThreadId::new(2)),
-            seq.timestamp_of(ThreadId::new(2))
         );
     }
 

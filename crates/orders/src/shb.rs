@@ -9,7 +9,7 @@
 //! write races with a read (Section 5.1).
 
 use tc_core::{ClockPool, CopyMode, LazyClock, LogicalClock, ThreadId, VectorTime};
-use tc_trace::{Event, LockId, Op, Trace, VarId};
+use tc_trace::{Event, Op, Trace, VarId};
 
 use crate::metrics::RunMetrics;
 use crate::sync_core::SyncCore;
@@ -178,56 +178,6 @@ impl<C: LogicalClock> ShbEngine<C> {
         if x.index() >= self.last_write.len() {
             self.last_write.resize_with(x.index() + 1, LazyClock::empty);
         }
-    }
-
-    /// Moves one conflict-free partition (threads, locks, and the
-    /// partition variables' `LW_x` clocks) into a shard engine that can
-    /// process the partition's events independently; see
-    /// [`HbEngine::extract_epoch_shard`](crate::HbEngine::extract_epoch_shard).
-    pub fn extract_epoch_shard(
-        &mut self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-        pool: ClockPool<C>,
-    ) -> Self {
-        let core = self.core.extract_shard(tids, locks, pool);
-        let mut last_write: Vec<LazyClock<C>> = (0..self.last_write.len())
-            .map(|_| LazyClock::empty())
-            .collect();
-        for &x in vars {
-            if x.index() < self.last_write.len() {
-                std::mem::swap(&mut last_write[x.index()], &mut self.last_write[x.index()]);
-            }
-        }
-        ShbEngine { core, last_write }
-    }
-
-    /// Moves a partition's state back from a shard produced by
-    /// [`extract_epoch_shard`](Self::extract_epoch_shard); returns the
-    /// shard's pool for reuse.
-    pub fn absorb_epoch_shard(
-        &mut self,
-        mut shard: Self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-    ) -> ClockPool<C> {
-        if shard.last_write.len() > self.last_write.len() {
-            self.last_write
-                .resize_with(shard.last_write.len(), LazyClock::empty);
-        }
-        for &x in vars {
-            std::mem::swap(
-                &mut self.last_write[x.index()],
-                &mut shard.last_write[x.index()],
-            );
-        }
-        let mut pool = self.core.absorb_shard(shard.core, tids, locks);
-        for mut lw in shard.last_write {
-            lw.release_into(&mut pool);
-        }
-        pool
     }
 
     /// Processes one event (events must be fed in trace order).

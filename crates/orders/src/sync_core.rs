@@ -87,75 +87,6 @@ impl<C: LogicalClock> SyncCore<C> {
         (&mut self.pool, &self.threads[t.index()])
     }
 
-    /// Moves one conflict-free partition's state (the given threads and
-    /// locks) out of this core into a same-shaped shard core that
-    /// processes the partition's events independently. Slots outside
-    /// the partition are value-empty placeholders — the partition's
-    /// events never touch them (that is what conflict-free means), so
-    /// the shard computes exactly the values the sequential core would.
-    /// `pool` seeds the shard's own clock pool; [`absorb_shard`]
-    /// (`Self::absorb_shard`) is the inverse.
-    pub(crate) fn extract_shard(
-        &mut self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        pool: ClockPool<C>,
-    ) -> SyncCore<C> {
-        let mut shard = SyncCore::with_pool(0, 0, pool);
-        shard.thread_hint = self.thread_hint;
-        shard.threads.resize_with(self.threads.len(), C::default);
-        shard.rooted = self.rooted.clone();
-        shard.retired = self.retired.clone();
-        shard.locks.resize_with(self.locks.len(), LazyClock::empty);
-        for &t in tids {
-            if t.index() < self.threads.len() {
-                std::mem::swap(&mut shard.threads[t.index()], &mut self.threads[t.index()]);
-            }
-        }
-        for &l in locks {
-            if l.index() < self.locks.len() {
-                std::mem::swap(&mut shard.locks[l.index()], &mut self.locks[l.index()]);
-            }
-        }
-        shard
-    }
-
-    /// Moves a partition's state back from `shard` (as produced by
-    /// [`extract_shard`](Self::extract_shard) and then fed the
-    /// partition's events): thread and lock clocks plus the partition
-    /// threads' rooted/retired flags return by index, metrics merge
-    /// additively. Returns the shard's pool (with any clocks it still
-    /// held released into it) for reuse on the next frame.
-    pub(crate) fn absorb_shard(
-        &mut self,
-        mut shard: SyncCore<C>,
-        tids: &[ThreadId],
-        locks: &[LockId],
-    ) -> ClockPool<C> {
-        if shard.threads.len() > self.threads.len() {
-            self.threads.resize_with(shard.threads.len(), C::default);
-            self.rooted.resize(shard.threads.len(), false);
-            self.retired.resize(shard.threads.len(), false);
-        }
-        if shard.locks.len() > self.locks.len() {
-            self.locks.resize_with(shard.locks.len(), LazyClock::empty);
-        }
-        for &t in tids {
-            let i = t.index();
-            std::mem::swap(&mut self.threads[i], &mut shard.threads[i]);
-            self.rooted[i] = shard.rooted[i];
-            self.retired[i] = shard.retired[i];
-        }
-        for &l in locks {
-            std::mem::swap(&mut self.locks[l.index()], &mut shard.locks[l.index()]);
-        }
-        self.metrics += shard.metrics;
-        // What's left in the shard are placeholders (and clocks a
-        // retire released); recycle them through its pool.
-        shard.metrics = RunMetrics::new();
-        shard.into_pool()
-    }
-
     fn ensure_thread(&mut self, t: ThreadId) {
         let i = t.index();
         if i >= self.threads.len() {

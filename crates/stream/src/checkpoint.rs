@@ -527,6 +527,13 @@ impl Checkpoint {
         let first_thread = read_opt_tid(r)?;
         let started = read_bits(r)?;
         let forked = read_bits(r)?;
+        // Both are indexed by the same thread id; a shorter one would
+        // be indexed out of bounds once the resumed session evicts.
+        if forked.len() != started.len() {
+            return Err(corrupt(
+                "detector started/forked flag vectors differ in length",
+            ));
+        }
 
         let thread_count = read_len(r, "threads")?;
         let mut threads = Vec::with_capacity(thread_count);
@@ -604,6 +611,11 @@ impl Checkpoint {
                 let started = read_bits(r)?;
                 let forked = read_bits(r)?;
                 let joined = read_bits(r)?;
+                if forked.len() != started.len() || joined.len() != started.len() {
+                    return Err(corrupt(
+                        "validator started/forked/joined flag vectors differ in length",
+                    ));
+                }
                 let events = read_varint(r)?;
                 Some(ValidatorState {
                     held_by,
@@ -690,7 +702,11 @@ impl Checkpoint {
                 vars: engine_vars,
             },
             vars,
-            report: RaceReport::from_parts(races, total, checks),
+            report: RaceReport {
+                races,
+                total,
+                checks,
+            },
             validator,
             interner,
             identity,
@@ -711,6 +727,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::detector::{DetectorConfig, IncrementalDetector};
+    use crate::session::{ClockChoice, Session};
     use tc_core::{ClockPool, HybridClock, TreeClock};
     use tc_trace::TraceBuilder;
 
@@ -842,5 +859,44 @@ mod tests {
         // Truncation is an I/O error.
         let e = Checkpoint::from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
         assert!(matches!(e, CheckpointError::Io(_)));
+    }
+
+    #[test]
+    fn detector_flag_vectors_of_different_lengths_are_rejected() {
+        // A short `forked` would be indexed past its end by the resumed
+        // detector on its first event after an eviction.
+        let mut cp = sample_detector(PartialOrderKind::Hb).checkpoint();
+        cp.forked.pop();
+        let e = Checkpoint::from_bytes(&cp.to_bytes()).unwrap_err();
+        assert!(matches!(e, CheckpointError::Corrupt(_)), "{e}");
+        assert!(e.to_string().contains("flag vectors"), "{e}");
+    }
+
+    #[test]
+    fn validator_flag_vectors_of_different_lengths_are_rejected() {
+        // A short `joined` would be indexed past its end by the resumed
+        // session's validator on its next event.
+        let mut session = Session::new(1, ClockChoice::Tree, DetectorConfig::default());
+        let mut out = String::new();
+        for line in ["t0 fork t1", "t1 w x", "t0 join t1", "t0 w x"] {
+            session.handle_line(line, &mut out);
+        }
+        assert!(out.is_empty(), "{out}");
+        let cp = session.checkpoint();
+        assert!(Checkpoint::from_bytes(&cp.to_bytes()).is_ok());
+        for field in 0..3 {
+            let mut bad = cp.clone();
+            let v = bad
+                .validator
+                .as_mut()
+                .expect("session checkpoints carry one");
+            [&mut v.started, &mut v.forked, &mut v.joined][field].pop();
+            let e = Checkpoint::from_bytes(&bad.to_bytes()).unwrap_err();
+            assert!(
+                matches!(e, CheckpointError::Corrupt(_)),
+                "field {field}: {e}"
+            );
+            assert!(e.to_string().contains("flag vectors"), "{e}");
+        }
     }
 }

@@ -34,7 +34,7 @@ use std::fmt;
 use tc_analysis::{upcoming_epoch, Race, RaceReport, VarHistories};
 use tc_core::{BindError, ClockPool, IdentityMap, LogicalClock, ThreadId, VectorTime};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, ShbEngine};
-use tc_trace::{Event, LockId, Op, VarId};
+use tc_trace::{Event, Op};
 
 use crate::checkpoint::Checkpoint;
 
@@ -633,124 +633,6 @@ impl<C: LogicalClock> IncrementalDetector<C> {
     /// Returns the races stored since the last emission.
     fn emit(&mut self) -> &[Race] {
         let start = self.emitted;
-        self.emitted = self.report.races.len();
-        self.report.races_since(start)
-    }
-
-    /// `true` once thread `t`'s clock has been retired to the pool.
-    pub(crate) fn is_thread_retired(&self, t: ThreadId) -> bool {
-        dispatch!(&self.engine, e => e.is_retired(t))
-    }
-
-    /// Moves one conflict-free partition of the detector's state (the
-    /// engine shard plus the partition variables' access histories and
-    /// an unbounded race accumulator) into a shard detector; the
-    /// parallel frame scheduler ([`crate::parallel`]) feeds it the
-    /// partition's events on a worker thread and merges it back with
-    /// [`absorb_shard`](Self::absorb_shard). The shard never evicts
-    /// (the scheduler falls back to sequential feeding whenever
-    /// eviction is configured), so its per-event behavior is exactly
-    /// the sequential detector's restricted to the partition.
-    pub(crate) fn extract_shard(
-        &mut self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-        pool: ClockPool<C>,
-    ) -> Self {
-        let engine = match &mut self.engine {
-            OrderEngine::Hb(e) => OrderEngine::Hb(e.extract_epoch_shard(tids, locks, vars, pool)),
-            OrderEngine::Shb(e) => OrderEngine::Shb(e.extract_epoch_shard(tids, locks, vars, pool)),
-            OrderEngine::Maz(e) => OrderEngine::Maz(e.extract_epoch_shard(tids, locks, vars, pool)),
-        };
-        let mut shard_vars = VarHistories::default();
-        for &x in vars {
-            shard_vars.put(x, self.vars.take(x));
-        }
-        IncrementalDetector {
-            config: DetectorConfig {
-                evict_every: None,
-                // Shards never translate ids: the scheduler falls back
-                // to sequential feeding whenever recycling is on.
-                recycle_slots: false,
-                ..self.config
-            },
-            engine,
-            vars: shard_vars,
-            report: RaceReport::unbounded(),
-            emitted: 0,
-            events: 0,
-            evicted: 0,
-            started: Vec::new(),
-            forked: Vec::new(),
-            first_thread: None,
-            identity: None,
-            floor_buf: Vec::new(),
-            peak_clock_bytes: 0,
-        }
-    }
-
-    /// Merges a shard produced by [`extract_shard`](Self::extract_shard)
-    /// back: engine state, variable histories, and the `checks` work
-    /// counter return to the parent; the shard's pool is returned for
-    /// the next frame's shards. Races are *not* merged here — the
-    /// scheduler replays them in frame order through
-    /// [`commit_parallel_frame`](Self::commit_parallel_frame) so the
-    /// stored-race order and cap behave exactly as sequential feeding.
-    pub(crate) fn absorb_shard(
-        &mut self,
-        shard: Self,
-        tids: &[ThreadId],
-        locks: &[LockId],
-        vars: &[VarId],
-    ) -> ClockPool<C> {
-        let IncrementalDetector {
-            engine,
-            vars: mut shard_vars,
-            report,
-            ..
-        } = shard;
-        for &x in vars {
-            self.vars.put(x, shard_vars.take(x));
-        }
-        self.report.checks += report.checks;
-        match (&mut self.engine, engine) {
-            (OrderEngine::Hb(p), OrderEngine::Hb(s)) => p.absorb_epoch_shard(s, tids, locks, vars),
-            (OrderEngine::Shb(p), OrderEngine::Shb(s)) => {
-                p.absorb_epoch_shard(s, tids, locks, vars)
-            }
-            (OrderEngine::Maz(p), OrderEngine::Maz(s)) => {
-                p.absorb_epoch_shard(s, tids, locks, vars)
-            }
-            _ => unreachable!("a shard's engine kind always matches its parent"),
-        }
-    }
-
-    /// After a frame's shards have been absorbed: applies the frame's
-    /// thread-lifecycle bookkeeping (in frame order, exactly as
-    /// sequential feeding would) and replays the frame's races —
-    /// already merged in frame order — through the capped report.
-    /// Returns the newly stored races, i.e. what the sequential
-    /// detector's `feed` calls would have returned across the frame.
-    pub(crate) fn commit_parallel_frame(&mut self, events: &[Event], races: &[Race]) -> &[Race] {
-        for e in events {
-            let t = e.tid;
-            self.grow_thread(t.index());
-            if self.first_thread.is_none() {
-                self.first_thread = Some(t);
-            }
-            self.started[t.index()] = true;
-            if let Op::Fork(u) = e.op {
-                self.grow_thread(u.index());
-                self.forked[u.index()] = true;
-                self.started[u.index()] = true;
-            }
-        }
-        self.events += events.len() as u64;
-        let start = self.emitted;
-        for &r in races {
-            self.report.record(r);
-        }
         self.emitted = self.report.races.len();
         self.report.races_since(start)
     }

@@ -35,14 +35,12 @@
 pub mod checkpoint;
 pub mod detector;
 pub mod metrics;
-pub mod parallel;
 pub mod service;
 pub mod session;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use detector::{DetectorConfig, FeedError, IncrementalDetector};
-pub use metrics::{phase_metric_name, PhaseMetrics, ServiceMetrics, SharedMetrics, PHASES};
-pub use parallel::{EpochPool, ParallelDetector, DEFAULT_MIN_PARALLEL_FRAME};
+pub use metrics::{ServiceMetrics, SharedMetrics};
 pub use service::{
     constant_time_eq, parse_open, smoke, write_or_sever, Client, ServeConfig, Server,
     CLIENT_WRITE_TIMEOUT,

@@ -1,81 +1,20 @@
 //! The service's telemetry surface: pre-resolved metric handles for
 //! the hot layers, built over [`tc_telemetry`]'s lock-free primitives.
 //!
-//! Two bundles:
+//! [`ServiceMetrics`] holds everything `tcr serve` tracks: connection
+//! and session counts, ingested events, per-wire-kind message counters
+//! and batch-size histograms, wire-level error counters, queue-depth
+//! high-water, worker drain/steal counts, reply-latency histograms,
+//! per-connection flow-control counters, and detector memory gauges.
+//! One instance per server, shared by the readers and every worker.
 //!
-//! - [`ServiceMetrics`] — everything `tcr serve` tracks: connection
-//!   and session counts, ingested events, per-wire-kind message
-//!   counters and batch-size histograms, wire-level error counters,
-//!   queue-depth high-water, worker drain/steal counts, reply-latency
-//!   histograms, per-connection flow-control counters, and detector
-//!   memory gauges. One instance per server, shared by the readers and
-//!   every worker.
-//! - [`PhaseMetrics`] — the epoch-parallel pipeline's five phases
-//!   (partition / scatter / execute / gather / barrier) as latency
-//!   histograms plus span rings for the chrome://tracing export —
-//!   exactly the breakdown ROADMAP item 1's coordination-tax work
-//!   needs.
-//!
-//! Both come in a null form (built over [`Registry::null`]) whose
-//! handles are inert — the `NullRecorder` configuration the overhead
-//! benchmark compares against.
+//! The bundle also comes in a null form (built over
+//! [`Registry::null`]) whose handles are inert — the `NullRecorder`
+//! configuration the overhead benchmark compares against.
 
 use std::sync::Arc;
 
-use tc_telemetry::{labeled, Counter, Gauge, Histogram, Registry, SpanRing, DEFAULT_RING_CAPACITY};
-
-/// The five epoch-parallel phases, in pipeline order. Histogram names
-/// are `tc_phase_us{phase="<name>"}`.
-pub const PHASES: [&str; 5] = ["partition", "scatter", "execute", "gather", "barrier"];
-
-/// The histogram name a phase's latencies are registered under.
-pub fn phase_metric_name(phase: &str) -> String {
-    labeled("tc_phase_us", &[("phase", phase)])
-}
-
-/// Telemetry handles for the epoch-parallel frame pipeline. Cloning
-/// shares the underlying cells; handles are `Send + Sync` and cheap
-/// enough to capture into epoch-worker closures.
-#[derive(Clone, Default)]
-pub struct PhaseMetrics {
-    /// `partition_frame` (union-find epoch split) latency.
-    pub(crate) partition: Histogram,
-    /// Shard extraction + scatter onto the pool.
-    pub(crate) scatter: Histogram,
-    /// One epoch shard's feed loop (recorded per shard, on whichever
-    /// thread ran it).
-    pub(crate) execute: Histogram,
-    /// The help-drain wait until every shard reports in.
-    pub(crate) gather: Histogram,
-    /// Shard re-absorption + frame commit after the barrier.
-    pub(crate) barrier: Histogram,
-    /// Coordinator-side spans (partition/scatter/gather/barrier).
-    pub(crate) coord_ring: SpanRing,
-    /// Execute spans, recorded from the epoch workers (and the
-    /// help-draining submitter) into one shared ring.
-    pub(crate) exec_ring: SpanRing,
-}
-
-impl PhaseMetrics {
-    /// Registers the five phase histograms and two span rings. A null
-    /// `registry` yields the inert bundle.
-    pub fn new(registry: &Registry) -> PhaseMetrics {
-        PhaseMetrics {
-            partition: registry.histogram(&phase_metric_name("partition")),
-            scatter: registry.histogram(&phase_metric_name("scatter")),
-            execute: registry.histogram(&phase_metric_name("execute")),
-            gather: registry.histogram(&phase_metric_name("gather")),
-            barrier: registry.histogram(&phase_metric_name("barrier")),
-            coord_ring: registry.span_ring("epoch-coordinator", DEFAULT_RING_CAPACITY),
-            exec_ring: registry.span_ring("epoch-workers", DEFAULT_RING_CAPACITY),
-        }
-    }
-
-    /// The inert bundle (every record is a no-op).
-    pub fn null() -> PhaseMetrics {
-        PhaseMetrics::default()
-    }
-}
+use tc_telemetry::{labeled, Counter, Gauge, Histogram, Registry};
 
 /// Every metric the streaming service records, as pre-resolved handles
 /// — the hot path never does a name lookup. Counters and gauges are
@@ -120,8 +59,6 @@ pub struct ServiceMetrics {
     pub(crate) peak_clock_bytes: Gauge,
     pub(crate) live_threads_high_water: Gauge,
     pub(crate) pool_bytes: Gauge,
-    /// The epoch-parallel phase bundle every session shares.
-    pub(crate) phases: PhaseMetrics,
 }
 
 impl ServiceMetrics {
@@ -166,7 +103,6 @@ impl ServiceMetrics {
             peak_clock_bytes: registry.gauge("tc_peak_clock_bytes"),
             live_threads_high_water: registry.gauge("tc_live_threads_high_water"),
             pool_bytes: registry.gauge("tc_pool_bytes"),
-            phases: PhaseMetrics::new(&registry),
             registry,
         }
     }
@@ -179,11 +115,6 @@ impl ServiceMetrics {
     /// The backing registry (scrapes, per-worker shard registration).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The epoch-parallel phase bundle.
-    pub fn phases(&self) -> &PhaseMetrics {
-        &self.phases
     }
 
     /// Renders the Prometheus-style exposition the `metrics` protocol
@@ -221,10 +152,8 @@ mod tests {
     fn null_bundle_is_inert_and_sendable() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServiceMetrics>();
-        assert_send_sync::<PhaseMetrics>();
         let m = ServiceMetrics::null(4);
         m.events.add(10);
-        m.phases.partition.record(5);
         assert_eq!(m.registry().counter_value("tc_events_total"), 0);
         assert_eq!(m.render_prometheus(), "# EOF\n");
         assert!(m.stats_suffix().contains("workers=4"));
@@ -238,25 +167,14 @@ mod tests {
         m.batch_frame.record(512);
         m.wire_err_oversize.inc();
         m.wire_errors_total.inc();
-        m.phases.execute.record(40);
         let text = m.render_prometheus();
         assert!(text.contains("tc_connections_accepted_total 1\n"));
         assert!(text.contains("tc_messages_total{wire=\"frame\"} 1\n"));
         assert!(text.contains("tc_wire_errors_total{kind=\"oversize\"} 1\n"));
-        assert!(text.contains("tc_phase_us{phase=\"execute\",quantile=\"0.5\"}"));
         assert!(text.contains("tc_workers 2\n"));
         assert!(text.ends_with("# EOF\n"));
         let suffix = m.stats_suffix();
         assert!(suffix.contains("conns_accepted=1"));
         assert!(suffix.contains("wire_errors=1"));
-    }
-
-    #[test]
-    fn phase_names_cover_the_pipeline() {
-        assert_eq!(
-            PHASES,
-            ["partition", "scatter", "execute", "gather", "barrier"]
-        );
-        assert_eq!(phase_metric_name("gather"), "tc_phase_us{phase=\"gather\"}");
     }
 }

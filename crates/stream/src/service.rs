@@ -80,7 +80,6 @@ use tc_trace::Event;
 
 use crate::detector::DetectorConfig;
 use crate::metrics::{ServiceMetrics, SharedMetrics};
-use crate::parallel::{EpochPool, DEFAULT_MIN_PARALLEL_FRAME};
 use crate::session::{ClockChoice, Session};
 
 /// Configuration of [`Server::start`].
@@ -91,10 +90,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads draining session work queues.
     pub workers: usize,
-    /// Epoch workers shared by every session for intra-session
-    /// parallel frame detection (0 disables the parallel path; each
-    /// session then feeds frames sequentially).
-    pub parallel: usize,
     /// Record telemetry (the default). `false` swaps in the null
     /// recorder: every metric handle is inert and the `metrics`
     /// command replies with an empty exposition — the configuration
@@ -113,7 +108,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
-            parallel: 0,
             telemetry: true,
             auth: None,
         }
@@ -461,9 +455,6 @@ struct ServiceShared {
     work_cv: Condvar,
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    /// The epoch-worker pool every session shares for intra-frame
-    /// parallel detection; `None` when `ServeConfig::parallel == 0`.
-    epoch_workers: Option<Arc<EpochPool>>,
     /// The server's telemetry bundle (inert when
     /// `ServeConfig::telemetry` is off).
     metrics: SharedMetrics,
@@ -555,7 +546,6 @@ impl Server {
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(1),
-            epoch_workers: (config.parallel > 0).then(|| Arc::new(EpochPool::new(config.parallel))),
             metrics: Arc::new(ServiceMetrics::new(registry, worker_count)),
             auth: config.auth.clone(),
             conns: Mutex::new(HashMap::new()),
@@ -1237,10 +1227,6 @@ fn handle_stats_all(conn: &Conn, shared: &ServiceShared) {
 /// Inserts a fresh session into the registry and binds the connection
 /// to it.
 fn register(conn: &mut Conn, shared: &ServiceShared, id: u64, mut session: Session) {
-    if let Some(pool) = &shared.epoch_workers {
-        session.enable_parallel(Arc::clone(pool), DEFAULT_MIN_PARALLEL_FRAME);
-        session.set_phase_metrics(shared.metrics.phases().clone());
-    }
     session.set_server_metrics(Arc::clone(&shared.metrics));
     shared.metrics.sessions_opened.inc();
     shared.registry.lock().expect("registry lock").insert(
@@ -1762,7 +1748,6 @@ pub fn smoke() -> Result<(), String> {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        parallel: 2,
         telemetry: true,
         auth: None,
     })

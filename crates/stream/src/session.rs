@@ -10,16 +10,14 @@
 
 use std::fmt::Write as _;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use tc_analysis::Race;
-use tc_core::{ClockPool, HybridClock, ThreadId, TreeClock, VectorClock, VectorTime};
+use tc_core::{HybridClock, ThreadId, TreeClock, VectorClock, VectorTime};
 use tc_trace::{Event, SessionValidator, StreamInterner};
 
 use crate::checkpoint::Checkpoint;
 use crate::detector::{DetectorConfig, FeedError, IncrementalDetector};
-use crate::metrics::{PhaseMetrics, SharedMetrics};
-use crate::parallel::{self, EpochPool};
+use crate::metrics::SharedMetrics;
 
 /// A runtime clock-backend selector (`tc`/`vc`/`hc`, or the long
 /// names).
@@ -198,27 +196,6 @@ impl AnyDetector {
     }
 }
 
-/// Per-backend shard clock pools recycled across a session's parallel
-/// frames (each epoch shard borrows one and returns it at the barrier).
-enum AnyShardPools {
-    Tree(Vec<ClockPool<TreeClock>>),
-    Vector(Vec<ClockPool<VectorClock>>),
-    Hybrid(Vec<ClockPool<HybridClock>>),
-}
-
-/// Epoch-parallel frame feeding, attached by
-/// [`Session::enable_parallel`]: binary frames of at least `min_frame`
-/// events are split into conflict-free epochs and fanned across the
-/// shared [`EpochPool`]; results are identical to sequential feeding.
-struct ParallelState {
-    workers: Arc<EpochPool>,
-    min_frame: usize,
-    pools: AnyShardPools,
-    parallel_frames: u64,
-    /// Phase telemetry for parallel frames (null unless attached).
-    metrics: PhaseMetrics,
-}
-
 /// One line-protocol session; see the [module docs](self) and
 /// [`Session::handle_line`] for the command set.
 pub struct Session {
@@ -230,8 +207,6 @@ pub struct Session {
     rejected: u64,
     /// Stored races already sent in reply to `poll`.
     polled: usize,
-    /// Epoch-parallel frame feeding, when enabled.
-    parallel: Option<ParallelState>,
     /// Server-scope telemetry, attached when the session is served:
     /// `stats` replies then carry the server suffix (uptime,
     /// connection counts, pool size, wire errors).
@@ -248,53 +223,7 @@ impl Session {
             interner: StreamInterner::new(),
             rejected: 0,
             polled: 0,
-            parallel: None,
             server: None,
-        }
-    }
-
-    /// Wraps an existing detector/validator pair (the `tcr stream
-    /// --parallel` path builds its state file-side — resume included —
-    /// and then drives it through the session's frame machinery).
-    pub fn from_parts(id: u64, detector: AnyDetector, validator: SessionValidator) -> Session {
-        Session {
-            id,
-            detector,
-            validator,
-            interner: StreamInterner::new(),
-            rejected: 0,
-            polled: 0,
-            parallel: None,
-            server: None,
-        }
-    }
-
-    /// Enables epoch-parallel feeding for binary frames of at least
-    /// `min_frame` events, fanned across `workers` (shared between
-    /// sessions). Frames the scheduler cannot prove splittable are fed
-    /// sequentially; either way the results are identical.
-    pub fn enable_parallel(&mut self, workers: Arc<EpochPool>, min_frame: usize) {
-        let pools = match self.detector {
-            AnyDetector::Tree(_) => AnyShardPools::Tree(Vec::new()),
-            AnyDetector::Vector(_) => AnyShardPools::Vector(Vec::new()),
-            AnyDetector::Hybrid(_) => AnyShardPools::Hybrid(Vec::new()),
-        };
-        self.parallel = Some(ParallelState {
-            workers,
-            min_frame,
-            pools,
-            parallel_frames: 0,
-            metrics: PhaseMetrics::null(),
-        });
-    }
-
-    /// Attaches epoch-phase telemetry to the parallel path (no-op when
-    /// [`enable_parallel`](Self::enable_parallel) was not called
-    /// first). Parallel frames then record partition/scatter/execute/
-    /// gather/barrier latencies and spans into `metrics`' registry.
-    pub fn set_phase_metrics(&mut self, metrics: PhaseMetrics) {
-        if let Some(ps) = self.parallel.as_mut() {
-            ps.metrics = metrics;
         }
     }
 
@@ -303,12 +232,6 @@ impl Session {
     /// wire_errors=...` suffix. Sessions outside a server never see it.
     pub fn set_server_metrics(&mut self, metrics: SharedMetrics) {
         self.server = Some(metrics);
-    }
-
-    /// Frames that took the epoch-parallel path so far (0 when
-    /// [`enable_parallel`](Self::enable_parallel) was never called).
-    pub fn parallel_frames(&self) -> u64 {
-        self.parallel.as_ref().map_or(0, |p| p.parallel_frames)
     }
 
     /// Events rejected by validation so far (the `rejected=` stats
@@ -341,7 +264,6 @@ impl Session {
             // consumer left off: races it never polled are replayed by
             // the next `poll` instead of being lost.
             polled: cp.polled as usize,
-            parallel: None,
             server: None,
         }
     }
@@ -390,9 +312,6 @@ impl Session {
     /// like malformed text lines, a rejected event never kills the
     /// session.
     pub fn handle_frame(&mut self, events: &[Event], out: &mut String) {
-        if self.try_handle_frame_parallel(events, out) {
-            return;
-        }
         for (i, e) in events.iter().enumerate() {
             let before = out.len();
             self.feed_event(e, out);
@@ -403,91 +322,6 @@ impl Session {
                 let _ = write!(out, "err at {i}: {}", tail.trim_start_matches("err "));
             }
         }
-    }
-
-    /// The epoch-parallel frame path: validates the whole frame up
-    /// front (validation state is detector-independent, so batched
-    /// validation accepts exactly the events interleaved validation
-    /// would), then feeds the accepted events through the epoch
-    /// scheduler — falling back to in-place sequential feeding when the
-    /// frame is not provably splittable. Replies are byte-identical to
-    /// the sequential path: `err at <i>: ...` lines in frame order.
-    /// Returns `false` when parallel feeding is not enabled or the
-    /// frame is below the configured minimum.
-    fn try_handle_frame_parallel(&mut self, events: &[Event], out: &mut String) -> bool {
-        let Some(ps) = self.parallel.as_mut() else {
-            return false;
-        };
-        if events.len() < ps.min_frame.max(2) {
-            return false;
-        }
-        let mut errs: Vec<(usize, String)> = Vec::new();
-        let mut accepted: Vec<Event> = Vec::with_capacity(events.len());
-        let mut accepted_idx: Vec<usize> = Vec::with_capacity(events.len());
-        for (i, e) in events.iter().enumerate() {
-            match self.validator.check(e) {
-                Ok(()) => {
-                    accepted.push(*e);
-                    accepted_idx.push(i);
-                }
-                Err(err) => {
-                    self.rejected += 1;
-                    errs.push((i, format!("invalid event: {}", err.message)));
-                }
-            }
-        }
-        let went_parallel = match (&mut self.detector, &mut ps.pools) {
-            (AnyDetector::Tree(d), AnyShardPools::Tree(p)) => parallel::try_feed_frame_parallel(
-                d,
-                &accepted,
-                &ps.workers,
-                ps.min_frame,
-                p,
-                false,
-                &ps.metrics,
-            )
-            .is_some(),
-            (AnyDetector::Vector(d), AnyShardPools::Vector(p)) => {
-                parallel::try_feed_frame_parallel(
-                    d,
-                    &accepted,
-                    &ps.workers,
-                    ps.min_frame,
-                    p,
-                    false,
-                    &ps.metrics,
-                )
-                .is_some()
-            }
-            (AnyDetector::Hybrid(d), AnyShardPools::Hybrid(p)) => {
-                parallel::try_feed_frame_parallel(
-                    d,
-                    &accepted,
-                    &ps.workers,
-                    ps.min_frame,
-                    p,
-                    false,
-                    &ps.metrics,
-                )
-                .is_some()
-            }
-            _ => unreachable!("shard pools always match the session backend"),
-        };
-        if went_parallel {
-            ps.parallel_frames += 1;
-        } else {
-            for (k, e) in accepted.iter().enumerate() {
-                if let Err(err) = self.detector.feed(e) {
-                    self.rejected += 1;
-                    errs.push((accepted_idx[k], err.to_string()));
-                }
-            }
-            errs.sort_by_key(|&(i, _)| i);
-        }
-        for (i, msg) in errs {
-            let _ = writeln!(out, "err at {i}: {msg}");
-        }
-        true
     }
 
     /// Handles one protocol line, appending reply lines to `out`.
@@ -557,8 +391,8 @@ impl Session {
                     out,
                     "ok events={} threads={} races={} checks={} rejected={} retired={} \
                      evicted={} clock_bytes={} pool_bytes={} backend={} order={} \
-                     parallel_frames={} live_threads={} total_threads={} \
-                     recycled_slots={} peak_clock_bytes={}{server}",
+                     live_threads={} total_threads={} recycled_slots={} \
+                     peak_clock_bytes={}{server}",
                     d.events(),
                     d.threads_seen(),
                     report.total,
@@ -570,7 +404,6 @@ impl Session {
                     d.pool_bytes(),
                     d.backend_name(),
                     d.config().order,
-                    self.parallel.as_ref().map_or(0, |p| p.parallel_frames),
                     d.live_threads(),
                     d.total_threads(),
                     d.recycled_slots(),
@@ -694,64 +527,6 @@ mod tests {
             framed.detector().timestamp_of(ThreadId::new(1)),
             text.detector().timestamp_of(ThreadId::new(1))
         );
-    }
-
-    #[test]
-    fn parallel_frames_match_sequential_sessions() {
-        use tc_trace::{Op, VarId};
-        let mut seq = open_session();
-        let mut par = open_session();
-        par.enable_parallel(Arc::new(EpochPool::new(2)), 2);
-        // Four independent racy pairs: four epochs.
-        let mut events = Vec::new();
-        for g in 0..4u32 {
-            for _ in 0..8 {
-                events.push(Event::new(ThreadId::new(2 * g), Op::Write(VarId::new(g))));
-                events.push(Event::new(
-                    ThreadId::new(2 * g + 1),
-                    Op::Write(VarId::new(g)),
-                ));
-            }
-        }
-        let mut out = String::new();
-        seq.handle_frame(&events, &mut out);
-        par.handle_frame(&events, &mut out);
-        assert!(out.is_empty(), "clean frames are silent: {out}");
-        assert_eq!(par.parallel_frames(), 1, "the frame must have split");
-        assert_eq!(par.detector().report(), seq.detector().report());
-        let (mut s_out, mut p_out) = (String::new(), String::new());
-        seq.handle_line("poll", &mut s_out);
-        par.handle_line("poll", &mut p_out);
-        assert_eq!(p_out, s_out, "poll replies must be byte-identical");
-        for t in 0..8u32 {
-            assert_eq!(
-                par.detector().timestamp_of(ThreadId::new(t)),
-                seq.detector().timestamp_of(ThreadId::new(t)),
-                "thread {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_frame_errors_match_the_sequential_reply() {
-        use tc_trace::{LockId, Op, VarId};
-        let mut seq = open_session();
-        let mut par = open_session();
-        par.enable_parallel(Arc::new(EpochPool::new(1)), 2);
-        // Index 1 is invalid (release without acquire); the rest feed.
-        let events = vec![
-            Event::new(ThreadId::new(0), Op::Write(VarId::new(0))),
-            Event::new(ThreadId::new(1), Op::Release(LockId::new(0))),
-            Event::new(ThreadId::new(1), Op::Write(VarId::new(1))),
-            Event::new(ThreadId::new(2), Op::Write(VarId::new(1))),
-        ];
-        let (mut s_out, mut p_out) = (String::new(), String::new());
-        seq.handle_frame(&events, &mut s_out);
-        par.handle_frame(&events, &mut p_out);
-        assert!(s_out.starts_with("err at 1:"), "{s_out}");
-        assert_eq!(p_out, s_out, "error replies must be byte-identical");
-        assert_eq!(par.detector().events(), seq.detector().events());
-        assert_eq!(par.detector().report(), seq.detector().report());
     }
 
     #[test]

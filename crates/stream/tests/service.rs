@@ -16,14 +16,9 @@ use tc_trace::wire;
 use tc_trace::{Event, Op, ThreadId, VarId};
 
 fn start() -> Server {
-    start_parallel(0)
-}
-
-fn start_parallel(epoch_workers: usize) -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        parallel: epoch_workers,
         telemetry: true,
         auth: None,
     })
@@ -268,9 +263,8 @@ fn one_connection_fans_frames_into_many_sessions() {
 }
 
 /// A dense-id frame of `reps` rounds over four independent racy pairs
-/// (threads `2i`/`2i+1` on variable `i`) — four conflict-free epochs,
-/// so a parallel-enabled session takes the epoch-parallel path.
-fn epoch_frame(reps: usize) -> Vec<Event> {
+/// (threads `2i`/`2i+1` on variable `i`).
+fn racy_pairs_frame(reps: usize) -> Vec<Event> {
     let mut events = Vec::with_capacity(reps * 8);
     for _ in 0..reps {
         for pair in 0..4u32 {
@@ -285,49 +279,6 @@ fn epoch_frame(reps: usize) -> Vec<Event> {
         }
     }
     events
-}
-
-/// Starts a server with `epoch_workers` parallel workers, streams
-/// `frames` into one `hb tc` session, and returns the full `races`
-/// reply plus the `stats` line.
-fn drive_frames(epoch_workers: usize, frames: &[Vec<Event>]) -> (Vec<String>, String) {
-    let server = start_parallel(epoch_workers);
-    let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
-    let id = client.session();
-    for frame in frames {
-        client.send_frame(id, frame).unwrap();
-    }
-    let races = client.request("races").unwrap();
-    let stats = client.request("stats").unwrap();
-    client.request("close").unwrap();
-    server.shutdown();
-    server.join();
-    (races, stats.last().unwrap().clone())
-}
-
-#[test]
-fn parallel_servers_agree_with_sequential_across_worker_counts() {
-    // The worker-count matrix the CI job sweeps: the epoch-parallel
-    // path must produce byte-identical race replies at any pool size,
-    // including the degenerate 1-worker pool.
-    let frames: Vec<Vec<Event>> = (0..4).map(|_| epoch_frame(32)).collect();
-    let (reference_races, reference_stats) = drive_frames(0, &frames);
-    assert!(
-        reference_stats.contains("parallel_frames=0"),
-        "{reference_stats}"
-    );
-    for epoch_workers in [1, 2, 8] {
-        let (races, stats) = drive_frames(epoch_workers, &frames);
-        assert_eq!(
-            races, reference_races,
-            "race replies diverged at {epoch_workers} epoch worker(s)"
-        );
-        assert!(
-            stats.contains(&format!("parallel_frames={}", frames.len())),
-            "{epoch_workers} worker(s): every frame has 4 epochs and \
-             256 events, all should go parallel — {stats}"
-        );
-    }
 }
 
 #[test]
@@ -384,7 +335,7 @@ fn use_rebinding_across_connections_keeps_the_poll_cursor() {
 
 #[test]
 fn multi_session_frames_and_stats_all_aggregate_in_one_round_trip() {
-    let server = start_parallel(2);
+    let server = start();
     let addr = server.local_addr();
 
     // An empty connection aggregates to zero without opening anything.
@@ -774,7 +725,7 @@ fn a_sync_behind_a_large_frame_is_not_held_for_a_delayed_ack() {
     let server = start();
     let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
     let id = client.session();
-    let frame = epoch_frame(512);
+    let frame = racy_pairs_frame(512);
     assert!(wire::encode_frame(id, &frame).unwrap().len() > 8 * 1024);
     let mut round_ms: Vec<f64> = (0..21)
         .map(|_| {
@@ -818,7 +769,7 @@ fn a_client_that_never_reads_is_severed_without_stalling_others() {
     // Meanwhile the well-behaved client keeps completing frame + sync
     // rounds; its read timeout turns a stall into a failure.
     let id = good.session();
-    let frame = epoch_frame(8);
+    let frame = racy_pairs_frame(8);
     let mut rounds = 0;
     while severed() == 0 {
         assert!(
@@ -851,6 +802,62 @@ fn a_client_that_never_reads_is_severed_without_stalling_others() {
     assert_eq!(events, rounds * 64);
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn a_half_written_frame_stalls_only_its_own_connection() {
+    let server = start();
+    let addr = server.local_addr();
+
+    // A raw connection opens a session, sends a frame header plus part
+    // of its payload, and then goes silent with the socket left open.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(b"open hb tc\n").unwrap();
+    let mut opened = String::new();
+    BufReader::new(stalled.try_clone().unwrap())
+        .read_line(&mut opened)
+        .unwrap();
+    let stalled_id: u64 = opened
+        .strip_prefix("ok session ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected open reply `{opened}`"));
+    let frame = wire::encode_frame(stalled_id, &racy_pairs_frame(8)).unwrap();
+    assert_eq!(frame[0], wire::FRAME_MAGIC);
+    stalled.write_all(&frame[..frame.len() / 2]).unwrap();
+
+    // A well-behaved client keeps completing frame + sync rounds; its
+    // read timeout turns a stall into a failure.
+    let mut good = Client::open(addr, "hb tc").unwrap();
+    good.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let id = good.session();
+    let events = racy_pairs_frame(8);
+    for round in 1..=50u64 {
+        good.send_frame(id, &events).unwrap();
+        let (sessions, fed, rejected, _) = good.stats_all().unwrap();
+        assert_eq!((sessions, fed, rejected), (1, round * 64, 0));
+    }
+
+    // Shutdown with the half-written frame still pending: `join`
+    // returns within a second and the stalled client sees the end of
+    // the stream.
+    let (done_tx, done_rx) = mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        server.shutdown();
+        server.join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .unwrap_or_else(|_| panic!("join() still blocked after {:?}", started.elapsed()));
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut rest = Vec::new();
+    if let Err(e) = stalled.read_to_end(&mut rest) {
+        assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+    }
 }
 
 #[test]

@@ -1,13 +1,12 @@
 //! Always-on telemetry for the streaming detection service.
 //!
-//! The service and the epoch-parallel pipeline are performance
-//! subsystems; tuning them (ROADMAP item 1's coordination tax in
-//! particular) needs a cost profile, not a guess. This crate is the
-//! substrate: metric primitives cheap enough to leave on in the hot
-//! ingest path, and a scrape surface that renders them for humans,
-//! `nc`, and the bench baseline alike.
+//! The service is a performance subsystem; tuning it needs a cost
+//! profile, not a guess. This crate is the substrate: metric
+//! primitives cheap enough to leave on in the hot ingest path, and a
+//! scrape surface that renders them for humans, `nc`, and the bench
+//! baseline alike.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - **Primitives** ([`Counter`], [`Gauge`], [`Histogram`]) — relaxed
 //!   atomics only. A counter increment is one `fetch_add(Relaxed)`; a
@@ -19,11 +18,6 @@
 //!   registered under one name get a *fresh shard per registration*,
 //!   so each worker records into its own cache lines and shards are
 //!   merged only at scrape time ([`Registry::histogram_snapshot`]).
-//! - **Spans** ([`SpanRing`]) — fixed-capacity per-thread ring buffers
-//!   of named `(start, duration)` intervals, exportable as a
-//!   chrome://tracing JSON document ([`Registry::chrome_trace`]).
-//!   Rings overwrite their oldest entries on wrap and count what they
-//!   dropped — tracing is lossy by design, never unbounded.
 //!
 //! Every handle has a **null** form ([`Registry::null`] /
 //! [`NullRecorder`]) whose operations compile to a branch on a `None`:
@@ -31,22 +25,16 @@
 //! answered by benching the same workload against an active and a null
 //! registry, and the baseline records the delta.
 //!
-//! Scrape surfaces:
-//!
-//! - [`Registry::render_prometheus`] — Prometheus-style text
-//!   exposition (counters/gauges as single samples, histograms as
-//!   summaries with `quantile="0.5|0.95|0.99"` series), terminated
-//!   with `# EOF` so a line protocol can stream it.
-//! - [`Registry::chrome_trace`] — `{"traceEvents": [...]}`, loadable
-//!   in `chrome://tracing` / Perfetto.
+//! The scrape surface is [`Registry::render_prometheus`]: a
+//! Prometheus-style text exposition (counters/gauges as single
+//! samples, histograms as summaries with `quantile="0.5|0.95|0.99"`
+//! series), terminated with `# EOF` so a line protocol can stream it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod metrics;
 mod registry;
-mod spans;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{labeled, NullRecorder, Registry};
-pub use spans::{SpanRecord, SpanRing, SpanTimer, DEFAULT_RING_CAPACITY};

@@ -1,12 +1,10 @@
 //! The metric registry: named handles, per-worker histogram shards
-//! merged at read time, and the scrape surfaces (Prometheus-style
-//! text, chrome://tracing JSON).
+//! merged at read time, and the Prometheus-style text scrape surface.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramSnapshot};
-use crate::spans::{RingCell, SpanRing};
 
 /// Quantiles every histogram reports on scrape.
 const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
@@ -20,10 +18,9 @@ struct Inner {
     counters: Mutex<Vec<(String, Arc<CounterCell>)>>,
     gauges: Mutex<Vec<(String, Arc<GaugeCell>)>>,
     histograms: Mutex<Vec<(String, Arc<crate::metrics::HistogramCell>)>>,
-    rings: Mutex<Vec<Arc<RingCell>>>,
 }
 
-/// A registry of named metrics and span rings.
+/// A registry of named metrics.
 ///
 /// Counters and gauges registered under the same name share one cell —
 /// any thread may bump them (relaxed atomics tolerate the contention).
@@ -40,8 +37,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A live registry; its creation time anchors span offsets and
-    /// uptime.
+    /// A live registry; its creation time anchors uptime.
     pub fn new() -> Self {
         Registry {
             inner: Some(Arc::new(Inner {
@@ -49,7 +45,6 @@ impl Registry {
                 counters: Mutex::new(Vec::new()),
                 gauges: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
-                rings: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -121,21 +116,6 @@ impl Registry {
             .expect("registry lock poisoned")
             .push((name.to_owned(), cell.clone()));
         Histogram { cell: Some(cell) }
-    }
-
-    /// A new span ring labeled `label` (a thread name in the trace
-    /// export), sharing the registry's epoch.
-    pub fn span_ring(&self, label: &str, capacity: usize) -> SpanRing {
-        let Some(inner) = &self.inner else {
-            return SpanRing::null();
-        };
-        let cell = Arc::new(RingCell::new(label.to_owned(), capacity));
-        inner
-            .rings
-            .lock()
-            .expect("registry lock poisoned")
-            .push(cell.clone());
-        SpanRing::from_cell(cell, inner.start)
     }
 
     /// The current value of counter `name` (0 if never registered).
@@ -248,38 +228,6 @@ impl Registry {
         out.push_str("# EOF\n");
         out
     }
-
-    /// The retained spans of every ring as a chrome://tracing JSON
-    /// document (`{"traceEvents": [...]}`): one `ph:"M"` thread-name
-    /// metadata event per ring, one `ph:"X"` complete event per span,
-    /// timestamps in microseconds since the registry epoch. Loadable
-    /// in `chrome://tracing` and Perfetto.
-    pub fn chrome_trace(&self) -> String {
-        let mut events = Vec::new();
-        if let Some(inner) = &self.inner {
-            let rings = inner.rings.lock().expect("registry lock poisoned");
-            for (tid, ring) in rings.iter().enumerate() {
-                events.push(format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape_json(&ring.label)
-                ));
-                for span in ring.snapshot() {
-                    events.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\
-                         \"cat\":\"span\",\"ts\":{},\"dur\":{}}}",
-                        escape_json(span.name),
-                        span.start_us,
-                        span.dur_us
-                    ));
-                }
-            }
-        }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-            events.join(",")
-        )
-    }
 }
 
 /// The `NullRecorder`: hands out the disabled [`Registry`] whose
@@ -305,7 +253,7 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     }
     let body: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_json(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
         .collect();
     format!("{base}{{{}}}", body.join(","))
 }
@@ -332,9 +280,9 @@ fn with_label(name: &str, key: &str, value: &str) -> String {
     }
 }
 
-/// Minimal JSON/label string escaping (quotes and backslashes; metric
-/// names and labels are ASCII identifiers in practice).
-fn escape_json(s: &str) -> String {
+/// Minimal label-value escaping (quotes and backslashes; metric names
+/// and labels are ASCII identifiers in practice).
+fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
@@ -374,15 +322,10 @@ mod tests {
         let c = reg.counter("tc_x_total");
         c.add(9);
         reg.histogram("tc_h").record(1);
-        reg.span_ring("w0", 8).record("s", 0, 1);
         assert_eq!(reg.counter_value("tc_x_total"), 0);
         assert_eq!(reg.histogram_snapshot("tc_h").count, 0);
         assert_eq!(reg.uptime(), Duration::ZERO);
         assert_eq!(reg.render_prometheus(), "# EOF\n");
-        assert_eq!(
-            reg.chrome_trace(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
-        );
     }
 
     #[test]
@@ -422,23 +365,6 @@ mod tests {
         assert!(text.contains("tc_ingest_us{wire=\"multi\",quantile=\"0.5\"} 63\n"));
         assert!(text.contains("tc_ingest_us_sum{wire=\"multi\"} 50\n"));
         assert!(text.contains("tc_ingest_us_count{wire=\"multi\"} 1\n"));
-    }
-
-    #[test]
-    fn chrome_trace_exports_rings_with_thread_names() {
-        let reg = Registry::new();
-        let ring = reg.span_ring("worker-0", 8);
-        ring.record("partition", 5, 2);
-        ring.record("execute", 8, 11);
-        let json = reg.chrome_trace();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"thread_name\""));
-        assert!(json.contains("\"args\":{\"name\":\"worker-0\"}"));
-        assert!(json.contains(
-            "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"partition\",\
-             \"cat\":\"span\",\"ts\":5,\"dur\":2}"
-        ));
-        assert!(json.ends_with("]}"));
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //!   [binary format](binary_format) for logging and replaying traces;
 //! - seeded synthetic [generators](gen), including the four controlled
 //!   scenarios of the paper's Figure 10 and a general mixed workload
-//!   used to simulate the paper's 153-trace benchmark suite;
-//! - [transformations](transform) — well-formedness-preserving slicing,
-//!   thread projection and per-variable focusing.
+//!   used to simulate the paper's 153-trace benchmark suite.
 //!
 //! # Example
 //!
@@ -54,7 +52,6 @@ pub mod stats;
 pub mod stream;
 pub mod text_format;
 pub mod trace;
-pub mod transform;
 pub mod validate;
 pub mod wire;
 

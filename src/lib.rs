@@ -26,9 +26,9 @@
 //!   reports; a per-node matrix clock computes stable prefixes that
 //!   bound delta sizes.
 //! - [`telemetry`] — the always-on observability core: lock-free
-//!   counters/gauges, mergeable log₂-bucketed histograms, span rings
-//!   with chrome://tracing export, and the Prometheus-style text
-//!   exposition behind the service's `metrics` command.
+//!   counters/gauges, mergeable log₂-bucketed histograms, and the
+//!   Prometheus-style text exposition behind the service's `metrics`
+//!   command.
 //! - [`conformance`] — the cross-engine conformance harness: a corpus
 //!   of trace configurations driven through every engine × backend
 //!   combination and cross-checked against the definitional oracles
