@@ -22,24 +22,20 @@
 //! cargo run -p tc-bench --release --bin paper -- table2 --quick
 //! cargo run -p tc-bench --release --bin paper -- fig10 --out results/
 //! ```
+//!
+//! [`baseline`] measures the partial order × clock backend grid that
+//! `tcr bench` prints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cluster;
 pub mod figures;
-pub mod ingest;
-pub mod json;
 pub mod render;
 pub mod runner;
 pub mod suite;
 pub mod tables;
-pub mod telemetry;
 
-pub use baseline::{BaselineRecord, BaselineSummary, BenchDoc, ChurnRecord};
-pub use cluster::ClusterRecord;
-pub use ingest::{IngestRecord, IngestScale};
+pub use baseline::BaselineRecord;
 pub use runner::{ClockKind, Measurement, Mode};
 pub use suite::{suite, Scale, SuiteEntry};
-pub use telemetry::TelemetryOverheadRecord;

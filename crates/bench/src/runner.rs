@@ -27,8 +27,7 @@ impl ClockKind {
     /// Every representation, tree first.
     pub const ALL: [ClockKind; 3] = [ClockKind::Tree, ClockKind::Vector, ClockKind::Hybrid];
 
-    /// The stable lowercase name used in baseline JSON records and CLI
-    /// output.
+    /// The stable lowercase name used in CLI output.
     pub fn name(self) -> &'static str {
         match self {
             ClockKind::Tree => "tree",

@@ -3,21 +3,27 @@
 //! ```text
 //! USAGE:
 //!   tcr gen --scenario NAME --threads K [--events N] [--seed S] -o FILE
-//!   tcr gen --workload --threads K [--events N] [--sync PCT] [--seed S] -o FILE
+//!   tcr gen --threads K [--events N] [--sync PCT] [--locks L] [--vars V] -o FILE
 //!   tcr stats FILE
-//!   tcr race [--order hb|shb|maz] [--clock tc|vc] [--limit N] FILE
+//!   tcr race [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N] FILE
 //!   tcr timestamps [--order hb|shb|maz] FILE
 //!   tcr convert IN OUT
-//!   tcr conformance [--full] [--filter NEEDLE] [--fault F] [--repro-dir DIR]
-//!                   [--replay FILE]
-//!   tcr bench [--json] [-o FILE] [--quick] [--trace FILE] [--check FILE]
+//!   tcr conformance [--full] [--filter NEEDLE] [--fault F] [--no-shrink]
+//!                   [--repro-dir DIR] [--replay FILE]
+//!   tcr bench [--full] [--trace FILE]
+//!   tcr stream FILE [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N]
+//!              [--evict N] [--no-retire] [--recycle] [--checkpoint FILE]
+//!              [--checkpoint-every N] [--resume FILE]
+//!   tcr serve [--port P | --addr A] [--workers N] [--auth TOKEN] [--smoke]
+//!   tcr serve --cluster --node I --peers A,B,C [--delta-every N]
+//!             [--auth TOKEN]
 //! ```
 //!
 //! Trace files ending in `.tctr` use the compact binary format; any
 //! other extension uses the human-readable text format.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
@@ -100,7 +106,8 @@ impl<'a> Flags<'a> {
     /// pairs. Flags in `with_value` consume the next argument; flags in
     /// `boolean` stand alone; any other `--name` is an error (a
     /// misspelled `--ful` silently running the wrong sweep is worse
-    /// than rejecting it).
+    /// than rejecting it). `-o FILE` is shorthand for `--out FILE` and
+    /// is an unknown flag wherever `out` is not in `with_value`.
     fn parse(
         args: &'a [String],
         with_value: &[&str],
@@ -125,6 +132,9 @@ impl<'a> Flags<'a> {
                     return Err(format!("unknown flag `--{name}`"));
                 }
             } else if a == "-o" {
+                if !with_value.contains(&"out") {
+                    return Err("unknown flag `-o`".into());
+                }
                 let v = args.get(i + 1).ok_or("-o requires a value")?;
                 kv.push(("out", v.as_str()));
                 i += 2;
@@ -139,6 +149,20 @@ impl<'a> Flags<'a> {
 
 fn value<'a>(kv: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
     kv.iter().rev().find(|(k, _)| *k == name).map(|(_, v)| *v)
+}
+
+/// Runs `write` against `out` (stdout, outside tests) and flushes it.
+/// A reader that closes the pipe early (`tcr race FILE | head`) ends
+/// the report, not the command: `BrokenPipe` counts as normal
+/// completion. Every other write error is returned.
+fn write_report<W: Write>(
+    out: &mut W,
+    write: impl FnOnce(&mut W) -> io::Result<()>,
+) -> Result<(), String> {
+    match write(out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
+    }
 }
 
 fn load(path: &str) -> Result<Trace, String> {
@@ -228,19 +252,21 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     };
     let trace = load(path)?;
     let s = trace.stats();
-    println!("trace     : {path}");
-    println!("events    : {}", s.events);
-    println!("threads   : {}", s.threads);
-    println!("locks     : {}", s.locks);
-    println!("variables : {}", s.vars);
-    println!("sync      : {} ({:.1}%)", s.sync_events, s.sync_pct());
-    println!(
-        "reads     : {} / writes: {} ({:.1}%)",
-        s.read_events,
-        s.write_events,
-        s.rw_pct()
-    );
-    Ok(())
+    write_report(&mut io::stdout().lock(), |out| {
+        writeln!(out, "trace     : {path}")?;
+        writeln!(out, "events    : {}", s.events)?;
+        writeln!(out, "threads   : {}", s.threads)?;
+        writeln!(out, "locks     : {}", s.locks)?;
+        writeln!(out, "variables : {}", s.vars)?;
+        writeln!(out, "sync      : {} ({:.1}%)", s.sync_events, s.sync_pct())?;
+        writeln!(
+            out,
+            "reads     : {} / writes: {} ({:.1}%)",
+            s.read_events,
+            s.write_events,
+            s.rw_pct()
+        )
+    })
 }
 
 fn cmd_race(args: &[String]) -> Result<(), String> {
@@ -288,24 +314,23 @@ fn cmd_race(args: &[String]) -> Result<(), String> {
     };
     let elapsed = start.elapsed();
 
-    // Ignore write errors (e.g. a closed pipe when piping into `head`).
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = writeln!(
-        out,
-        "{order} analysis with {} clocks over {} events: {} in {:.3}s",
-        clock.name(),
-        trace.len(),
-        report,
-        elapsed.as_secs_f64()
-    );
-    for race in report.races.iter().take(limit) {
-        let _ = writeln!(out, "  {race}");
-    }
-    if report.total as usize > limit {
-        let _ = writeln!(out, "  ... and {} more", report.total as usize - limit);
-    }
-    Ok(())
+    write_report(&mut io::stdout().lock(), |out| {
+        writeln!(
+            out,
+            "{order} analysis with {} clocks over {} events: {} in {:.3}s",
+            clock.name(),
+            trace.len(),
+            report,
+            elapsed.as_secs_f64()
+        )?;
+        for race in report.races.iter().take(limit) {
+            writeln!(out, "  {race}")?;
+        }
+        if report.total as usize > limit {
+            writeln!(out, "  ... and {} more", report.total as usize - limit)?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_timestamps(args: &[String]) -> Result<(), String> {
@@ -323,12 +348,12 @@ fn cmd_timestamps(args: &[String]) -> Result<(), String> {
         PartialOrderKind::Shb => ShbEngine::<TreeClock>::collect_timestamps(&trace),
         PartialOrderKind::Maz => MazEngine::<TreeClock>::collect_timestamps(&trace),
     };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for (i, (e, vt)) in trace.iter().zip(ts.iter()).enumerate() {
-        writeln!(out, "{i:>6}  {e}  {vt}").map_err(|err| err.to_string())?;
-    }
-    Ok(())
+    write_report(&mut io::stdout().lock(), |out| {
+        for (i, (e, vt)) in trace.iter().zip(ts.iter()).enumerate() {
+            writeln!(out, "{i:>6}  {e}  {vt}")?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_conformance(args: &[String]) -> Result<(), String> {
@@ -406,137 +431,47 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Default output file of `tcr bench --json`. The number tracks the PR
-/// that produced the baseline, so the repository accumulates a
-/// `BENCH_*.json` perf trajectory over time.
-const BENCH_JSON_DEFAULT: &str = "BENCH_10.json";
-
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (flags, kv) = Flags::parse(args, &["out", "trace", "check"], &["json", "quick", "full"])?;
+    let (flags, kv) = Flags::parse(args, &["trace"], &["full"])?;
     if let Some(extra) = flags.positional.first() {
         return Err(format!("bench takes no positional argument `{extra}`"));
     }
-
-    // Validation-only mode: parse an existing baseline against the
-    // schema (used by CI on the artifact it just produced).
-    if let Some(path) = value(&kv, "check") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let summary = baseline::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "ok   {path}: {} record(s), {} configuration(s), tree <= vector wall time on {}, \
-             hybrid within 2x of vector on {}",
-            summary.records, summary.configs, summary.tree_wins, summary.hybrid_within_2x
-        );
-        return Ok(());
-    }
-
-    // Catch `-o` without `--json` *before* the minutes-long measurement:
-    // the text mode writes no file, and silently dropping the flag would
-    // surface only after the run.
-    if value(&kv, "out").is_some() && value(&kv, "json").is_none() {
-        return Err("bench -o FILE requires --json (the text table goes to stdout)".into());
-    }
-
-    let quick = value(&kv, "quick").is_some();
-    let scale = if value(&kv, "full").is_some() {
-        BaselineScale::full(quick)
-    } else if quick {
-        BaselineScale::quick()
-    } else {
-        BaselineScale::default_scale()
-    };
-    let (records, mode) = match value(&kv, "trace") {
+    let records = match value(&kv, "trace") {
         Some(path) => {
             let trace = load(path)?;
             eprintln!("bench: {path} ({} events)", trace.len());
-            (baseline::collect_trace(path, &trace), "trace")
+            baseline::collect_trace(path, &trace)
         }
-        None => (
-            baseline::collect(scale, |cell| eprintln!("bench: {cell}")),
-            scale.mode,
-        ),
+        None => {
+            let scale = if value(&kv, "full").is_some() {
+                BaselineScale::full()
+            } else {
+                BaselineScale::default_scale()
+            };
+            baseline::collect(scale, |cell| eprintln!("bench: {cell}"))
+        }
     };
 
-    if value(&kv, "json").is_some() {
-        let out = value(&kv, "out").unwrap_or(BENCH_JSON_DEFAULT);
-        // The generated-grid path measures all four record families;
-        // `--trace FILE` stays an engine-only document (the extra
-        // families describe generated workloads, not the loaded trace).
-        let doc = if value(&kv, "trace").is_some() {
-            tc_bench::BenchDoc {
-                engine: records,
-                ..tc_bench::BenchDoc::default()
-            }
-        } else {
-            let ingest_scale = if quick {
-                tc_bench::IngestScale::quick()
-            } else {
-                tc_bench::IngestScale::default_scale()
-            };
-            let (overhead_events, overhead_passes) = if quick { (30_000, 2) } else { (120_000, 3) };
-            tc_bench::BenchDoc {
-                engine: records,
-                ingest: tc_bench::ingest::collect(ingest_scale, |cell| eprintln!("bench: {cell}")),
-                suite: baseline::collect_suite_fold(|cell| eprintln!("bench: {cell}")),
-                calibration: baseline::collect_calibration(|cell| eprintln!("bench: {cell}")),
-                churn: baseline::collect_churn(|cell| eprintln!("bench: {cell}")),
-                telemetry: vec![tc_bench::telemetry::collect_overhead(
-                    overhead_events,
-                    overhead_passes,
-                    |cell| eprintln!("bench: {cell}"),
-                )],
-                cluster: tc_bench::cluster::collect(quick, |cell| eprintln!("bench: {cell}")),
-                obs_period: baseline::collect_obs_period(|cell| eprintln!("bench: {cell}")),
-            }
-        };
-        let json = baseline::to_json_doc(&doc, mode);
-        let summary = baseline::validate(&json).map_err(|e| format!("produced baseline: {e}"))?;
-        std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
-            "wrote {out}: {} record(s), {} configuration(s), tree <= vector wall time on {}, \
-             hybrid within 2x of vector on {}, {} ingest / {} suite / {} calibration / {} \
-             churn / {} telemetry / {} cluster / {} obs-period record(s), binary ingest at \
-             {:.1}x text, telemetry tax {:.2}%, cluster forwarding tax {:.2}%, failover \
-             recovery {:.1}ms",
-            summary.records,
-            summary.configs,
-            summary.tree_wins,
-            summary.hybrid_within_2x,
-            summary.ingest,
-            summary.suite,
-            summary.calibration,
-            summary.churn,
-            summary.telemetry,
-            summary.cluster,
-            summary.obs_period,
-            summary.binary_speedup,
-            summary.telemetry_overhead_pct,
-            summary.cluster_forward_overhead_pct,
-            summary.cluster_recovery_ms
-        );
-    } else {
-        let mut t = TextTable::new([
-            "scenario", "threads", "order", "backend", "seconds", "joins", "copies", "vt_work",
-            "ds_work", "clock_kb",
-        ])
-        .with_title("Perf baseline (wall times are means over pooled repetitions)");
-        for r in &records {
-            t.row([
-                r.scenario.clone(),
-                r.threads.to_string(),
-                r.order.to_string(),
-                r.backend.name().to_owned(),
-                format!("{:.6}", r.seconds),
-                r.joins.to_string(),
-                r.copies.to_string(),
-                r.vt_work.to_string(),
-                r.ds_work.to_string(),
-                (r.peak_clock_bytes / 1024).to_string(),
-            ]);
-        }
-        print!("{t}");
+    let mut t = TextTable::new([
+        "scenario", "threads", "order", "backend", "seconds", "joins", "copies", "vt_work",
+        "ds_work", "clock_kb",
+    ])
+    .with_title("Engine grid (wall times are means over pooled repetitions)");
+    for r in &records {
+        t.row([
+            r.scenario.clone(),
+            r.threads.to_string(),
+            r.order.to_string(),
+            r.backend.name().to_owned(),
+            format!("{:.6}", r.seconds),
+            r.joins.to_string(),
+            r.copies.to_string(),
+            r.vt_work.to_string(),
+            r.ds_work.to_string(),
+            (r.peak_clock_bytes / 1024).to_string(),
+        ]);
     }
-    Ok(())
+    write_report(&mut io::stdout().lock(), |out| write!(out, "{t}"))
 }
 
 fn cmd_stream(args: &[String]) -> Result<(), String> {
@@ -747,7 +682,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server = Server::start(ServeConfig {
         addr,
         workers,
-        telemetry: true,
         auth,
     })
     .map_err(|e| format!("cannot start server: {e}"))?;
@@ -806,7 +740,6 @@ fn serve_cluster(kv: &FlagValues<'_>) -> Result<(), String> {
         me: node,
         delta_every,
         auth: value(kv, "auth").map(str::to_owned),
-        telemetry: true,
     };
     let addr = peers[node as usize].clone();
     let nodes_total = peers.len();
@@ -847,8 +780,7 @@ USAGE:
   tcr convert IN OUT
   tcr conformance [--full] [--filter NEEDLE] [--fault F] [--no-shrink]
                   [--repro-dir DIR] [--replay FILE]
-  tcr bench [--json] [-o FILE] [--quick] [--full] [--trace FILE]
-            [--check FILE]
+  tcr bench [--full] [--trace FILE]
   tcr stream FILE [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N]
              [--evict N] [--no-retire] [--recycle] [--checkpoint FILE]
              [--checkpoint-every N] [--resume FILE]
@@ -870,21 +802,12 @@ shrunk to minimal text-format repros (written to --repro-dir if given).
 injects a deliberate result perturbation (drop-race, skew-timestamp,
 inflate-work, each optionally :hb/:shb/:maz) to demo the pipeline.
 
-bench records the perf baseline: FIG10 scenarios x HB/SHB/MAZ x
-tree/vector/hybrid, with wall time, operation counts, VTWork/DSWork,
-peak clock bytes and pool telemetry. --full folds the five structured
-workload families into the grid (at a budgeted size). --json writes the
-schema-stable BENCH_10.json (or -o FILE), which additionally carries
-ingest-throughput records (events/sec through the live serve socket
-path, text vs binary x single-session vs 1000-session fan-in via
-multi-session frames + stats-all), the 39-entry synthetic suite's
-per-backend wall times, the hybrid's dense-cutoff calibration cells,
-spawn/join-churn memory cells, the telemetry-overhead A/B (live
-registry vs NullRecorder ingest rate), the cluster cells
-(gateway-forwarding tax, crash-to-promoted failover latency,
-stable-prefix delta-GC byte counts) and the hybrid's
-tree-observation-period A/B; --check validates an existing baseline;
---trace benches one trace file (engine records only).
+bench times every partial order (HB/SHB/MAZ) with every clock backend
+(tree/vector/hybrid) on the FIG10 scenarios at 128 and 360 threads and
+prints one row per cell: mean wall time over pooled repetitions,
+operation counts, VTWork/DSWork and peak clock memory. --full adds the
+structured workload families at a budgeted size; --trace FILE times
+one trace file instead.
 
 stream analyzes FILE incrementally (chunked reads, nothing
 materialized), printing races as they are found, with bounded memory:
@@ -1140,7 +1063,6 @@ mod tests {
             vec!["convert", missing, "/tmp/out.trace"],
             vec!["conformance", "--replay", missing],
             vec!["bench", "--trace", missing],
-            vec!["bench", "--check", missing],
         ] {
             let e = run(&args(&cmd)).unwrap_err();
             assert!(e.contains("cannot"), "cmd {cmd:?} gave `{e}`");
@@ -1197,42 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_writes_validates_and_rechecks() {
-        let dir = temp_dir("bench");
-        let trace = dir.join("t.trace");
-        let out = dir.join("baseline.json");
-        run(&args(&[
-            "gen",
-            "--scenario",
-            "star",
-            "--threads",
-            "6",
-            "--events",
-            "1500",
-            "-o",
-            trace.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&args(&[
-            "bench",
-            "--json",
-            "--trace",
-            trace.to_str().unwrap(),
-            "-o",
-            out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // The produced file passes the schema check...
-        run(&args(&["bench", "--check", out.to_str().unwrap()])).unwrap();
-        // ...and a corrupted copy does not.
-        let text = std::fs::read_to_string(&out).unwrap();
-        std::fs::write(&out, text.replace("\"seconds\"", "\"sceonds\"")).unwrap();
-        let e = run(&args(&["bench", "--check", out.to_str().unwrap()])).unwrap_err();
-        assert!(e.contains("seconds"), "error must name the field: {e}");
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn bench_text_table_prints_for_a_tiny_trace() {
         let dir = temp_dir("bench-text");
         let trace = dir.join("t.trace");
@@ -1250,17 +1136,64 @@ mod tests {
         .unwrap();
         run(&args(&["bench", "--trace", trace.to_str().unwrap()])).unwrap();
         assert!(run(&args(&["bench", "positional"])).is_err());
-        // -o without --json must be rejected up front, not ignored.
-        let e = run(&args(&[
-            "bench",
-            "--trace",
-            trace.to_str().unwrap(),
-            "-o",
-            "/tmp/ignored.json",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("--json"), "unexpected: {e}");
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn dash_o_is_an_unknown_flag_where_a_command_writes_no_file() {
+        let dir = temp_dir("dash-o");
+        let trace = dir.join("t.trace");
+        let trace_s = trace.to_str().unwrap();
+        let copy = dir.join("copy.trace");
+        let copy_s = copy.to_str().unwrap();
+        run(&args(&[
+            "gen",
+            "--threads",
+            "3",
+            "--events",
+            "200",
+            "-o",
+            trace_s,
+        ]))
+        .unwrap();
+        let ignored = dir.join("x");
+        let ignored_s = ignored.to_str().unwrap();
+        for cmd in [
+            vec!["race", "-o", ignored_s, trace_s],
+            vec!["convert", "-o", ignored_s, trace_s, copy_s],
+            vec!["bench", "--trace", trace_s, "-o", ignored_s],
+        ] {
+            let e = run(&args(&cmd)).unwrap_err();
+            assert!(e.contains("unknown flag"), "cmd {cmd:?} gave `{e}`");
+        }
+        assert!(!ignored.exists() && !copy.exists());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A writer that fails every write with `kind`.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_report_and_other_write_errors_surface() {
+        let report = |out: &mut Failing| -> io::Result<()> {
+            writeln!(out, "first line")?;
+            writeln!(out, "second line")
+        };
+        assert_eq!(
+            write_report(&mut Failing(io::ErrorKind::BrokenPipe), report),
+            Ok(())
+        );
+        assert!(write_report(&mut Failing(io::ErrorKind::WriteZero), report).is_err());
     }
 
     #[test]

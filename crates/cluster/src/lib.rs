@@ -67,9 +67,6 @@ pub struct ClusterConfig {
     /// unauthenticated clients on the shared port. Every node of a
     /// cluster must be configured with the same token.
     pub auth: Option<String>,
-    /// Whether to record `tc_cluster_*` metrics (a null registry
-    /// otherwise).
-    pub telemetry: bool,
 }
 
 impl Default for ClusterConfig {
@@ -79,7 +76,6 @@ impl Default for ClusterConfig {
             me: 0,
             delta_every: 8,
             auth: None,
-            telemetry: true,
         }
     }
 }

@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 use tc_stream::checkpoint::Checkpoint;
 use tc_stream::session::Session;
 use tc_stream::{constant_time_eq, parse_open};
-use tc_telemetry::{NullRecorder, Registry};
+use tc_telemetry::Registry;
 use tc_trace::{ClusterMsg, Event};
 
 use crate::delta::ByteDelta;
@@ -177,11 +177,7 @@ impl NodeCore {
             config.me,
             config.nodes
         );
-        let registry = if config.telemetry {
-            Registry::new()
-        } else {
-            NullRecorder::registry()
-        };
+        let registry = Registry::new();
         let metrics = ClusterMetrics::new(&registry);
         NodeCore {
             ring: HashRing::new(config.nodes),
@@ -1190,7 +1186,6 @@ mod tests {
             me,
             delta_every: 2,
             auth: None,
-            telemetry: true,
         }
     }
 

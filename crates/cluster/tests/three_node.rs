@@ -222,7 +222,6 @@ fn start_ring(addrs: &[String], tick: Duration, miss: u32) -> Vec<ClusterServer>
                     me: i as u32,
                     delta_every: 2,
                     auth: None,
-                    telemetry: true,
                 },
                 tick,
                 miss,
@@ -336,7 +335,6 @@ fn sockets_peer_plane_requires_auth_when_configured() {
                     me: i as u32,
                     delta_every: 2,
                     auth: Some("sekret".into()),
-                    telemetry: true,
                 },
                 Duration::from_millis(25),
                 40,

@@ -208,8 +208,8 @@ pub trait LogicalClock: Clone + Debug + Default {
     fn reserve_threads(&mut self, threads: usize);
 
     /// Heap bytes currently owned by this clock's buffers (capacity, not
-    /// length) — the quantity summed into the `peak_clock_bytes` column
-    /// of the `tcr bench --json` perf baseline.
+    /// length) — the quantity summed into the `clock_kb` column of
+    /// `tcr bench`.
     fn heap_bytes(&self) -> usize;
 
     /// Restores an *empty* clock to the given value: entry `i` becomes
@@ -270,22 +270,6 @@ pub trait LogicalClock: Clone + Debug + Default {
             self.restore_value(&times, root);
         }
     }
-
-    /// Applies a representation-tuning hint: the dense cutoff, in
-    /// entries. Backends without an adaptive representation ignore it
-    /// (the default); the hybrid adopts it as its per-clock cutoff, so
-    /// a [`ClockPool`](crate::pool::ClockPool) can tune every clock it
-    /// hands out without touching the process-wide default. Values are
-    /// representation independent at any setting.
-    fn tune_dense_cutoff(&mut self, _entries: u64) {}
-
-    /// Applies an observation-sampling hint: the tree-mode density-
-    /// observation period, in operations. Backends without an adaptive
-    /// representation ignore it (the default); the hybrid adopts it as
-    /// its per-clock period, so a [`ClockPool`](crate::pool::ClockPool)
-    /// can tune every clock it hands out. Values are representation
-    /// independent at any setting.
-    fn tune_tree_obs_period(&mut self, _period: u8) {}
 }
 
 #[cfg(test)]

@@ -81,20 +81,13 @@
 //!
 //! # The dense cutoff
 //!
-//! Arenas at or below the **dense cutoff** are judged dense regardless
-//! of the moved fraction: a flat sweep over a small arena costs a few
-//! nanoseconds — cheaper than any surgical walk — so small clocks
-//! settle flat even in nominally sparse regimes. The cutoff defaults
-//! to [`DEFAULT_DENSE_CUTOFF`] (128 entries — the latency-calibrated
-//! value: measured flat-sweep advantage persists to ~128-entry arenas
-//! on current hardware, twice the spec-conservative 2-cache-line rule
-//! of [`CACHE_LINE_CUTOFF`] this backend shipped with). It is read per
-//! clock so benchmarks can calibrate it: the process-wide default is
-//! set with [`set_default_dense_cutoff`] (picked up by every clock
-//! constructed afterwards) and a single clock can be pinned with
-//! [`HybridClock::set_dense_cutoff`]. The cutoff only moves the
-//! performance crossover — computed *values* are representation
-//! independent at any setting, which the conformance sweep enforces.
+//! Arenas at or below the **dense cutoff** of 128 entries are judged
+//! dense regardless of the moved fraction: a flat sweep over a small
+//! arena costs a few nanoseconds — cheaper than any surgical walk — so
+//! small clocks settle flat even in nominally sparse regimes; the
+//! measured flat-sweep advantage persists to ~128-entry arenas. The
+//! cutoff only moves the performance crossover — computed *values* are
+//! representation independent, which the conformance sweep enforces.
 //!
 //! # Accounting
 //!
@@ -155,93 +148,23 @@ const PROBE_PERIOD: u8 = 16;
 /// bookkeeping itself (accumulator update, arena reads) is not — and
 /// sparse-regime tree operations are so cheap (~10 ns) that observing
 /// every one costs a measurable fraction. Only every
-/// `tree_obs_period`-th operation is observed; the skip itself is one
-/// counter decrement. Widened from the original 2 after the star-360
-/// ingest measurement showed the sparser sampling shaves observation
-/// overhead with no measurable loss of migration responsiveness
-/// (`tcr bench`'s `obs-period` cell carries the A/B numbers).
-/// Per-clock ([`HybridClock::set_tree_obs_period`]) and per-pool
-/// ([`crate::ClockPool::set_tree_obs_period`]) runtime overrides move
-/// it without recompiling.
-pub const DEFAULT_TREE_OBS_PERIOD: u8 = 4;
+/// `TREE_OBS_PERIOD`-th operation is observed; the skip itself is one
+/// counter decrement. 4 rather than 2: on a star-360 A/B the sparser
+/// sampling shaved observation overhead with no measurable loss of
+/// migration responsiveness.
+const TREE_OBS_PERIOD: u8 = 4;
 
-/// The spec-conservative dense cutoff this backend shipped with: two
-/// 64-byte cache lines of `LocalTime`s. Kept as the documented lower
-/// anchor of the calibration range (`tcr bench` measures the delta
-/// between this and the calibrated default).
-pub const CACHE_LINE_CUTOFF: u64 = (2 * 64 / std::mem::size_of::<LocalTime>()) as u64;
-
-/// The latency-calibrated default dense cutoff: flat sweeps keep
-/// beating the surgical walk to ~128-entry arenas (ROADMAP item 5's
-/// measurement), so arenas at or below this settle flat.
-pub const DEFAULT_DENSE_CUTOFF: u64 = 128;
-
-/// The process-wide default dense cutoff, picked up by every
-/// [`HybridClock`] at construction.
-static GLOBAL_DENSE_CUTOFF: AtomicU64 = AtomicU64::new(DEFAULT_DENSE_CUTOFF);
-
-/// The process-wide default dense cutoff (in arena entries) newly
-/// constructed hybrid clocks adopt.
-pub fn default_dense_cutoff() -> u64 {
-    GLOBAL_DENSE_CUTOFF.load(Ordering::Relaxed)
-}
-
-/// Sets the process-wide default dense cutoff (clamped to ≥ 1).
-/// Existing clocks keep the cutoff they were constructed with; values
-/// are representation independent at any setting, so this only moves
-/// the performance crossover (used by `tcr bench`'s calibration pass).
-///
-/// The global is process-wide mutable state: anything that sets it
-/// temporarily — tests, calibration sweeps — should hold a
-/// [`DenseCutoffGuard`] instead of pairing set/restore calls by hand,
-/// so a panic in between cannot poison every later hybrid
-/// construction. Steady-state tuning of a single detector should
-/// prefer the per-clock ([`HybridClock::set_dense_cutoff`]) or
-/// per-pool ([`crate::ClockPool::set_dense_cutoff`]) knobs, which
-/// don't touch the global at all.
-pub fn set_default_dense_cutoff(entries: u64) {
-    GLOBAL_DENSE_CUTOFF.store(entries.max(1), Ordering::Relaxed);
-}
-
-/// RAII override of the process-wide default dense cutoff: sets it on
-/// construction, restores the *previous* value on drop — panic-safe,
-/// and nestable (inner guards restore what the outer guard set).
-///
-/// This is the only sanctioned way for tests and calibration passes to
-/// mutate the global; note that the global stays process-wide, so
-/// concurrently running hybrid tests still observe the override while
-/// the guard lives (values are representation independent at any
-/// cutoff, so only performance counters can wobble).
-#[must_use = "the override ends when the guard drops"]
-#[derive(Debug)]
-pub struct DenseCutoffGuard {
-    prev: u64,
-}
-
-impl DenseCutoffGuard {
-    /// Overrides the process-wide default dense cutoff (clamped to
-    /// ≥ 1) until the guard drops.
-    pub fn set(entries: u64) -> DenseCutoffGuard {
-        DenseCutoffGuard {
-            prev: GLOBAL_DENSE_CUTOFF.swap(entries.max(1), Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for DenseCutoffGuard {
-    fn drop(&mut self) {
-        GLOBAL_DENSE_CUTOFF.store(self.prev, Ordering::Relaxed);
-    }
-}
+/// The dense cutoff, in arena entries (see the module docs).
+const DENSE_CUTOFF: u64 = 128;
 
 /// Aggregate verdict over a window of `ops` observations: dense when
 /// the arena is flat-cheap outright (the *per-operation* arena is at
-/// most `cutoff` entries — the sums are compared, so the cutoff scales
-/// by the op count) or at least an eighth of it moved per operation
-/// (see the module docs for the cost-crossover rationale).
+/// most [`DENSE_CUTOFF`] entries — the sums are compared, so the cutoff
+/// scales by the op count) or at least an eighth of it moved per
+/// operation (see the module docs for the cost-crossover rationale).
 #[inline]
-fn is_dense(touched: u64, arena: u64, ops: u64, cutoff: u64) -> bool {
-    arena <= cutoff.saturating_mul(ops.max(1)) || touched.saturating_mul(8) >= arena
+fn is_dense(touched: u64, arena: u64, ops: u64) -> bool {
+    arena <= DENSE_CUTOFF.saturating_mul(ops.max(1)) || touched.saturating_mul(8) >= arena
 }
 
 /// Bit 0 of [`HybridClock::state`]: the flat representation is live.
@@ -367,7 +290,7 @@ impl DensityWindow {
 /// An adaptive clock holding either a flat array or a [`TreeClock`],
 /// migrating on observed operation density. See the [module
 /// docs](self).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct HybridClock {
     /// The tree representation — authoritative unless the state word's
     /// [`ST_FLAT`] bit is set; kept (empty, buffers warm) while flat so
@@ -389,37 +312,12 @@ pub struct HybridClock {
     state: u8,
     /// Tree-mode joins to skip before the next window observation.
     obs_skip: u8,
-    /// This clock's dense cutoff (arena entries at or below it are
-    /// flat-cheap by fiat), adopted from [`default_dense_cutoff`] at
-    /// construction.
-    dense_cutoff: u64,
-    /// Tree-mode observation sampling period (every `obs_period`-th
-    /// join/copy feeds the density window), adopted from
-    /// [`DEFAULT_TREE_OBS_PERIOD`] at construction.
-    obs_period: u8,
     /// The density window driving migration.
     window: DensityWindow,
     /// Tree→flat migrations performed (diagnostics/tests).
     flips_to_flat: u32,
     /// Flat→tree migrations performed (diagnostics/tests).
     flips_to_tree: u32,
-}
-
-impl Default for HybridClock {
-    fn default() -> Self {
-        HybridClock {
-            tree: TreeClock::default(),
-            flat: Vec::new(),
-            root: None,
-            state: 0,
-            obs_skip: 0,
-            dense_cutoff: default_dense_cutoff(),
-            obs_period: DEFAULT_TREE_OBS_PERIOD,
-            window: DensityWindow::default(),
-            flips_to_flat: 0,
-            flips_to_tree: 0,
-        }
-    }
 }
 
 impl HybridClock {
@@ -452,30 +350,6 @@ impl HybridClock {
         } else {
             "tree"
         }
-    }
-
-    /// This clock's dense cutoff (see the module docs).
-    pub fn dense_cutoff(&self) -> u64 {
-        self.dense_cutoff
-    }
-
-    /// Overrides this clock's dense cutoff (clamped to ≥ 1). Values
-    /// are representation independent at any setting.
-    pub fn set_dense_cutoff(&mut self, entries: u64) {
-        self.dense_cutoff = entries.max(1);
-    }
-
-    /// This clock's tree-mode observation sampling period.
-    pub fn tree_obs_period(&self) -> u8 {
-        self.obs_period
-    }
-
-    /// Overrides this clock's tree-mode observation sampling period
-    /// (clamped to ≥ 1; 1 observes every operation). Values are
-    /// representation independent at any setting — the period only
-    /// trades migration responsiveness against per-op bookkeeping.
-    pub fn set_tree_obs_period(&mut self, period: u8) {
-        self.obs_period = period.max(1);
     }
 
     /// The represented time at raw index `i`, whichever representation
@@ -576,7 +450,6 @@ impl HybridClock {
             acc & SH_FIELD,
             (acc >> SH_ARENA) & SH_FIELD,
             packed_ops(acc),
-            self.dense_cutoff,
         );
         let mut score = self.window.score;
         if dense {
@@ -670,7 +543,7 @@ impl HybridClock {
                     // — exactly the density observation; the counted
                     // join's `moved` is the same quantity, measured by
                     // Algorithm 2.
-                    self.obs_skip = self.obs_period - 1;
+                    self.obs_skip = TREE_OBS_PERIOD - 1;
                     let arena = self.tree.num_threads().max(other.tree.num_threads()) as u64;
                     self.observe_mut(s.moved, arena);
                 }
@@ -822,7 +695,7 @@ impl HybridClock {
                 // flat copy (links + times vs times alone), so dense
                 // first copies into fresh lock clocks are exactly what
                 // must push a publishing thread toward flat.
-                if other.copy_probe_tick(other.obs_period - 1) {
+                if other.copy_probe_tick(TREE_OBS_PERIOD - 1) {
                     let arena = self.num_threads().max(other.num_threads()) as u64;
                     other.observe_shared(s.moved, arena);
                 }
@@ -965,14 +838,6 @@ impl LogicalClock for HybridClock {
 
     fn root_tid(&self) -> Option<ThreadId> {
         self.root_of()
-    }
-
-    fn tune_dense_cutoff(&mut self, entries: u64) {
-        self.set_dense_cutoff(entries);
-    }
-
-    fn tune_tree_obs_period(&mut self, period: u8) {
-        self.set_tree_obs_period(period);
     }
 
     #[inline]
@@ -1183,10 +1048,9 @@ mod tests {
     }
 
     /// Tree-mode operations needed to saturate the window toward a
-    /// flip (observations are sampled every `DEFAULT_TREE_OBS_PERIOD`
-    /// ops).
+    /// flip (observations are sampled every `TREE_OBS_PERIOD` ops).
     const SATURATE: usize =
-        DEFAULT_TREE_OBS_PERIOD as usize * WINDOW_OPS as usize * (HYSTERESIS as usize + 1);
+        TREE_OBS_PERIOD as usize * WINDOW_OPS as usize * (HYSTERESIS as usize + 1);
 
     #[test]
     fn new_clock_is_empty_tree() {
@@ -1195,7 +1059,6 @@ mod tests {
         assert!(!c.is_flat());
         assert_eq!(c.root_tid(), None);
         assert_eq!(c.get(ThreadId::new(7)), 0);
-        assert_eq!(c.dense_cutoff(), DEFAULT_DENSE_CUTOFF);
     }
 
     #[test]
@@ -1217,13 +1080,13 @@ mod tests {
         // K must exceed the dense cutoff: at or below it the arena is
         // flat-cheap by fiat and the clock (correctly) never returns
         // to the tree representation.
-        const K: usize = DEFAULT_DENSE_CUTOFF as usize + 8;
+        const K: usize = DENSE_CUTOFF as usize + 8;
         let mut hub = rooted(0, 1);
         let mut peers: Vec<HybridClock> = (1..K as u32).map(|t| rooted(t, 1)).collect();
         // Each round: every peer advances, the peers chain-join so the
         // last one holds every fresh increment, and the hub joins only
         // that one — a join moving nearly the whole arena (dense).
-        for _ in 0..(DEFAULT_TREE_OBS_PERIOD as usize * SATURATE) {
+        for _ in 0..(TREE_OBS_PERIOD as usize * SATURATE) {
             for p in peers.iter_mut() {
                 p.increment(1);
             }
@@ -1467,50 +1330,6 @@ mod tests {
         }
         assert!(c.is_flat(), "small arena must settle flat");
         assert_eq!(c.flips(), (1, 0));
-    }
-
-    #[test]
-    fn dense_cutoff_is_per_clock_and_defaults_from_the_global() {
-        // A clock pinned below its arena size judges no-progress joins
-        // sparse and stays in (returns to) the tree representation,
-        // where the default-cutoff clock settles flat.
-        let mut pinned = rooted(0, 1);
-        pinned.set_dense_cutoff(2);
-        assert_eq!(pinned.dense_cutoff(), 2);
-        let quiet = {
-            let mut q = rooted(5, 1); // arena of 6 > pinned cutoff 2
-            q.increment(1);
-            q
-        };
-        pinned.join(&quiet);
-        for _ in 0..(PROBE_PERIOD as usize + 1) * SATURATE * 2 {
-            pinned.increment(1);
-            pinned.join(&quiet);
-        }
-        assert!(
-            !pinned.is_flat(),
-            "a cutoff below the arena size must keep sparse joins tree-bound"
-        );
-
-        // The process-wide default is what constructors adopt; values
-        // are representation independent at any setting, so briefly
-        // lowering it cannot perturb concurrent tests' values. The
-        // guard restores the previous value even if an assert below
-        // panics.
-        {
-            let _cutoff = DenseCutoffGuard::set(64);
-            let adopted = HybridClock::new();
-            assert_eq!(adopted.dense_cutoff(), 64);
-        }
-        assert_eq!(default_dense_cutoff(), DEFAULT_DENSE_CUTOFF);
-        assert_eq!(
-            HybridClock::new().dense_cutoff(),
-            DEFAULT_DENSE_CUTOFF,
-            "restored default"
-        );
-        // The spec-conservative anchor stays documented and distinct.
-        assert_eq!(CACHE_LINE_CUTOFF, 32);
-        const { assert!(CACHE_LINE_CUTOFF < DEFAULT_DENSE_CUTOFF) };
     }
 
     #[test]

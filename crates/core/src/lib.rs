@@ -85,7 +85,7 @@ pub mod vector_clock;
 pub mod vector_time;
 
 pub use clock::{CopyMode, LogicalClock, OpStats};
-pub use hybrid::{DenseCutoffGuard, HybridClock, DEFAULT_TREE_OBS_PERIOD};
+pub use hybrid::HybridClock;
 pub use identity::{BindError, IdentityMap, IdentitySnapshot, SlotBinding};
 pub use ids::{Epoch, LocalTime, ThreadId};
 pub use pool::{ClockPool, LazyClock};

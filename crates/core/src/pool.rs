@@ -15,9 +15,10 @@
 //! [`clear`](crate::LogicalClock::clear)s a clock and free-lists it.
 //! Engines take a pool at construction and give it back (with every
 //! clock they created) at teardown, so the second run of anything —
-//! the next repetition of a benchmark, the next engine of a conformance
-//! check, the next corpus case of a sweep — performs no clock
-//! allocations at all.
+//! the next timed repetition of `tcr bench`, the next engine of a
+//! conformance check, the next corpus case of a sweep — acquires no
+//! fresh clock at all. `tc_orders`' `pooled_reruns_are_allocation_free`
+//! test holds every partial order × clock backend to that.
 //!
 //! # Example
 //!
@@ -43,8 +44,8 @@ use crate::clock::LogicalClock;
 ///
 /// See the [module documentation](self) for the usage pattern. The pool
 /// also counts its traffic ([`fresh`](Self::fresh) /
-/// [`recycled`](Self::recycled)), which the perf baseline and the pool
-/// unit tests use to assert that steady state is allocation-free.
+/// [`recycled`](Self::recycled)), which the engine and pool tests use
+/// to assert that steady state is allocation-free.
 #[derive(Debug)]
 pub struct ClockPool<C> {
     free: Vec<C>,
@@ -59,17 +60,6 @@ pub struct ClockPool<C> {
     /// High-water mark of `free_bytes` over the pool's life — the
     /// quantity the streaming subsystem's bounded-memory tests track.
     peak_free_bytes: usize,
-    /// Per-pool dense-cutoff override, applied to every clock
-    /// [`acquire`](Self::acquire) hands out (fresh and recycled alike)
-    /// via [`LogicalClock::tune_dense_cutoff`]. `None` leaves clocks on
-    /// the process-wide default — the per-pool knob exists precisely so
-    /// callers don't have to mutate that global.
-    dense_cutoff: Option<u64>,
-    /// Per-pool tree-observation-period override, applied exactly like
-    /// [`dense_cutoff`](Self::dense_cutoff) via
-    /// [`LogicalClock::tune_tree_obs_period`]. `None` leaves clocks on
-    /// [`DEFAULT_TREE_OBS_PERIOD`](crate::hybrid::DEFAULT_TREE_OBS_PERIOD).
-    tree_obs_period: Option<u8>,
 }
 
 /// Default free-list high-water mark: enough for every engine of a
@@ -91,8 +81,6 @@ impl<C: LogicalClock> ClockPool<C> {
             high_water: DEFAULT_HIGH_WATER,
             free_bytes: 0,
             peak_free_bytes: 0,
-            dense_cutoff: None,
-            tree_obs_period: None,
         }
     }
 
@@ -121,34 +109,10 @@ impl<C: LogicalClock> ClockPool<C> {
         self.high_water
     }
 
-    /// Sets (or with `None`, clears) the pool's dense-cutoff override;
-    /// see the field docs. Only affects clocks handed out *after* the
-    /// call.
-    pub fn set_dense_cutoff(&mut self, entries: Option<u64>) {
-        self.dense_cutoff = entries;
-    }
-
-    /// The pool's dense-cutoff override, if any.
-    pub fn dense_cutoff(&self) -> Option<u64> {
-        self.dense_cutoff
-    }
-
-    /// Sets (or with `None`, clears) the pool's tree-observation-period
-    /// override; see the field docs. Only affects clocks handed out
-    /// *after* the call.
-    pub fn set_tree_obs_period(&mut self, period: Option<u8>) {
-        self.tree_obs_period = period;
-    }
-
-    /// The pool's tree-observation-period override, if any.
-    pub fn tree_obs_period(&self) -> Option<u8> {
-        self.tree_obs_period
-    }
-
     /// Hands out an empty clock, recycling a free-listed one when
     /// available and allocating a fresh `C::new()` otherwise.
     pub fn acquire(&mut self) -> C {
-        let mut clock = match self.free.pop() {
+        match self.free.pop() {
             Some(clock) => {
                 debug_assert!(clock.is_empty(), "pooled clock was not cleared");
                 self.recycled += 1;
@@ -159,14 +123,7 @@ impl<C: LogicalClock> ClockPool<C> {
                 self.fresh += 1;
                 C::new()
             }
-        };
-        if let Some(entries) = self.dense_cutoff {
-            clock.tune_dense_cutoff(entries);
         }
-        if let Some(period) = self.tree_obs_period {
-            clock.tune_tree_obs_period(period);
-        }
-        clock
     }
 
     /// Clears `clock` and free-lists it for a later
@@ -390,57 +347,6 @@ mod tests {
     #[test]
     fn hybrid_clocks_pool_and_recycle() {
         exercise_pool::<crate::HybridClock>();
-    }
-
-    #[test]
-    fn pool_dense_cutoff_tunes_fresh_and_recycled_clocks() {
-        use crate::HybridClock;
-        let mut pool = ClockPool::<HybridClock>::new();
-        assert_eq!(pool.dense_cutoff(), None);
-        pool.set_dense_cutoff(Some(7));
-        let fresh = pool.acquire();
-        assert_eq!(
-            fresh.dense_cutoff(),
-            7,
-            "fresh clocks adopt the pool cutoff"
-        );
-        pool.release(fresh);
-        pool.set_dense_cutoff(Some(9));
-        let recycled = pool.acquire();
-        assert_eq!(
-            recycled.dense_cutoff(),
-            9,
-            "recycled clocks are re-tuned on every acquire"
-        );
-        // Non-adaptive backends ignore the hint entirely.
-        let mut tree_pool = ClockPool::<TreeClock>::new();
-        tree_pool.set_dense_cutoff(Some(7));
-        let c = tree_pool.acquire();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn pool_tree_obs_period_tunes_fresh_and_recycled_clocks() {
-        use crate::{HybridClock, DEFAULT_TREE_OBS_PERIOD};
-        let mut pool = ClockPool::<HybridClock>::new();
-        assert_eq!(pool.tree_obs_period(), None);
-        let untuned = pool.acquire();
-        assert_eq!(untuned.tree_obs_period(), DEFAULT_TREE_OBS_PERIOD);
-        pool.release(untuned);
-        pool.set_tree_obs_period(Some(8));
-        let recycled = pool.acquire();
-        assert_eq!(
-            recycled.tree_obs_period(),
-            8,
-            "recycled clocks are re-tuned on every acquire"
-        );
-        pool.set_tree_obs_period(Some(0));
-        let clamped = pool.acquire();
-        assert_eq!(clamped.tree_obs_period(), 1, "period clamps to ≥ 1");
-        // Non-adaptive backends ignore the hint entirely.
-        let mut tree_pool = ClockPool::<TreeClock>::new();
-        tree_pool.set_tree_obs_period(Some(8));
-        assert!(tree_pool.acquire().is_empty());
     }
 
     #[test]

@@ -156,8 +156,8 @@ impl<C: LogicalClock> HbEngine<C> {
     }
 
     /// Heap bytes currently owned by the engine's clocks (the
-    /// `peak_clock_bytes` of the perf baseline — clocks only grow, so
-    /// the value after a run is the run's peak).
+    /// `clock_kb` column of `tcr bench` — clocks only grow, so the
+    /// value after a run is the run's peak).
     pub fn clock_bytes(&self) -> usize {
         self.core.clock_bytes()
     }

@@ -81,3 +81,66 @@ const _: () = {
     assert_send::<MazEngine<VectorClock>>();
     assert_send::<MazEngine<HybridClock>>();
 };
+
+#[cfg(test)]
+mod tests {
+    use tc_core::{ClockPool, HybridClock, LogicalClock, TreeClock, VectorClock};
+    use tc_trace::{Trace, TraceBuilder};
+
+    use crate::{HbEngine, MazEngine, RunMetrics, ShbEngine};
+
+    /// Runs `run` twice over one pool: the second run must take every
+    /// clock from the free list and reproduce the first run's metrics.
+    fn assert_rerun_allocates_nothing<C: LogicalClock>(
+        label: &str,
+        trace: &Trace,
+        run: fn(&Trace, &mut ClockPool<C>) -> RunMetrics,
+    ) {
+        let mut pool = ClockPool::<C>::new();
+        let first = run(trace, &mut pool);
+        let fresh = pool.fresh();
+        assert!(fresh > 0, "{label}: the first run must allocate clocks");
+        let second = run(trace, &mut pool);
+        assert_eq!(
+            pool.fresh(),
+            fresh,
+            "{label}: steady state must allocate no new clocks"
+        );
+        assert!(pool.recycled() >= fresh, "{label}: {pool:?}");
+        assert_eq!(first, second, "{label}: pooling must not change any metric");
+    }
+
+    fn assert_every_order_reruns_allocation_free<C: LogicalClock>(backend: &str, trace: &Trace) {
+        assert_rerun_allocates_nothing::<C>(
+            &format!("HB/{backend}"),
+            trace,
+            HbEngine::<C>::run_pooled,
+        );
+        assert_rerun_allocates_nothing::<C>(
+            &format!("SHB/{backend}"),
+            trace,
+            ShbEngine::<C>::run_pooled,
+        );
+        assert_rerun_allocates_nothing::<C>(
+            &format!("MAZ/{backend}"),
+            trace,
+            MazEngine::<C>::run_pooled,
+        );
+    }
+
+    #[test]
+    fn pooled_reruns_are_allocation_free() {
+        let mut b = TraceBuilder::new();
+        for i in 0..40u32 {
+            let t = i % 4;
+            b.write_id(t, i % 3);
+            b.read_id((t + 1) % 4, i % 3);
+            b.acquire_id(t, 0);
+            b.release_id(t, 0);
+        }
+        let trace = b.finish();
+        assert_every_order_reruns_allocation_free::<TreeClock>("tree", &trace);
+        assert_every_order_reruns_allocation_free::<VectorClock>("vector", &trace);
+        assert_every_order_reruns_allocation_free::<HybridClock>("hybrid", &trace);
+    }
+}

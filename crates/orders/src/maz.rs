@@ -507,20 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_reruns_are_allocation_free_and_lazy_vars_cost_nothing() {
-        let mut b = TraceBuilder::new();
-        for i in 0..30u32 {
-            b.write_id(i % 5, 0);
-            b.read_id((i + 1) % 5, 0);
-        }
-        let trace = b.finish();
-        let mut pool = ClockPool::<VectorClock>::new();
-        let first = MazEngine::<VectorClock>::run_pooled(&trace, &mut pool);
-        let fresh_after_first = pool.fresh();
-        let second = MazEngine::<VectorClock>::run_pooled(&trace, &mut pool);
-        assert_eq!(pool.fresh(), fresh_after_first);
-        assert_eq!(first, second);
-
+    fn untouched_variables_own_no_clock_memory() {
         // An engine over a trace that never touches its variables keeps
         // every per-variable slot unmaterialized.
         let mut b = TraceBuilder::new();

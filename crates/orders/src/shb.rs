@@ -379,31 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_reruns_are_allocation_free() {
-        let mut b = TraceBuilder::new();
-        for i in 0..40u32 {
-            let t = i % 4;
-            b.write_id(t, i % 3);
-            b.read_id((t + 1) % 4, i % 3);
-            b.acquire_id(t, 0);
-            b.release_id(t, 0);
-        }
-        let trace = b.finish();
-        let mut pool = ClockPool::<TreeClock>::new();
-        let first = ShbEngine::<TreeClock>::run_pooled(&trace, &mut pool);
-        let fresh_after_first = pool.fresh();
-        assert!(fresh_after_first > 0, "first run must allocate clocks");
-        let second = ShbEngine::<TreeClock>::run_pooled(&trace, &mut pool);
-        assert_eq!(
-            pool.fresh(),
-            fresh_after_first,
-            "steady state must allocate no new clocks"
-        );
-        assert!(pool.recycled() >= fresh_after_first);
-        assert_eq!(first, second, "pooling must not change any metric");
-    }
-
-    #[test]
     fn tree_and_vector_agree_on_shb() {
         let mut b = TraceBuilder::new();
         for i in 0..20u32 {

@@ -7,10 +7,6 @@
 //! high-water, worker drain/steal counts, reply-latency histograms,
 //! per-connection flow-control counters, and detector memory gauges.
 //! One instance per server, shared by the readers and every worker.
-//!
-//! The bundle also comes in a null form (built over
-//! [`Registry::null`]) whose handles are inert — the `NullRecorder`
-//! configuration the overhead benchmark compares against.
 
 use std::sync::Arc;
 
@@ -62,8 +58,8 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Builds the service bundle over `registry` (null registry → every
-    /// handle inert) for a pool of `workers` workers.
+    /// Builds the service bundle over `registry` for a pool of
+    /// `workers` workers.
     pub fn new(registry: Registry, workers: usize) -> ServiceMetrics {
         let workers_gauge = registry.gauge("tc_workers");
         workers_gauge.set(workers as u64);
@@ -107,11 +103,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// The inert bundle (the `NullRecorder` configuration).
-    pub fn null(workers: usize) -> ServiceMetrics {
-        ServiceMetrics::new(Registry::null(), workers)
-    }
-
     /// The backing registry (scrapes, per-worker shard registration).
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -149,18 +140,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_bundle_is_inert_and_sendable() {
+    fn live_bundle_exposes_the_service_families() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServiceMetrics>();
-        let m = ServiceMetrics::null(4);
-        m.events.add(10);
-        assert_eq!(m.registry().counter_value("tc_events_total"), 0);
-        assert_eq!(m.render_prometheus(), "# EOF\n");
-        assert!(m.stats_suffix().contains("workers=4"));
-    }
-
-    #[test]
-    fn live_bundle_exposes_the_service_families() {
         let m = ServiceMetrics::new(Registry::new(), 2);
         m.conns_accepted.inc();
         m.msgs_frame.inc();
@@ -176,5 +158,6 @@ mod tests {
         let suffix = m.stats_suffix();
         assert!(suffix.contains("conns_accepted=1"));
         assert!(suffix.contains("wire_errors=1"));
+        assert!(suffix.contains("workers=2"));
     }
 }

@@ -90,11 +90,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads draining session work queues.
     pub workers: usize,
-    /// Record telemetry (the default). `false` swaps in the null
-    /// recorder: every metric handle is inert and the `metrics`
-    /// command replies with an empty exposition — the configuration
-    /// the overhead benchmark measures against.
-    pub telemetry: bool,
     /// Shared-secret admin token. When set, `shutdown` (and the
     /// cluster-admin commands of `serve --cluster`) require a prior
     /// `auth <token>` on the same connection; tokens are compared in
@@ -108,7 +103,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
-            telemetry: true,
             auth: None,
         }
     }
@@ -455,8 +449,7 @@ struct ServiceShared {
     work_cv: Condvar,
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    /// The server's telemetry bundle (inert when
-    /// `ServeConfig::telemetry` is off).
+    /// The server's telemetry bundle.
     metrics: SharedMetrics,
     /// The admin token `shutdown` requires (when set).
     auth: Option<String>,
@@ -532,11 +525,6 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let worker_count = config.workers.max(1);
-        let registry = if config.telemetry {
-            Registry::new()
-        } else {
-            Registry::null()
-        };
         let shared = Arc::new(ServiceShared {
             registry: Mutex::new(HashMap::new()),
             injector: Mutex::new(VecDeque::new()),
@@ -546,7 +534,7 @@ impl Server {
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(1),
-            metrics: Arc::new(ServiceMetrics::new(registry, worker_count)),
+            metrics: Arc::new(ServiceMetrics::new(Registry::new(), worker_count)),
             auth: config.auth.clone(),
             conns: Mutex::new(HashMap::new()),
             wake_addr: loopback_for(addr),
@@ -583,7 +571,7 @@ impl Server {
     }
 
     /// The server's telemetry bundle — what the `metrics` protocol
-    /// command scrapes. Inert when started with `telemetry: false`.
+    /// command scrapes.
     pub fn metrics(&self) -> SharedMetrics {
         Arc::clone(&self.shared.metrics)
     }
@@ -770,17 +758,15 @@ fn process_item(
         ),
         ItemKind::Close => *closed = true,
     }
-    if !m.registry().is_null() {
-        let d = session.detector();
-        m.events.add(d.events().wrapping_sub(before_events));
-        m.rejected
-            .add(session.rejected().wrapping_sub(before_rejected));
-        m.races.add(d.report().total.wrapping_sub(before_races));
-        m.peak_clock_bytes.record_max(d.peak_clock_bytes() as u64);
-        m.live_threads_high_water
-            .record_max(d.live_threads() as u64);
-        m.pool_bytes.record_max(d.pool_bytes() as u64);
-    }
+    let d = session.detector();
+    m.events.add(d.events().wrapping_sub(before_events));
+    m.rejected
+        .add(session.rejected().wrapping_sub(before_rejected));
+    m.races.add(d.report().total.wrapping_sub(before_races));
+    m.peak_clock_bytes.record_max(d.peak_clock_bytes() as u64);
+    m.live_threads_high_water
+        .record_max(d.live_threads() as u64);
+    m.pool_bytes.record_max(d.pool_bytes() as u64);
     if let Some(origin) = &item.origin {
         if !out.is_empty() {
             origin.conn.write_reply(out.as_bytes());
@@ -1580,8 +1566,7 @@ impl Client {
 
     /// Scrapes the server's `metrics` exposition: sends the command and
     /// reads through the `# EOF` terminator line. The result is the
-    /// Prometheus-style text document (just `# EOF\n` on a server
-    /// started with telemetry off).
+    /// Prometheus-style text document.
     ///
     /// # Errors
     ///
@@ -1748,7 +1733,6 @@ pub fn smoke() -> Result<(), String> {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        telemetry: true,
         auth: None,
     })
     .map_err(|e| format!("cannot start server: {e}"))?;

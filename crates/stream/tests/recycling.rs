@@ -165,16 +165,17 @@ fn run_churn<C: LogicalClock>(total: u32, live: u32, events: usize, recycle: boo
     }
 }
 
-/// The tentpole's bounded-memory guarantee: with ~64 live threads,
-/// peak clock bytes stay within 2x when the total-ever spawn count
-/// grows 10x under recycling — while the no-recycling baseline's peak
-/// grows with the total spawn count on the same workload shape.
+/// The bounded-memory guarantee: with ~64 live threads, peak clock
+/// bytes stay within 2x when the total-ever spawn count grows 10x under
+/// recycling — while the no-recycling baseline's peak grows with the
+/// total spawn count on the same workload shape — and on one and the
+/// same churn trace, recycling never raises the hybrid's peak.
 ///
-/// The headline regime in ISSUE/BENCH_8.json is 50k -> 500k spawns;
-/// this committed test runs the same 10x growth at debug-friendly
-/// sizes (5k -> 50k recycled, 800 -> 8k direct — the direct baseline's
-/// clock arenas scale with *total* threads, so its big leg is kept
-/// smaller to bound test memory and time).
+/// The headline regime is 50k -> 500k spawns; this test runs the same
+/// 10x growth at debug-friendly sizes (5k -> 50k recycled, 800 -> 8k
+/// direct — the direct baseline's clock arenas scale with *total*
+/// threads, so its big leg is kept smaller to bound test memory and
+/// time).
 #[test]
 fn churn_peak_clock_bytes_stay_flat_under_10x_spawn_growth() {
     const LIVE: u32 = 64;
@@ -208,4 +209,16 @@ fn churn_peak_clock_bytes_stay_flat_under_10x_spawn_growth() {
         off_big.peak_clock_bytes,
     );
     assert_eq!(off_big.recycled_slots, 0);
+
+    for (total, events) in [(128, 20_000), (1_280, 40_000)] {
+        let on = run_churn::<HybridClock>(total, 16, events, true);
+        let off = run_churn::<HybridClock>(total, 16, events, false);
+        assert!(
+            on.peak_clock_bytes <= off.peak_clock_bytes,
+            "recycling must not raise the hybrid's peak on the same trace: \
+             {} bytes on vs {} bytes off at {total} spawns",
+            on.peak_clock_bytes,
+            off.peak_clock_bytes,
+        );
+    }
 }

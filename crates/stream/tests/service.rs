@@ -19,7 +19,6 @@ fn start() -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        telemetry: true,
         auth: None,
     })
     .expect("bind on a free port")

@@ -3,8 +3,7 @@
 //! The service is a performance subsystem; tuning it needs a cost
 //! profile, not a guess. This crate is the substrate: metric
 //! primitives cheap enough to leave on in the hot ingest path, and a
-//! scrape surface that renders them for humans, `nc`, and the bench
-//! baseline alike.
+//! scrape surface that renders them for humans and `nc` alike.
 //!
 //! Two layers:
 //!
@@ -19,11 +18,9 @@
 //!   so each worker records into its own cache lines and shards are
 //!   merged only at scrape time ([`Registry::histogram_snapshot`]).
 //!
-//! Every handle has a **null** form ([`Registry::null`] /
-//! [`NullRecorder`]) whose operations compile to a branch on a `None`:
-//! the overhead question ("what does always-on telemetry cost?") is
-//! answered by benching the same workload against an active and a null
-//! registry, and the baseline records the delta.
+//! Servers always record: a [`Registry`] is always live. Only a
+//! handle built directly with [`Counter::null`], [`Gauge::null`] or
+//! [`Histogram::null`] is inert.
 //!
 //! The scrape surface is [`Registry::render_prometheus`]: a
 //! Prometheus-style text exposition (counters/gauges as single
@@ -37,4 +34,4 @@ mod metrics;
 mod registry;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{labeled, NullRecorder, Registry};
+pub use registry::{labeled, Registry};

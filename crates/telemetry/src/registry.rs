@@ -27,52 +27,39 @@ struct Inner {
 /// Histograms registered under the same name get a **fresh shard per
 /// registration**: each worker records into private cache lines and
 /// [`Registry::histogram_snapshot`] merges the shards at read time.
-///
-/// [`Registry::null`] yields a registry whose handles are all inert —
-/// the `NullRecorder` configuration used to measure telemetry's own
-/// overhead.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
 }
 
 impl Registry {
     /// A live registry; its creation time anchors uptime.
     pub fn new() -> Self {
         Registry {
-            inner: Some(Arc::new(Inner {
+            inner: Arc::new(Inner {
                 start: Instant::now(),
                 counters: Mutex::new(Vec::new()),
                 gauges: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
-            })),
+            }),
         }
     }
 
-    /// The null registry: every handle it hands out is a no-op.
-    pub fn null() -> Self {
-        Registry { inner: None }
-    }
-
-    /// Whether this is the null registry.
-    pub fn is_null(&self) -> bool {
-        self.inner.is_none()
-    }
-
-    /// Time since the registry was created (zero for null).
+    /// Time since the registry was created.
     pub fn uptime(&self) -> Duration {
-        self.inner
-            .as_ref()
-            .map_or(Duration::ZERO, |i| i.start.elapsed())
+        self.inner.start.elapsed()
     }
 
     /// The counter registered as `name`, creating it on first use.
     /// Same name → same cell.
     pub fn counter(&self, name: &str) -> Counter {
-        let Some(inner) = &self.inner else {
-            return Counter::null();
-        };
-        let mut counters = inner.counters.lock().expect("registry lock poisoned");
+        let mut counters = self.inner.counters.lock().expect("registry lock poisoned");
         let cell = match counters.iter().find(|(n, _)| n == name) {
             Some((_, cell)) => cell.clone(),
             None => {
@@ -87,10 +74,7 @@ impl Registry {
     /// The gauge registered as `name`, creating it on first use. Same
     /// name → same cell.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::null();
-        };
-        let mut gauges = inner.gauges.lock().expect("registry lock poisoned");
+        let mut gauges = self.inner.gauges.lock().expect("registry lock poisoned");
         let cell = match gauges.iter().find(|(n, _)| n == name) {
             Some((_, cell)) => cell.clone(),
             None => {
@@ -106,11 +90,8 @@ impl Registry {
     /// (typically each worker thread) records into its own shard;
     /// scrapes merge every shard registered under the name.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let Some(inner) = &self.inner else {
-            return Histogram::null();
-        };
         let cell = Arc::new(crate::metrics::HistogramCell::default());
-        inner
+        self.inner
             .histograms
             .lock()
             .expect("registry lock poisoned")
@@ -120,42 +101,39 @@ impl Registry {
 
     /// The current value of counter `name` (0 if never registered).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            i.counters
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, c)| c.get())
-        })
+        self.inner
+            .counters
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, c)| c.get())
     }
 
     /// The current value of gauge `name` (0 if never registered).
     pub fn gauge_value(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            i.gauges
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, g)| g.get())
-        })
+        self.inner
+            .gauges
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, g)| g.get())
     }
 
     /// The merged snapshot of every shard registered under `name`
     /// (empty if none).
     pub fn histogram_snapshot(&self, name: &str) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::empty();
-        if let Some(inner) = &self.inner {
-            for (n, cell) in inner
-                .histograms
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-            {
-                if n == name {
-                    merged.merge(&cell.snapshot());
-                }
+        for (n, cell) in self
+            .inner
+            .histograms
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+        {
+            if n == name {
+                merged.merge(&cell.snapshot());
             }
         }
         merged
@@ -168,79 +146,66 @@ impl Registry {
     /// can be streamed over the line protocol.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        if let Some(inner) = &self.inner {
-            let mut last_type: Option<String> = None;
-            let mut type_line = |out: &mut String, name: &str, kind: &str| {
-                let base = base_name(name).to_owned();
-                if last_type.as_deref() != Some(base.as_str()) {
-                    out.push_str(&format!("# TYPE {base} {kind}\n"));
-                    last_type = Some(base);
-                }
-            };
-
-            let mut counters: Vec<(String, u64)> = inner
-                .counters
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
-                .collect();
-            counters.sort();
-            for (name, value) in counters {
-                type_line(&mut out, &name, "counter");
-                out.push_str(&format!("{name} {value}\n"));
+        let mut last_type: Option<String> = None;
+        let mut type_line = |out: &mut String, name: &str, kind: &str| {
+            let base = base_name(name).to_owned();
+            if last_type.as_deref() != Some(base.as_str()) {
+                out.push_str(&format!("# TYPE {base} {kind}\n"));
+                last_type = Some(base);
             }
+        };
 
-            let mut gauges: Vec<(String, u64)> = inner
-                .gauges
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(n, g)| (n.clone(), g.get()))
-                .collect();
-            gauges.sort();
-            for (name, value) in gauges {
-                type_line(&mut out, &name, "gauge");
-                out.push_str(&format!("{name} {value}\n"));
-            }
+        let mut counters: Vec<(String, u64)> = self
+            .inner
+            .counters
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(n, c)| (n.clone(), c.get()))
+            .collect();
+        counters.sort();
+        for (name, value) in counters {
+            type_line(&mut out, &name, "counter");
+            out.push_str(&format!("{name} {value}\n"));
+        }
 
-            let mut names: Vec<String> = inner
-                .histograms
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect();
-            names.sort();
-            names.dedup();
-            for name in names {
-                let snap = self.histogram_snapshot(&name);
-                type_line(&mut out, &name, "summary");
-                for (q, label) in QUANTILES {
-                    let series = with_label(&name, "quantile", label);
-                    out.push_str(&format!("{series} {}\n", snap.quantile(q)));
-                }
-                let (base, labels) = split_labels(&name);
-                out.push_str(&format!("{base}_sum{labels} {}\n", snap.sum));
-                out.push_str(&format!("{base}_count{labels} {}\n", snap.count));
+        let mut gauges: Vec<(String, u64)> = self
+            .inner
+            .gauges
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(n, g)| (n.clone(), g.get()))
+            .collect();
+        gauges.sort();
+        for (name, value) in gauges {
+            type_line(&mut out, &name, "gauge");
+            out.push_str(&format!("{name} {value}\n"));
+        }
+
+        let mut names: Vec<String> = self
+            .inner
+            .histograms
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(n, _)| n.clone())
+            .collect();
+        names.sort();
+        names.dedup();
+        for name in names {
+            let snap = self.histogram_snapshot(&name);
+            type_line(&mut out, &name, "summary");
+            for (q, label) in QUANTILES {
+                let series = with_label(&name, "quantile", label);
+                out.push_str(&format!("{series} {}\n", snap.quantile(q)));
             }
+            let (base, labels) = split_labels(&name);
+            out.push_str(&format!("{base}_sum{labels} {}\n", snap.sum));
+            out.push_str(&format!("{base}_count{labels} {}\n", snap.count));
         }
         out.push_str("# EOF\n");
         out
-    }
-}
-
-/// The `NullRecorder`: hands out the disabled [`Registry`] whose
-/// handles all compile to a branch-on-`None` no-op. Benching a
-/// workload against [`Registry::new`] and [`NullRecorder::registry`]
-/// measures exactly what always-on telemetry costs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl NullRecorder {
-    /// The disabled registry.
-    pub fn registry() -> Registry {
-        Registry::null()
     }
 }
 
@@ -313,19 +278,6 @@ mod tests {
         let snap = reg.histogram_snapshot("tc_lat_us");
         assert_eq!(snap.count, 2);
         assert_eq!(snap.sum, 10_010);
-    }
-
-    #[test]
-    fn null_registry_hands_out_inert_handles() {
-        let reg = NullRecorder::registry();
-        assert!(reg.is_null());
-        let c = reg.counter("tc_x_total");
-        c.add(9);
-        reg.histogram("tc_h").record(1);
-        assert_eq!(reg.counter_value("tc_x_total"), 0);
-        assert_eq!(reg.histogram_snapshot("tc_h").count, 0);
-        assert_eq!(reg.uptime(), Duration::ZERO);
-        assert_eq!(reg.render_prometheus(), "# EOF\n");
     }
 
     #[test]
