@@ -62,14 +62,18 @@
 //! workloads it is far below. A hysteresis score over window verdicts
 //! (`HYSTERESIS` consecutive net agreements required) keeps a
 //! borderline workload from thrashing. Copies into value-empty clocks
-//! *are* observed (as the transferred present-entry count): a tree
-//! clone writes links *and* times — 6× the bytes of a flat copy — so
-//! dense first publications through fresh lock clocks are precisely
-//! the pairwise-regime signal that must push a publishing thread
-//! toward flat. (A star hub's first spoke-lock publications are a
-//! few-hundred-op transient among its hundred thousand sparse
-//! operations, far too rare to saturate the hysteresis.) Only the
-//! join-into-empty clone is unobserved.
+//! *are* observed (as the transferred present-entry count): dense
+//! first publications through fresh lock clocks are precisely the
+//! pairwise-regime signal that must push a publishing thread toward
+//! flat. A wide tree clock's timed copy shares its tree instead of
+//! writing it (copy-on-write, see [`TreeClock`]) and moves nothing, so
+//! a sampled copy from one is observed as the entries it changes,
+//! counted with a flat sweep before the copy. The sharing moves the
+//! cost of a dense publication to the publisher's next join, which
+//! copies the shared tree, so the signal still stands. (A star hub's
+//! first spoke-lock publications are a few-hundred-op transient among
+//! its hundred thousand sparse operations, far too rare to saturate
+//! the hysteresis.) Only the join-into-empty clone is unobserved.
 //!
 //! While flat, the uncounted join is a pure pointwise-maximum sweep;
 //! every `PROBE_PERIOD`-th join (and copy-from-self) runs a
@@ -123,7 +127,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::clock::{CopyMode, LogicalClock, OpStats};
-use crate::tree_clock::TreeClock;
+use crate::tree_clock::{Times, TreeClock};
 use crate::{LocalTime, ThreadId, VectorTime};
 
 /// Operations aggregated per density-window verdict. Small enough
@@ -182,19 +186,31 @@ fn time_at(times: &[LocalTime], idx: u32) -> LocalTime {
     times.get(idx as usize).copied().unwrap_or(0)
 }
 
-/// Counts index positions whose values differ between two dense value
-/// slices (used for exact `changed` accounting of wholesale copies).
-fn count_diffs(old: &[LocalTime], new: &[LocalTime]) -> u64 {
-    let shared = old.len().min(new.len());
+/// Counts index positions whose values differ between two dense
+/// values (used for exact `changed` accounting of wholesale copies).
+fn count_diffs(old: Times<'_>, new: Times<'_>) -> u64 {
+    let (o, n) = (old.slice, new.slice);
+    let shared = o.len().min(n.len());
     let mut diffs = 0u64;
     for i in 0..shared {
-        diffs += u64::from(old[i] != new[i]);
+        diffs += u64::from(o[i] != n[i]);
     }
-    for &t in &old[shared..] {
+    for &t in &o[shared..] {
         diffs += u64::from(t != 0);
     }
-    for &t in &new[shared..] {
+    for &t in &n[shared..] {
         diffs += u64::from(t != 0);
+    }
+    // A tree's root entry may lag its root time: re-judge the (at most
+    // two) root indices on the authoritative values.
+    let old_root = old.root_entry().map(|(r, _)| r);
+    let new_root = new
+        .root_entry()
+        .map(|(r, _)| r)
+        .filter(|&r| Some(r) != old_root);
+    for r in [old_root, new_root].into_iter().flatten() {
+        let raw = time_at(o, r) != time_at(n, r);
+        diffs = diffs + u64::from(old.get(r) != new.get(r)) - u64::from(raw);
     }
     diffs
 }
@@ -363,11 +379,11 @@ impl HybridClock {
         }
     }
 
-    /// The dense value slice of the live representation.
+    /// The dense value of the live representation.
     #[inline]
-    fn value_slice(&self) -> &[LocalTime] {
+    fn values(&self) -> Times<'_> {
         if self.flat() {
-            &self.flat
+            Times::flat(&self.flat)
         } else {
             self.tree.times()
         }
@@ -504,8 +520,7 @@ impl HybridClock {
     /// its arena buffers for the flip back.
     fn flip_to_flat(&mut self) {
         self.root = self.tree.root_tid();
-        self.flat.clear();
-        self.flat.extend_from_slice(self.tree.times());
+        self.tree.times().write_into(&mut self.flat);
         self.tree.clear();
         self.state |= ST_FLAT;
         self.window.join_probe = 0;
@@ -554,7 +569,7 @@ impl HybridClock {
                 }
             }
             (false, true) => self.tree_join_flat::<COUNT>(other),
-            (true, _) => self.flat_join_slice_src::<COUNT>(other.value_slice()),
+            (true, _) => self.flat_join_slice_src::<COUNT>(other.values()),
         }
     }
 
@@ -614,24 +629,33 @@ impl HybridClock {
         }
     }
 
-    /// Flat destination ⊔ any source (presented as a dense slice): the
+    /// Flat destination ⊔ any source (presented as a dense value): the
     /// vectorizable pointwise maximum. The uncounted path counts
     /// nothing on most joins and runs a branchless counting sweep every
     /// [`PROBE_PERIOD`]-th call to feed the density window.
-    fn flat_join_slice_src<const COUNT: bool>(&mut self, src: &[LocalTime]) -> OpStats {
+    fn flat_join_slice_src<const COUNT: bool>(&mut self, src: Times<'_>) -> OpStats {
         if let Some(r) = self.root {
             assert!(
-                time_at(src, r.raw()) <= time_at(&self.flat, r.raw()),
+                src.get(r.raw()) <= time_at(&self.flat, r.raw()),
                 "HybridClock::join: `other` has progressed on self's root thread {r} — \
                  this cannot happen in a causal ordering (misuse of the clock)",
             );
         }
-        if src.len() > self.flat.len() {
-            self.flat.resize(src.len(), 0);
+        if src.slice.len() > self.flat.len() {
+            self.flat.resize(src.slice.len(), 0);
         }
+        // A tree source's root entry may lag its root time: take the
+        // root time first, so the sweeps below see that entry settled.
+        let mut root_changed = 0u64;
+        if let Some((r, t)) = src.root_entry() {
+            let mine = &mut self.flat[r as usize];
+            root_changed = u64::from(t > *mine);
+            *mine = (*mine).max(t);
+        }
+        let src = src.slice;
         let arena = self.flat.len() as u64;
         if COUNT {
-            let mut stats = OpStats::NOOP;
+            let mut stats = OpStats::new(0, root_changed, root_changed);
             for (mine, &theirs) in self.flat.iter_mut().zip(src.iter()) {
                 stats.examined += 1;
                 let progressed = theirs > *mine;
@@ -648,7 +672,7 @@ impl HybridClock {
             // a branchy `if` here would mispredict on every other
             // entry in the dense regime), feeding the window so a
             // workload turning sparse flips back to tree.
-            let mut changed = 0u64;
+            let mut changed = root_changed;
             for (mine, &theirs) in self.flat.iter_mut().zip(src.iter()) {
                 changed += u64::from(theirs > *mine);
                 *mine = (*mine).max(theirs);
@@ -680,25 +704,27 @@ impl HybridClock {
     #[inline]
     fn perform_copy<const COUNT: bool>(&mut self, other: &Self, monotone: bool) -> OpStats {
         if !self.flat() && !other.flat() {
-            let s = if monotone {
-                self.tree.monotone_copy_impl::<COUNT>(&other.tree)
+            if !monotone {
+                return self.tree.clone_structure_from::<COUNT>(&other.tree);
+            }
+            // The surgical copy's moved count (transferred present
+            // entries, for a first copy into an empty clock) is the
+            // observation — attributed to the *source* (see the module
+            // docs), sampled at the source's observation period through
+            // its shared probe. A timed copy from a wide tree shares it
+            // and moves nothing, so a sampled one is judged instead on
+            // the entries it changes, counted before they are replaced.
+            let probe = other.copy_probe_tick(TREE_OBS_PERIOD - 1);
+            let shares = probe && !COUNT && other.tree.copies_by_sharing();
+            let changed = if shares {
+                count_diffs(self.values(), other.values())
             } else {
-                self.tree.clone_structure_from::<COUNT>(&other.tree)
+                0
             };
-            if monotone {
-                // The surgical copy's moved count (transferred present
-                // entries, for a first copy into an empty clock) is the
-                // observation — attributed to the *source* (see the
-                // module docs), sampled at the source's observation
-                // period through its shared probe. Bulk transfers
-                // matter too: a tree clone writes 6× the bytes of a
-                // flat copy (links + times vs times alone), so dense
-                // first copies into fresh lock clocks are exactly what
-                // must push a publishing thread toward flat.
-                if other.copy_probe_tick(TREE_OBS_PERIOD - 1) {
-                    let arena = self.num_threads().max(other.num_threads()) as u64;
-                    other.observe_shared(s.moved, arena);
-                }
+            let s = self.tree.monotone_copy_impl::<COUNT>(&other.tree);
+            if probe {
+                let arena = self.num_threads().max(other.num_threads()) as u64;
+                other.observe_shared(if shares { changed } else { s.moved }, arena);
             }
             return s;
         }
@@ -708,7 +734,7 @@ impl HybridClock {
             let src = &other.flat;
             let mut stats = OpStats::NOOP;
             if COUNT {
-                let changed = count_diffs(self.value_slice(), src);
+                let changed = count_diffs(self.values(), Times::flat(src));
                 stats.examined = (self.num_threads().max(src.len())) as u64;
                 stats.changed = changed;
                 stats.moved = changed;
@@ -716,7 +742,7 @@ impl HybridClock {
             } else {
                 // Probe the copy density on the source's window.
                 if other.copy_probe_tick(PROBE_PERIOD - 1) {
-                    other.observe_shared(count_diffs(self.value_slice(), src), arena);
+                    other.observe_shared(count_diffs(self.values(), Times::flat(src)), arena);
                 }
             }
             if !self.flat() {
@@ -731,7 +757,7 @@ impl HybridClock {
         // Flat destination becomes a tree replica of the source — the
         // transitional path while regimes disagree; the wholesale
         // rebuild is O(k + present) and the diff count rides along.
-        let changed = count_diffs(&self.flat, other.tree.times());
+        let changed = count_diffs(Times::flat(&self.flat), other.tree.times());
         other.observe_shared(changed, arena);
         self.flat.clear();
         self.state &= !ST_FLAT;
@@ -765,7 +791,7 @@ impl HybridClock {
                  use copy_check_monotone for unordered copies",
             );
         }
-        if other.fast_empty() && other.value_slice().iter().all(|&t| t == 0) {
+        if other.fast_empty() && other.values().is_zero() {
             // Copying an empty clock: only valid into an empty clock
             // (mirrors TreeClock::monotone_copy).
             assert!(
@@ -782,7 +808,7 @@ impl HybridClock {
     /// either the monotone copy or a deep replacement.
     fn copy_check_dispatch<const COUNT: bool>(&mut self, other: &Self) -> (CopyMode, OpStats) {
         let monotone = self.leq(other);
-        if other.fast_empty() && other.value_slice().iter().all(|&t| t == 0) {
+        if other.fast_empty() && other.values().is_zero() {
             if self.is_empty() {
                 return (CopyMode::Monotone, OpStats::NOOP);
             }
@@ -1124,27 +1150,29 @@ mod tests {
         // entries). The *source* thread must flip to flat even though
         // its own joins are quiet — the shared-hook observations are
         // harvested at the publisher's next `&mut` touch (increment).
-        const K: u32 = 8;
-        let mut publisher = rooted(0, 1);
-        for t in 1..K {
-            publisher.join(&rooted(t, 1)); // knows everyone
+        // At 150 threads the publisher's copies share its tree and move
+        // nothing; their sampled density must flip it all the same.
+        for k in [8, 150] {
+            let mut publisher = HybridClock {
+                tree: knows_all(k, 1),
+                ..HybridClock::default()
+            };
+            let mut locks: Vec<HybridClock> = Vec::new();
+            for _ in 0..(SATURATE * 2) {
+                publisher.increment(1);
+                // Copy into a stale lock (old value far behind): dense.
+                let mut lock = rooted(1, 1);
+                lock.increment(0);
+                let _ = lock.copy_check_monotone(&publisher);
+                locks.push(lock);
+            }
+            assert!(
+                publisher.is_flat(),
+                "{k} threads: dense copies must flip the publishing thread to flat"
+            );
+            // And the copy targets adopted the source representation.
+            assert!(locks.last().unwrap().is_flat());
         }
-        let mut locks: Vec<HybridClock> = Vec::new();
-        for i in 0..(SATURATE * 2) {
-            publisher.increment(1);
-            // Copy into a stale lock (old value far behind): dense.
-            let mut lock = rooted(1, 1);
-            lock.increment(0);
-            let _ = lock.copy_check_monotone(&publisher);
-            locks.push(lock);
-            let _ = i;
-        }
-        assert!(
-            publisher.is_flat(),
-            "dense copies must flip the publishing thread to flat"
-        );
-        // And the copy targets adopted the source representation.
-        assert!(locks.last().unwrap().is_flat());
     }
 
     #[test]
@@ -1230,7 +1258,7 @@ mod tests {
         assert!(dst.is_flat());
         assert_eq!(
             s1.changed as usize,
-            src.value_slice().iter().filter(|&&t| t != 0).count()
+            src.values().slice.iter().filter(|&&t| t != 0).count()
         );
         let s2 = dst.monotone_copy_counted(&src);
         assert_eq!(s2.changed, 0);
@@ -1380,12 +1408,80 @@ mod tests {
         assert_eq!(flat.root_tid(), Some(ThreadId::new(0)));
     }
 
+    /// A tree clock rooted at t0 that knows threads `0..k`, all at
+    /// `time`.
+    fn knows_all(k: u32, time: LocalTime) -> TreeClock {
+        let mut tree = TreeClock::new();
+        tree.init_root(ThreadId::new(0));
+        tree.increment(time);
+        for t in 1..k {
+            let mut peer = TreeClock::new();
+            peer.init_root(ThreadId::new(t));
+            peer.increment(time);
+            tree.join(&peer);
+        }
+        tree
+    }
+
+    /// A tree-mode clock of 150 threads, all at time 4, whose tree is
+    /// shared with a lock clock and whose root (t0) has since moved on to
+    /// 9: its tree's root entry lags at 4.
+    fn lagging_wide_tree() -> HybridClock {
+        let mut tree = knows_all(150, 4);
+        let mut lock = TreeClock::new();
+        lock.monotone_copy(&tree);
+        tree.increment(5);
+        HybridClock {
+            tree,
+            ..HybridClock::default()
+        }
+    }
+
+    #[test]
+    fn flat_reads_of_a_tree_use_its_root_time() {
+        let src = lagging_wide_tree();
+        assert!(!src.is_flat());
+        assert_eq!(src.get(ThreadId::new(0)), 9);
+
+        // Flat ⊔ tree takes the root time, not the lagging entry.
+        let mut flat = rooted(1, 10);
+        let mut peers: Vec<HybridClock> = (2..7u32).map(|t| rooted(t, 1)).collect();
+        for _ in 0..(SATURATE + 8) {
+            dense_round(&mut flat, &mut peers);
+        }
+        assert!(flat.is_flat());
+        let before = flat.clone();
+        let mut counted = flat.clone();
+        flat.join(&src);
+        assert_eq!(flat.get(ThreadId::new(0)), 9);
+        let s = counted.join_counted(&src);
+        assert_eq!(counted.vector_time(), flat.vector_time());
+        let progressed = (0..150)
+            .map(ThreadId::new)
+            .filter(|&t| src.get(t) > before.get(t))
+            .count();
+        assert_eq!(s.changed as usize, progressed);
+
+        // Diffs against the tree judge its root on the root time.
+        let stale = vec![4; 150];
+        assert_eq!(count_diffs(Times::flat(&stale), src.values()), 1);
+        assert_eq!(count_diffs(src.values(), Times::flat(&stale)), 1);
+
+        // So does the tree→flat migration.
+        let mut migrating = src.clone();
+        migrating.flip_to_flat();
+        assert!(migrating.is_flat());
+        assert_eq!(migrating.vector_time(), src.vector_time());
+        assert_eq!(migrating.get(ThreadId::new(0)), 9);
+    }
+
     #[test]
     fn count_diffs_handles_unequal_lengths() {
-        assert_eq!(count_diffs(&[1, 2, 0], &[1, 3]), 1);
-        assert_eq!(count_diffs(&[1, 2, 4], &[1, 2]), 1);
-        assert_eq!(count_diffs(&[], &[0, 0, 5]), 1);
-        assert_eq!(count_diffs(&[7], &[7]), 0);
+        let diffs = |a: &[LocalTime], b: &[LocalTime]| count_diffs(Times::flat(a), Times::flat(b));
+        assert_eq!(diffs(&[1, 2, 0], &[1, 3]), 1);
+        assert_eq!(diffs(&[1, 2, 4], &[1, 2]), 1);
+        assert_eq!(diffs(&[], &[0, 0, 5]), 1);
+        assert_eq!(diffs(&[7], &[7]), 0);
     }
 
     #[test]

@@ -53,8 +53,8 @@
 //! # Crate layout
 //!
 //! - [`tree_clock`] — the [`TreeClock`] data structure (Algorithm 2 of the
-//!   paper): arena representation, iterative `Join`, `MonotoneCopy` and
-//!   `CopyCheckMonotone`.
+//!   paper): arena representation shared copy-on-write by wide clocks,
+//!   iterative `Join`, `MonotoneCopy` and `CopyCheckMonotone`.
 //! - [`vector_clock`] — the flat [`VectorClock`] baseline.
 //! - [`clock`] — the [`LogicalClock`] trait and per-operation work
 //!   statistics ([`OpStats`]) used for the paper's `VTWork`/`TCWork`/
@@ -66,8 +66,10 @@
 //!   links when the workload turns sparse.
 //! - [`ids`] — [`ThreadId`], [`LocalTime`] and [`Epoch`] identifiers.
 //! - [`pool`] — the [`ClockPool`] free list and the [`LazyClock`]
-//!   per-variable slot, which together make the engines' steady-state
-//!   analysis allocation-free (see the README's "Performance" section).
+//!   per-variable slot, with which the engines' steady-state analysis
+//!   acquires no fresh clock (see the README's "Performance" section;
+//!   a wide tree clock still allocates a fresh tree when it changes one
+//!   it shares).
 //! - [`identity`] — the [`IdentityMap`] generation layer that remaps
 //!   external thread ids onto recycled internal slots, keeping clock
 //!   width proportional to *live* threads under spawn/join churn.

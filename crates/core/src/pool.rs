@@ -1,5 +1,5 @@
-//! A free list of recycled clocks, so steady-state analysis runs
-//! allocation-free.
+//! A free list of recycled clocks, so steady-state analysis acquires no
+//! fresh clock.
 //!
 //! Partial-order engines materialize many auxiliary clocks over a run —
 //! one per lock, one per variable (`LW_x`), one per thread-variable pair
@@ -18,7 +18,13 @@
 //! the next timed repetition of `tcr bench`, the next engine of a
 //! conformance check, the next corpus case of a sweep — acquires no
 //! fresh clock at all. `tc_orders`' `pooled_reruns_are_allocation_free`
-//! test holds every partial order × clock backend to that.
+//! test holds every partial order × clock backend to that. Clocks are
+//! not the only allocation, though: a wide [`TreeClock`] shares its
+//! tree with the clocks it is copied into and allocates a fresh tree
+//! each time it changes a shared one (copy-on-write). A clock released
+//! while its tree is shared parks without it.
+//!
+//! [`TreeClock`]: crate::TreeClock
 //!
 //! # Example
 //!
@@ -45,7 +51,7 @@ use crate::clock::LogicalClock;
 /// See the [module documentation](self) for the usage pattern. The pool
 /// also counts its traffic ([`fresh`](Self::fresh) /
 /// [`recycled`](Self::recycled)), which the engine and pool tests use
-/// to assert that steady state is allocation-free.
+/// to assert that steady state acquires no fresh clock.
 #[derive(Debug)]
 pub struct ClockPool<C> {
     free: Vec<C>,
@@ -54,8 +60,9 @@ pub struct ClockPool<C> {
     dropped: u64,
     high_water: usize,
     /// Heap bytes currently parked on the free list, maintained
-    /// incrementally (clocks are immutable while parked, so the value
-    /// recorded at release stays exact until the clock is re-acquired).
+    /// incrementally (clocks are immutable while parked and share no
+    /// buffer with a live clock, so the value recorded at release stays
+    /// exact until the clock is re-acquired).
     free_bytes: usize,
     /// High-water mark of `free_bytes` over the pool's life — the
     /// quantity the streaming subsystem's bounded-memory tests track.

@@ -22,7 +22,8 @@ use super::TreeClock;
 impl TreeClock {
     /// Like the join, the uncounted path reports the surgically moved
     /// entry count in `stats.moved` (and nothing else) — the hybrid
-    /// clock's density observation for copies.
+    /// clock's density observation for copies. A timed copy that shares
+    /// the source's shape moves nothing and reports 0.
     pub(crate) fn monotone_copy_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -33,6 +34,19 @@ impl TreeClock {
             );
             return stats;
         };
+        if let Some(z) = self.root_idx() {
+            assert!(
+                self.root_time <= other.get_idx(z),
+                "TreeClock::monotone_copy: self ⋢ other on self's root thread {} — \
+                 use copy_check_monotone for unordered copies",
+                ThreadId::new(z),
+            );
+        }
+        // Timed path: a wide source's shape is shared, not copied; the
+        // source copies it only when it next changes it.
+        if !COUNT && self.share(other) {
+            return stats;
+        }
         let Some(z) = self.root_idx() else {
             // Copy into an empty clock: a deep copy, and every entry of
             // `other` is new information. The uncounted path reports
@@ -44,12 +58,6 @@ impl TreeClock {
             }
             return s;
         };
-        assert!(
-            self.clks[z as usize] <= other.get_idx(z),
-            "TreeClock::monotone_copy: self ⋢ other on self's root thread {} — \
-             use copy_check_monotone for unordered copies",
-            ThreadId::new(z),
-        );
 
         // Timed-path fast path: when recent copies kept replacing most
         // of the tree, skip the traversal and replicate `other` outright
@@ -57,11 +65,11 @@ impl TreeClock {
         // must represent `other`'s vector time, and `other`'s own tree
         // satisfies every invariant).
         if !COUNT && self.take_dense_path() {
-            self.clone_structure_from::<false>(other);
-            stats.moved = self.nodes.len().max(other.nodes.len()) as u64;
+            stats.moved = self.copy_arrays(other) as u64;
             return stats;
         }
 
+        let arena = self.num_threads().max(other.num_threads());
         self.gather.clear();
         self.frames.clear();
 
@@ -69,7 +77,7 @@ impl TreeClock {
             stats.examined += 1; // the root of `other` is always processed
         }
         let found_old_root = Self::gather_copy::<COUNT>(
-            &self.clks,
+            &self.store.unique(z, self.root_time).clks,
             other,
             zp,
             z,
@@ -79,7 +87,7 @@ impl TreeClock {
         );
         let moved = self.gather.len();
         if !COUNT {
-            self.note_density(moved, self.nodes.len().max(other.nodes.len()));
+            self.note_density(moved, arena);
             stats.moved = moved as u64;
         }
 
@@ -109,7 +117,7 @@ impl TreeClock {
         // examined-entry count within the Theorem 1 budget: the counted
         // clone walks the union of the two present-node sets — at most
         // `max(len)` entries here, and at least half that many changed.
-        if moved >= self.nodes.len().max(other.nodes.len()) / 2 {
+        if moved >= arena / 2 {
             // The clone's own traversal reuses the scratch stack; clear
             // it first so the copy walk starts fresh.
             self.gather.clear();
@@ -118,31 +126,24 @@ impl TreeClock {
             return stats;
         }
 
-        Self::detach_nodes_in(&mut self.nodes, self.root, &self.gather);
-        Self::attach_nodes_in::<COUNT>(
-            &mut self.nodes,
-            &mut self.clks,
-            &mut self.num_present,
-            other,
-            &mut self.gather,
-            &mut stats,
-        );
+        let shape = self.store.unique(z, self.root_time);
+        Self::detach_nodes_in(&mut shape.nodes, z, &self.gather);
+        Self::attach_nodes_in::<COUNT>(shape, other, &mut self.gather, &mut stats);
 
         // Re-root at the source's root thread.
-        self.root = zp;
         {
-            let r = &mut self.nodes[zp as usize];
+            let r = &mut shape.nodes[zp as usize];
             r.parent = NIL;
             r.next_sib = NIL;
             r.prev_sib = NIL;
         }
         debug_assert!(
-            {
-                let old = &self.nodes[z as usize];
-                z == zp || old.parent != NIL
-            },
+            z == zp || shape.nodes[z as usize].parent != NIL,
             "old root was not repositioned — monotone-copy precondition violated"
         );
+        self.root = zp;
+        self.root_time = other.root_time;
+        self.store.settle();
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
         stats
@@ -167,8 +168,10 @@ impl TreeClock {
         frames: &mut Vec<Frame>,
         stats: &mut OpStats,
     ) -> bool {
-        let o_nodes = &other.nodes[..];
-        let o_clks = &other.clks[..];
+        // Only children are read from `other`'s shape, never its root
+        // entry (which may lag in a shared shape).
+        let o_nodes = &other.shape().nodes[..];
+        let o_clks = &other.shape().clks[..];
         let mut found_old_root = false;
         let mut frame = Frame {
             node: start,

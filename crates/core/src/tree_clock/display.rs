@@ -8,8 +8,9 @@ use super::TreeClock;
 impl TreeClock {
     /// Writes the subtree rooted at `u` as `(t, clk, aclk)[children…]`.
     fn fmt_subtree(&self, f: &mut fmt::Formatter<'_>, u: u32, is_root: bool) -> fmt::Result {
-        let n = &self.nodes[u as usize];
-        let clk = self.clks[u as usize];
+        let nodes = &self.shape().nodes;
+        let n = &nodes[u as usize];
+        let clk = self.get_idx(u);
         if is_root {
             write!(f, "(t{u}, {clk}, ⊥)")?;
         } else {
@@ -25,7 +26,7 @@ impl TreeClock {
                 }
                 first = false;
                 self.fmt_subtree(f, c, false)?;
-                c = self.nodes[c as usize].next_sib;
+                c = nodes[c as usize].next_sib;
             }
             write!(f, "]")?;
         }

@@ -19,10 +19,11 @@
 //! per operation, a measurable slice of the sparse-regime fixed
 //! overhead).
 
-use crate::clock::OpStats;
+use crate::clock::{LogicalClock, OpStats};
 use crate::{LocalTime, ThreadId};
 
 use super::node::{Node, NIL};
+use super::shape::Shape;
 use super::TreeClock;
 
 /// One frame of the iterative pre-order traversal: a node of `other` and
@@ -34,8 +35,7 @@ pub(crate) struct Frame {
 }
 
 /// The represented time of thread index `idx` in a dense times slice
-/// (0 if out of range) — the split-borrow twin of
-/// [`TreeClock::get_idx`].
+/// (0 if out of range).
 #[inline]
 pub(crate) fn time_at(clks: &[LocalTime], idx: u32) -> LocalTime {
     clks.get(idx as usize).copied().unwrap_or(0)
@@ -53,7 +53,7 @@ impl TreeClock {
         if COUNT {
             stats.examined += 1; // the root progress check
         }
-        if other.clks[zp as usize] <= self.get_idx(zp) {
+        if other.root_time <= self.get_idx(zp) {
             return stats;
         }
         let Some(z) = self.root_idx() else {
@@ -63,7 +63,7 @@ impl TreeClock {
             return s;
         };
         assert!(
-            zp != z && other.get_idx(z) <= self.clks[z as usize],
+            zp != z && other.get_idx(z) <= self.root_time,
             "TreeClock::join: `other` has progressed on self's root thread {} — \
              this cannot happen in a causal ordering (misuse of the clock)",
             ThreadId::new(z),
@@ -74,15 +74,16 @@ impl TreeClock {
         // walk's pointer chasing loses to a flat loop), join on the
         // dense arrays instead. Value-identical; see `flat_join`.
         if !COUNT && self.take_dense_path() {
-            self.flat_join(other, z);
-            stats.moved = self.nodes.len() as u64;
+            stats.moved = self.flat_join(other, z) as u64;
             return stats;
         }
 
+        let arena = self.num_threads().max(other.num_threads());
+        let shape = self.store.unique(z, self.root_time);
         self.gather.clear();
         self.frames.clear();
         Self::gather_join::<COUNT>(
-            &self.clks,
+            &shape.clks,
             other,
             zp,
             &mut self.gather,
@@ -90,24 +91,18 @@ impl TreeClock {
             &mut stats,
         );
         let moved = self.gather.len();
-        if !COUNT {
-            self.note_density(moved, self.nodes.len().max(other.nodes.len()));
-            stats.moved = moved as u64;
-        }
-        Self::detach_nodes_in(&mut self.nodes, self.root, &self.gather);
-        Self::attach_nodes_in::<COUNT>(
-            &mut self.nodes,
-            &mut self.clks,
-            &mut self.num_present,
-            other,
-            &mut self.gather,
-            &mut stats,
-        );
+        Self::detach_nodes_in(&mut shape.nodes, z, &self.gather);
+        Self::attach_nodes_in::<COUNT>(shape, other, &mut self.gather, &mut stats);
 
         // Place the updated subtree under the root of `self`, attached at
         // the root's current time, at the front of the child list.
-        self.nodes[zp as usize].aclk = self.clks[z as usize];
-        Self::push_child_in(&mut self.nodes, zp, z);
+        shape.nodes[zp as usize].aclk = self.root_time;
+        Self::push_child_in(&mut shape.nodes, zp, z);
+        self.store.settle();
+        if !COUNT {
+            self.note_density(moved, arena);
+            stats.moved = moved as u64;
+        }
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
         stats
@@ -130,17 +125,29 @@ impl TreeClock {
     /// Only the uncounted (timed) path takes this shortcut; the counted
     /// variants always run Algorithm 2 verbatim, so all work accounting
     /// (`OpStats`, Theorem 1 checks) measures the paper's algorithm.
-    pub(crate) fn flat_join(&mut self, other: &TreeClock, z: u32) {
-        if other.clks.len() > self.clks.len() {
-            self.ensure_slot(other.clks.len() as u32 - 1);
-        }
-        for (mine, &theirs) in self.clks.iter_mut().zip(other.clks.iter()) {
+    /// Returns the arena length.
+    pub(crate) fn flat_join(&mut self, other: &TreeClock, z: u32) -> usize {
+        let src = other.shape();
+        let shape = self.store.unique(z, self.root_time);
+        let grew = src.clks.len() > shape.clks.len();
+        shape.ensure_len(src.clks.len());
+        for (mine, &theirs) in shape.clks.iter_mut().zip(src.clks.iter()) {
             if theirs > *mine {
                 *mine = theirs;
             }
         }
-        self.rebuild_star(z, |i| other.is_present(i));
+        // A shared source's root entry may lag: take its root time.
+        if other.store.is_shared() {
+            let r = other.root as usize;
+            shape.clks[r] = shape.clks[r].max(other.root_time);
+        }
+        Self::rebuild_star(shape, z, |i| src.is_present(i));
+        let arena = shape.nodes.len();
+        if grew {
+            self.store.settle();
+        }
         debug_assert_eq!(self.check_invariants(), Ok(()));
+        arena
     }
 
     /// The slice twin of [`flat_join`](Self::flat_join), for a source
@@ -150,15 +157,16 @@ impl TreeClock {
     /// entries whose value changed (the caller's density observation and
     /// exact `VTWork` contribution).
     pub(crate) fn flat_join_slice(&mut self, times: &[LocalTime], z: u32) -> u64 {
-        if times.len() > self.clks.len() {
-            self.ensure_slot(times.len() as u32 - 1);
-        }
+        let shape = self.store.unique(z, self.root_time);
+        shape.ensure_len(times.len());
         let mut changed = 0u64;
-        for (mine, &theirs) in self.clks.iter_mut().zip(times.iter()) {
+        for (mine, &theirs) in shape.clks.iter_mut().zip(times.iter()) {
             changed += u64::from(theirs > *mine);
             *mine = (*mine).max(theirs);
         }
-        self.rebuild_star(z, |_| false);
+        Self::rebuild_star(shape, z, |_| false);
+        self.root_time = shape.clks[z as usize];
+        self.store.settle();
         debug_assert_eq!(self.check_invariants(), Ok(()));
         changed
     }
@@ -168,22 +176,23 @@ impl TreeClock {
     /// single forward sweep over the arena. A thread is *known* when its
     /// local time is nonzero, its node is currently in the tree, or
     /// `keep_extra` says so (used by [`flat_join`](Self::flat_join) to
-    /// retain zero-time nodes present in the join source).
-    pub(crate) fn rebuild_star(&mut self, z: u32, keep_extra: impl Fn(u32) -> bool) {
-        let root_time = self.clks[z as usize];
+    /// retain zero-time nodes present in the join source). `shape` must
+    /// hold the root's current time in its root entry.
+    pub(crate) fn rebuild_star(shape: &mut Shape, z: u32, keep_extra: impl Fn(u32) -> bool) {
+        let root_time = shape.clks[z as usize];
         let mut head = NIL;
         let mut prev = NIL;
         let mut count = 1u32;
-        for i in 0..self.nodes.len() as u32 {
+        for i in 0..shape.nodes.len() as u32 {
             if i == z {
                 continue;
             }
             let iu = i as usize;
-            if self.clks[iu] == 0 && !self.nodes[iu].present() && !keep_extra(i) {
+            if shape.clks[iu] == 0 && !shape.nodes[iu].present() && !keep_extra(i) {
                 continue;
             }
             {
-                let n = &mut self.nodes[iu];
+                let n = &mut shape.nodes[iu];
                 n.parent = z;
                 n.aclk = root_time;
                 n.head_child = NIL;
@@ -193,20 +202,20 @@ impl TreeClock {
             if prev == NIL {
                 head = i;
             } else {
-                self.nodes[prev as usize].next_sib = i;
+                shape.nodes[prev as usize].next_sib = i;
             }
             prev = i;
             count += 1;
         }
         {
-            let r = &mut self.nodes[z as usize];
+            let r = &mut shape.nodes[z as usize];
             r.parent = NIL;
             r.head_child = head;
             r.next_sib = NIL;
             r.prev_sib = NIL;
             r.aclk = 0;
         }
-        self.num_present = count;
+        shape.num_present = count;
     }
 
     /// Materializes a tree from a flat times array: the values become
@@ -224,13 +233,15 @@ impl TreeClock {
             self.root == NIL,
             "TreeClock::adopt_flat: destination must be empty"
         );
-        let max_idx = (times.len() as u32).max(root + 1) - 1;
-        self.ensure_slot(max_idx);
-        self.clks[..times.len()].copy_from_slice(times);
+        let shape = self.store.unique(NIL, 0);
+        shape.ensure_len(times.len().max(root as usize + 1));
+        shape.clks[..times.len()].copy_from_slice(times);
         // Entries past `times.len()` were zeroed by the teardown that
         // emptied this clock; nothing to reset.
+        Self::rebuild_star(shape, root, |_| false);
         self.root = root;
-        self.rebuild_star(root, |_| false);
+        self.root_time = shape.clks[root as usize];
+        self.store.settle();
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
@@ -246,8 +257,10 @@ impl TreeClock {
         frames: &mut Vec<Frame>,
         stats: &mut OpStats,
     ) {
-        let o_nodes: &[Node] = &other.nodes;
-        let o_clks: &[LocalTime] = &other.clks;
+        // Only children are read from `other`'s shape, never its root
+        // entry (which may lag in a shared shape).
+        let o_nodes: &[Node] = &other.shape().nodes;
+        let o_clks: &[LocalTime] = &other.shape().clks;
         let mut frame = Frame {
             node: start,
             next_child: o_nodes[start as usize].head_child,

@@ -19,12 +19,22 @@
 //! The representation is the paper's "two arrays of length k" — a dense
 //! array of local times plus a parallel arena of tree links, indexed by
 //! thread id (the `ThrMap` of Algorithm 2 is the identity map) — and all
-//! traversals are iterative.
+//! traversals are iterative. The two arrays and the present count form
+//! the clock's *shape*, which is copy-on-write: a clock wider than 64
+//! entries holds it behind an `Arc`, so a timed copy from it (a release
+//! into a lock clock, say) shares the shape in O(1), and the source
+//! copies the shape only when it next changes it. Narrower clocks keep
+//! the shape inline. The root thread's time lives in the clock, not the
+//! shape, so `increment` never writes a shared shape; a shared shape's
+//! root entry may therefore lag, and every read of a root entry goes
+//! through the clock. The counted (`*_counted`) operations always run
+//! Algorithm 2 on a shape of their own.
 
 mod copy;
 mod display;
 mod join;
 mod node;
+mod shape;
 mod validate;
 
 #[cfg(test)]
@@ -36,6 +46,7 @@ use crate::clock::{CopyMode, LogicalClock, OpStats};
 use crate::{LocalTime, ThreadId, VectorTime};
 
 use node::{Node, NIL};
+use shape::{Shape, Store};
 
 /// One node of an explicit tree description for
 /// [`TreeClock::from_structure`]: `(tid, clk, parent)` with `parent`
@@ -72,17 +83,15 @@ pub type NodeDescriptor = (ThreadId, LocalTime, Option<(ThreadId, LocalTime)>);
 /// ```
 #[derive(Clone)]
 pub struct TreeClock {
-    /// Dense local times; `clks[i] == 0` also covers absent threads
-    /// (the "timestamps array" of the paper's implementation).
-    clks: Vec<LocalTime>,
-    /// Tree links, parallel to `clks` (the "shape array").
-    nodes: Vec<Node>,
+    /// The local times, tree links and present count, inline or shared
+    /// (see the `shape` module).
+    store: Store,
     /// Root node index, or `NIL` when the clock is empty.
     root: u32,
-    /// Number of present (in-tree) nodes, maintained incrementally so
-    /// the sparse copy/clear paths and the adaptive fallback threshold
-    /// are O(1) to size.
-    num_present: u32,
+    /// The root thread's local time (0 when empty). It is authoritative:
+    /// an inline shape's root entry always equals it, a shared shape's
+    /// may lag behind it.
+    root_time: LocalTime,
     /// Consecutive *uncounted* operations that moved most of the tree.
     /// Drives the adaptive dense fast paths of the timed hot path (see
     /// [`flat_join`](Self::flat_join)); the instrumented (`COUNT`)
@@ -120,14 +129,74 @@ pub struct NodeView {
     pub parent: Option<ThreadId>,
 }
 
+/// A clock's value as a dense array: the shape's times, with the root's
+/// entry read from the clock's root time (a shared shape's root entry
+/// may lag behind it). The hybrid clock's flat interop surface.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Times<'a> {
+    /// The dense times; the entry at `root` may lag behind `root_time`.
+    pub(crate) slice: &'a [LocalTime],
+    /// The index whose value is `root_time`, or `NIL` for none.
+    root: u32,
+    /// The value at `root`.
+    root_time: LocalTime,
+}
+
+impl<'a> Times<'a> {
+    /// A plain flat array, every entry authoritative.
+    pub(crate) fn flat(slice: &'a [LocalTime]) -> Self {
+        Times {
+            slice,
+            root: NIL,
+            root_time: 0,
+        }
+    }
+
+    /// The value at index `idx` (0 past the end).
+    #[inline]
+    pub(crate) fn get(&self, idx: u32) -> LocalTime {
+        if idx == self.root {
+            self.root_time
+        } else {
+            join::time_at(self.slice, idx)
+        }
+    }
+
+    /// The index whose value `slice` may understate, with its value.
+    #[inline]
+    pub(crate) fn root_entry(&self) -> Option<(u32, LocalTime)> {
+        (self.root != NIL).then_some((self.root, self.root_time))
+    }
+
+    /// Whether every entry is 0. (A lagging root entry is at most the
+    /// root time, so it is 0 whenever the root time is.)
+    pub(crate) fn is_zero(&self) -> bool {
+        self.root_time == 0 && self.slice.iter().all(|&t| t == 0)
+    }
+
+    /// Overwrites `out` with the value.
+    pub(crate) fn write_into(&self, out: &mut Vec<LocalTime>) {
+        out.clear();
+        out.extend_from_slice(self.slice);
+        if let Some(entry) = out.get_mut(self.root as usize) {
+            *entry = self.root_time;
+        }
+    }
+}
+
 impl TreeClock {
     /// Creates an empty tree clock.
     pub fn new() -> Self {
+        TreeClock::from_shape(Shape::default(), NIL)
+    }
+
+    /// A clock over `shape`, rooted at `root` (`NIL` for none), holding
+    /// the shape inline or shared by its width.
+    fn from_shape(shape: Shape, root: u32) -> Self {
         TreeClock {
-            clks: Vec::new(),
-            nodes: Vec::new(),
-            root: NIL,
-            num_present: 0,
+            root_time: shape.time(root),
+            store: Store::for_shape(shape),
+            root,
             dense_streak: 0,
             dense_ops: 0,
             gather: Vec::new(),
@@ -166,10 +235,67 @@ impl TreeClock {
 
     // ---- internal arena helpers -------------------------------------
 
+    /// The shape, read-only. Its root entry may lag behind
+    /// `root_time`: read root entries through [`get_idx`](Self::get_idx)
+    /// or [`times`](Self::times).
+    #[inline]
+    pub(crate) fn shape(&self) -> &Shape {
+        self.store.get()
+    }
+
     /// The represented time of thread index `idx` (0 if absent).
     #[inline]
     pub(crate) fn get_idx(&self, idx: u32) -> LocalTime {
-        self.clks.get(idx as usize).copied().unwrap_or(0)
+        self.store.time(idx, self.root, self.root_time)
+    }
+
+    /// This clock's value as a dense array (non-present entries are 0
+    /// by invariant).
+    #[inline]
+    pub(crate) fn times(&self) -> Times<'_> {
+        Times {
+            slice: &self.shape().clks,
+            root: self.root,
+            root_time: self.root_time,
+        }
+    }
+
+    /// The timed copy from a source whose shape is shared: takes a
+    /// reference to it, O(1). Returns `false` (and does nothing) for an
+    /// inline source.
+    fn share(&mut self, other: &TreeClock) -> bool {
+        if !self.store.share(&other.store) {
+            return false;
+        }
+        self.root = other.root;
+        self.root_time = other.root_time;
+        true
+    }
+
+    /// Makes `self` a replica of `other` by copying its two arrays (a
+    /// pair of memcpys); returns the arena length.
+    fn copy_arrays(&mut self, other: &TreeClock) -> usize {
+        let src = other.shape();
+        let dst = self.store.for_overwrite();
+        dst.clks.clone_from(&src.clks);
+        dst.nodes.clone_from(&src.nodes);
+        dst.num_present = src.num_present;
+        self.root = other.root;
+        self.root_time = other.root_time;
+        src.nodes.len()
+    }
+
+    /// Whether a timed copy from this clock shares its shape instead of
+    /// copying it (the clock is wider than the sharing width).
+    #[inline]
+    pub(crate) fn copies_by_sharing(&self) -> bool {
+        self.store.is_shared()
+    }
+
+    /// Whether `self` and `other` hold the same shared shape.
+    #[cfg(test)]
+    pub(crate) fn shares_shape_with(&self, other: &TreeClock) -> bool {
+        self.store.shares_with(&other.store)
     }
 
     #[inline]
@@ -178,20 +304,6 @@ impl TreeClock {
             None
         } else {
             Some(self.root)
-        }
-    }
-
-    #[inline]
-    pub(crate) fn is_present(&self, idx: u32) -> bool {
-        self.nodes.get(idx as usize).is_some_and(|n| n.present())
-    }
-
-    /// Grows both arrays so index `idx` is addressable.
-    pub(crate) fn ensure_slot(&mut self, idx: u32) {
-        let len = idx as usize + 1;
-        if len > self.nodes.len() {
-            self.nodes.resize_with(len, Node::default);
-            self.clks.resize(len, 0);
         }
     }
 
@@ -252,46 +364,49 @@ impl TreeClock {
     /// corresponding subtree (the paper's `attachNodes`). Pops from the
     /// stack so parents are processed before their children.
     ///
-    /// Operates on the destination's fields directly (instead of
+    /// Operates on the destination's unique shape directly (instead of
     /// `&mut self`) so the gathered stack can be the destination's own
     /// scratch buffer — borrowed disjointly, with no swap-out.
     pub(crate) fn attach_nodes_in<const COUNT: bool>(
-        nodes: &mut Vec<Node>,
-        clks: &mut Vec<LocalTime>,
-        num_present: &mut u32,
+        dst: &mut Shape,
         other: &TreeClock,
         gathered: &mut Vec<u32>,
         stats: &mut OpStats,
     ) {
         if let Some(max) = gathered.iter().copied().max() {
-            let len = max as usize + 1;
-            if len > nodes.len() {
-                nodes.resize_with(len, Node::default);
-                clks.resize(len, 0);
-            }
+            dst.ensure_len(max as usize + 1);
         }
+        let src = other.shape();
         while let Some(up) = gathered.pop() {
             let iu = up as usize;
-            if !nodes[iu].present() {
-                *num_present += 1;
+            if !dst.nodes[iu].present() {
+                dst.num_present += 1;
             }
-            let o_clk = other.clks[iu];
-            let src = &other.nodes[iu];
-            let (o_aclk, o_parent) = (src.aclk, src.parent);
+            // The source's root entry may lag in a shared shape.
+            let o_clk = if up == other.root {
+                other.root_time
+            } else {
+                src.clks[iu]
+            };
+            let Node {
+                aclk: o_aclk,
+                parent: o_parent,
+                ..
+            } = src.nodes[iu];
             if COUNT {
                 stats.moved += 1;
-                if clks[iu] != o_clk {
+                if dst.clks[iu] != o_clk {
                     stats.changed += 1;
                 }
             }
-            clks[iu] = o_clk;
+            dst.clks[iu] = o_clk;
             if o_parent != NIL {
-                nodes[iu].aclk = o_aclk;
-                Self::push_child_in(nodes, up, o_parent);
-            } else if !nodes[iu].present() {
+                dst.nodes[iu].aclk = o_aclk;
+                Self::push_child_in(&mut dst.nodes, up, o_parent);
+            } else if !dst.nodes[iu].present() {
                 // New root of an empty-side attach: mark in-tree; the
                 // caller sets the root pointer.
-                nodes[iu].parent = NIL;
+                dst.nodes[iu].parent = NIL;
             }
         }
     }
@@ -301,9 +416,9 @@ impl TreeClock {
     /// Used when joining into / copying into an empty clock and as the
     /// fallback of [`copy_check_monotone`](LogicalClock::copy_check_monotone).
     ///
-    /// The copy is *sparse*: it walks the present nodes of the two trees
-    /// instead of their dense arrays, so the cost — both the physical
-    /// work and the `examined` entries reported when `COUNT` — is
+    /// The counted copy is *sparse*: it walks the present nodes of the
+    /// two trees instead of their dense arrays, so the cost — both the
+    /// physical work and the `examined` entries it reports — is
     /// `O(|self| ∪ |other|)` present entries, not `Θ(k)` array length.
     /// This is what lets a first copy into a fresh per-variable clock
     /// cost only the information it actually transfers, which in turn is
@@ -316,33 +431,31 @@ impl TreeClock {
     pub(crate) fn clone_structure_from<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         if !COUNT {
-            // Timed path: replicating the two dense arrays is a pair of
-            // memcpys — far faster than the sparse walk for the array
-            // lengths a thread dimension produces. The walk below is the
-            // *model*-accurate variant: it establishes that the
+            // Timed path: a shared source's shape is shared, and a
+            // narrow one's two dense arrays are replicated with a pair
+            // of memcpys — far faster than the sparse walk for the
+            // array lengths a thread dimension produces. The walk below
+            // is the *model*-accurate variant: it establishes that the
             // information transferred is O(present), which is what the
             // counted runs (and Theorem 1's corpus checks) measure.
-            self.clks.clone_from(&other.clks);
-            self.nodes.clone_from(&other.nodes);
-            self.root = other.root;
-            self.num_present = other.num_present;
+            if !self.share(other) {
+                self.copy_arrays(other);
+            }
             return stats;
         }
         let Some(zp) = other.root_idx() else {
             // Copying an empty clock is just a (counted) clear.
-            Self::clear_tree_in::<COUNT>(
-                &mut self.nodes,
-                &mut self.clks,
-                &mut self.root,
-                &mut self.num_present,
-                None,
-                &mut stats,
-            );
+            let shape = self.store.unique(self.root, self.root_time);
+            Self::clear_tree_in::<COUNT>(shape, self.root, None, &mut stats);
+            self.root = NIL;
+            self.root_time = 0;
             return stats;
         };
 
         // Phase 1: walk `other`'s tree (preorder, via a cursor into the
         // scratch stack), comparing against self's *old* values.
+        let shape = self.store.unique(self.root, self.root_time);
+        let src = other.shape();
         self.gather.clear();
         self.gather.push(zp);
         let mut max_idx = zp;
@@ -353,41 +466,37 @@ impl TreeClock {
             max_idx = max_idx.max(u);
             if COUNT {
                 stats.examined += 1;
-                if join::time_at(&self.clks, u) != other.clks[u as usize] {
+                if shape.time(u) != other.get_idx(u) {
                     stats.changed += 1;
                 }
                 stats.moved += 1;
             }
-            let mut c = other.nodes[u as usize].head_child;
+            let mut c = src.nodes[u as usize].head_child;
             while c != NIL {
                 self.gather.push(c);
-                c = other.nodes[c as usize].next_sib;
+                c = src.nodes[c as usize].next_sib;
             }
         }
 
         // Phase 2: tear down self's old tree. Entries present in self
         // but not in other drop back to 0; they are the only old entries
         // phase 1 has not already examined.
-        Self::clear_tree_in::<COUNT>(
-            &mut self.nodes,
-            &mut self.clks,
-            &mut self.root,
-            &mut self.num_present,
-            Some(other),
-            &mut stats,
-        );
+        Self::clear_tree_in::<COUNT>(shape, self.root, Some(other), &mut stats);
 
         // Phase 3: materialize other's nodes. Links can be copied
         // verbatim — they only reference present nodes of `other`, all
         // of which are in `gathered`.
-        self.ensure_slot(max_idx);
-        for idx in 0..self.gather.len() {
-            let u = self.gather[idx] as usize;
-            self.nodes[u] = other.nodes[u].clone();
-            self.clks[u] = other.clks[u];
+        shape.ensure_len(max_idx as usize + 1);
+        for &u in &self.gather {
+            let u = u as usize;
+            shape.nodes[u] = src.nodes[u];
+            shape.clks[u] = src.clks[u];
         }
-        self.root = other.root;
-        self.num_present = other.num_present;
+        shape.clks[zp as usize] = other.root_time;
+        shape.num_present = src.num_present;
+        self.root = zp;
+        self.root_time = other.root_time;
+        self.store.settle();
 
         self.gather.clear();
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -397,20 +506,20 @@ impl TreeClock {
     /// Iteratively dismantles a clock's tree in O(present) time and
     /// O(1) space (descending head-child chains, unlinking leaves),
     /// resetting every visited node and local time. Operates on the
-    /// fields directly so callers can hold other disjoint borrows.
+    /// unique shape directly so callers can hold other disjoint
+    /// borrows; the caller resets its root.
     ///
     /// When `COUNT`, accounts entries *not* present in `keep_counts_of`
     /// (they were not examined by the caller's own walk): each costs one
     /// `examined`, and one `changed` if its time drops from nonzero to 0.
     fn clear_tree_in<const COUNT: bool>(
-        nodes: &mut [Node],
-        clks: &mut [LocalTime],
-        root: &mut u32,
-        num_present: &mut u32,
+        shape: &mut Shape,
+        root: u32,
         keep_counts_of: Option<&TreeClock>,
         stats: &mut OpStats,
     ) {
-        let mut cur = *root;
+        let Shape { clks, nodes, .. } = shape;
+        let mut cur = root;
         while cur != NIL {
             let head = nodes[cur as usize].head_child;
             if head != NIL {
@@ -422,7 +531,7 @@ impl TreeClock {
                 next_sib: next,
                 ..
             } = nodes[cur as usize];
-            if COUNT && !keep_counts_of.is_some_and(|o| o.is_present(cur)) {
+            if COUNT && !keep_counts_of.is_some_and(|o| o.shape().is_present(cur)) {
                 stats.examined += 1;
                 if clks[cur as usize] != 0 {
                     stats.changed += 1;
@@ -438,16 +547,7 @@ impl TreeClock {
             nodes[parent as usize].head_child = next;
             cur = parent;
         }
-        *root = NIL;
-        *num_present = 0;
-    }
-
-    /// Read-only view of the dense local-times array — the value this
-    /// clock represents, indexed by thread id (the hybrid clock's flat
-    /// interop surface; non-present entries are 0 by invariant).
-    #[inline]
-    pub(crate) fn times(&self) -> &[LocalTime] {
-        &self.clks
+        shape.num_present = 0;
     }
 
     // ---- inspection --------------------------------------------------
@@ -455,13 +555,13 @@ impl TreeClock {
     /// Returns a snapshot of the node for thread `t`, or `None` if the
     /// thread is not in the tree.
     pub fn node(&self, t: ThreadId) -> Option<NodeView> {
-        let n = self.nodes.get(t.index())?;
+        let n = self.shape().nodes.get(t.index())?;
         if !n.present() {
             return None;
         }
         Some(NodeView {
             tid: t,
-            clk: self.clks[t.index()],
+            clk: self.get_idx(t.raw()),
             aclk: if n.parent == NIL { 0 } else { n.aclk },
             parent: if n.parent == NIL {
                 None
@@ -474,8 +574,9 @@ impl TreeClock {
     /// Returns the children of thread `t`'s node, front (largest
     /// attachment clock) to back.
     pub fn children(&self, t: ThreadId) -> Vec<ThreadId> {
+        let nodes = &self.shape().nodes;
         let mut out = Vec::new();
-        let Some(n) = self.nodes.get(t.index()) else {
+        let Some(n) = nodes.get(t.index()) else {
             return out;
         };
         if !n.present() {
@@ -484,7 +585,7 @@ impl TreeClock {
         let mut c = n.head_child;
         while c != NIL {
             out.push(ThreadId::new(c));
-            c = self.nodes[c as usize].next_sib;
+            c = nodes[c as usize].next_sib;
         }
         out
     }
@@ -492,12 +593,13 @@ impl TreeClock {
     /// Number of threads present in the tree (O(1): maintained
     /// incrementally).
     pub fn node_count(&self) -> usize {
+        let shape = self.shape();
         debug_assert_eq!(
-            self.num_present as usize,
-            self.nodes.iter().filter(|s| s.present()).count(),
+            shape.num_present as usize,
+            shape.nodes.iter().filter(|s| s.present()).count(),
             "num_present counter out of sync"
         );
-        self.num_present as usize
+        shape.num_present as usize
     }
 
     // ---- construction from explicit structure ------------------------
@@ -516,47 +618,50 @@ impl TreeClock {
     /// well-formed tree clock (duplicate threads, missing/cyclic parents,
     /// unordered sibling lists, …).
     pub fn from_structure(nodes: &[NodeDescriptor]) -> Result<TreeClock, InvariantViolation> {
-        let mut tc = TreeClock::new();
+        let mut shape = Shape::default();
+        let mut root = NIL;
         for &(tid, clk, parent) in nodes {
-            tc.ensure_slot(tid.raw());
-            if tc.nodes[tid.index()].present() {
+            shape.ensure_len(tid.index() + 1);
+            if shape.nodes[tid.index()].present() {
                 return Err(InvariantViolation::new(format!(
                     "duplicate node for thread {tid}"
                 )));
             }
-            tc.clks[tid.index()] = clk;
-            tc.num_present += 1;
+            shape.clks[tid.index()] = clk;
+            shape.num_present += 1;
             match parent {
                 None => {
-                    if tc.root != NIL {
+                    if root != NIL {
                         return Err(InvariantViolation::new("two roots specified"));
                     }
-                    tc.nodes[tid.index()].parent = NIL;
-                    tc.root = tid.raw();
+                    shape.nodes[tid.index()].parent = NIL;
+                    root = tid.raw();
                 }
                 Some((p, aclk)) => {
-                    if !tc.is_present(p.raw()) {
+                    if !shape.is_present(p.raw()) {
                         return Err(InvariantViolation::new(format!(
                             "parent {p} of {tid} not defined before its child"
                         )));
                     }
-                    tc.nodes[tid.index()].aclk = aclk;
+                    let links = &mut shape.nodes;
+                    links[tid.index()].aclk = aclk;
                     // Append at the *back* so the input order becomes the
                     // front-to-back child order.
-                    let mut tail = tc.nodes[p.index()].head_child;
+                    let mut tail = links[p.index()].head_child;
                     if tail == NIL {
-                        Self::push_child_in(&mut tc.nodes, tid.raw(), p.raw());
+                        Self::push_child_in(links, tid.raw(), p.raw());
                     } else {
-                        while tc.nodes[tail as usize].next_sib != NIL {
-                            tail = tc.nodes[tail as usize].next_sib;
+                        while links[tail as usize].next_sib != NIL {
+                            tail = links[tail as usize].next_sib;
                         }
-                        tc.nodes[tail as usize].next_sib = tid.raw();
-                        tc.nodes[tid.index()].prev_sib = tail;
-                        tc.nodes[tid.index()].parent = p.raw();
+                        links[tail as usize].next_sib = tid.raw();
+                        links[tid.index()].prev_sib = tail;
+                        links[tid.index()].parent = p.raw();
                     }
                 }
             }
         }
+        let tc = TreeClock::from_shape(shape, root);
         tc.check_invariants()?;
         Ok(tc)
     }
@@ -570,10 +675,9 @@ impl LogicalClock for TreeClock {
     }
 
     fn with_threads(threads: usize) -> Self {
-        let mut tc = TreeClock::new();
-        tc.nodes.resize_with(threads, Node::default);
-        tc.clks.resize(threads, 0);
-        tc
+        let mut shape = Shape::default();
+        shape.ensure_len(threads);
+        TreeClock::from_shape(shape, NIL)
     }
 
     fn init_root(&mut self, t: ThreadId) {
@@ -581,11 +685,14 @@ impl LogicalClock for TreeClock {
             self.root == NIL,
             "TreeClock::init_root: clock already initialized"
         );
-        self.ensure_slot(t.raw());
-        self.nodes[t.index()].parent = NIL;
-        self.clks[t.index()] = 0;
+        let shape = self.store.unique(NIL, 0);
+        shape.ensure_len(t.index() + 1);
+        shape.nodes[t.index()].parent = NIL;
+        shape.clks[t.index()] = 0;
+        shape.num_present += 1;
         self.root = t.raw();
-        self.num_present += 1;
+        self.root_time = 0;
+        self.store.settle();
     }
 
     fn root_tid(&self) -> Option<ThreadId> {
@@ -602,16 +709,13 @@ impl LogicalClock for TreeClock {
             self.root != NIL,
             "TreeClock::increment: clock has no root thread"
         );
-        self.clks[self.root as usize] += amount;
+        self.store.increment(self.root, &mut self.root_time, amount);
     }
 
     /// O(1) root-entry comparison (the paper's `LessThan`); see the
     /// trait documentation for the validity contract.
     fn leq(&self, other: &Self) -> bool {
-        match self.root_idx() {
-            None => true,
-            Some(r) => self.clks[r as usize] <= other.get_idx(r),
-        }
+        self.root == NIL || self.root_time <= other.get_idx(self.root)
     }
 
     fn join(&mut self, other: &Self) {
@@ -649,7 +753,9 @@ impl LogicalClock for TreeClock {
     }
 
     fn vector_time(&self) -> VectorTime {
-        VectorTime::from(self.clks.clone())
+        let mut times = Vec::new();
+        self.times().write_into(&mut times);
+        VectorTime::from(times)
     }
 
     fn is_empty(&self) -> bool {
@@ -657,7 +763,7 @@ impl LogicalClock for TreeClock {
     }
 
     fn num_threads(&self) -> usize {
-        self.nodes.len()
+        self.shape().nodes.len()
     }
 
     /// Re-materializes the clock from a checkpointed value as the star
@@ -681,17 +787,17 @@ impl LogicalClock for TreeClock {
 
     /// Sparse reset: dismantles the tree in O(present) time, keeping
     /// the arena buffers for reuse (e.g. via a
-    /// [`ClockPool`](crate::pool::ClockPool)).
+    /// [`ClockPool`](crate::pool::ClockPool)). A shape other clocks
+    /// still share is let go instead, so a parked clock's
+    /// [`heap_bytes`](LogicalClock::heap_bytes) never changes when
+    /// those clocks drop theirs.
     fn clear(&mut self) {
-        let mut ignored = OpStats::NOOP;
-        Self::clear_tree_in::<false>(
-            &mut self.nodes,
-            &mut self.clks,
-            &mut self.root,
-            &mut self.num_present,
-            None,
-            &mut ignored,
-        );
+        if let Some(shape) = self.store.owned() {
+            let mut ignored = OpStats::NOOP;
+            Self::clear_tree_in::<false>(shape, self.root, None, &mut ignored);
+        }
+        self.root = NIL;
+        self.root_time = 0;
         // A recycled clock starts a fresh life: do not let a previous
         // role's density profile steer the adaptive fast paths.
         self.dense_streak = 0;
@@ -699,15 +805,19 @@ impl LogicalClock for TreeClock {
     }
 
     fn reserve_threads(&mut self, threads: usize) {
-        if threads > 0 {
-            self.ensure_slot(threads as u32 - 1);
+        if threads > self.num_threads() {
+            self.store
+                .unique(self.root, self.root_time)
+                .ensure_len(threads);
+            self.store.settle();
         }
     }
 
+    /// A shape shared by `n` clocks counts `1/n` of its bytes toward
+    /// each.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.clks.capacity() * size_of::<LocalTime>()
-            + self.nodes.capacity() * size_of::<Node>()
+        self.store.heap_bytes()
             + self.gather.capacity() * size_of::<u32>()
             + self.frames.capacity() * size_of::<join::Frame>()
     }
@@ -726,7 +836,7 @@ impl PartialEq for TreeClock {
     /// Two tree clocks are equal when they represent the same *vector
     /// time*; the tree shapes may differ. This is an O(k) comparison.
     fn eq(&self, other: &Self) -> bool {
-        let n = self.clks.len().max(other.clks.len());
+        let n = self.num_threads().max(other.num_threads());
         (0..n as u32).all(|i| self.get_idx(i) == other.get_idx(i))
     }
 }

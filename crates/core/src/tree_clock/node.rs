@@ -20,8 +20,9 @@ pub(crate) const NIL: u32 = u32::MAX;
 pub(crate) const ABSENT: u32 = u32::MAX - 1;
 
 /// Tree links of one node; the thread id is the node's index in the
-/// arena and its local time lives in the parallel `clks` array.
-#[derive(Clone, Debug)]
+/// arena and its local time lives in the parallel `clks` array. `Copy`,
+/// so copying a link array is a `memcpy`.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Node {
     /// Attachment clock: the parent's local time when this node was
     /// attached (`u.aclk`); meaningless for the root.

@@ -512,3 +512,209 @@ fn small_copies_stay_surgical() {
     assert_eq!(lock.get(t(0)), c.get(t(0)));
     assert_eq!(lock.check_invariants(), Ok(()));
 }
+
+// ---------------------------------------------------------------------
+// Copy-on-write shapes
+// ---------------------------------------------------------------------
+
+use super::shape::SHARED_WIDTH;
+use crate::ClockPool;
+
+/// Thread widths on either side of the sharing width.
+const NARROW: u32 = SHARED_WIDTH as u32 / 4;
+const WIDE: u32 = SHARED_WIDTH as u32 + 16;
+
+/// A clock rooted at t0 that knows every thread below `width` at
+/// `time`.
+fn clock_at(width: u32, time: u32) -> TreeClock {
+    let mut c = rooted(0, time);
+    for i in 1..width {
+        c.join(&rooted(i, time));
+    }
+    c
+}
+
+/// A timed release publishes the thread's value into the lock; later
+/// changes on either side must not show through on the other, whether
+/// the copy shared the shape (wide) or copied it (narrow).
+fn check_copy_isolation(width: u32) {
+    let wide = width as usize > SHARED_WIDTH;
+    let mut thread = clock_at(width, 1);
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&thread);
+    assert_eq!(lock.shares_shape_with(&thread), wide, "width {width}");
+    let published = lock.vector_time();
+    assert_eq!(published, thread.vector_time());
+
+    // The thread moves on: an increment, then a join that changes it.
+    thread.increment(3);
+    assert_eq!(lock.vector_time(), published, "width {width}: increment");
+    assert_eq!(lock.check_invariants(), Ok(()));
+    thread.join(&rooted(1, 50));
+    assert_eq!(thread.get(t(0)), 4);
+    assert_eq!(thread.get(t(1)), 50);
+    assert!(!lock.shares_shape_with(&thread));
+    assert_eq!(lock.vector_time(), published, "width {width}: join");
+    assert_eq!(lock.check_invariants(), Ok(()));
+    assert_eq!(thread.check_invariants(), Ok(()));
+
+    // A join into the lock leaves the thread alone.
+    lock.monotone_copy(&thread);
+    let before = thread.vector_time();
+    lock.join(&rooted(2, 70));
+    assert_eq!(lock.get(t(2)), 70);
+    assert_eq!(
+        thread.vector_time(),
+        before,
+        "width {width}: join into the lock"
+    );
+    assert_eq!(thread.check_invariants(), Ok(()));
+    assert_eq!(lock.check_invariants(), Ok(()));
+
+    // The counted copy runs Algorithm 2 on a shape of its own.
+    let mut counted = TreeClock::new();
+    counted.monotone_copy_counted(&thread);
+    assert!(!counted.shares_shape_with(&thread));
+    assert_eq!(counted.vector_time(), thread.vector_time());
+}
+
+#[test]
+fn wide_release_shares_the_shape_and_stays_isolated() {
+    check_copy_isolation(WIDE);
+}
+
+#[test]
+fn narrow_release_copies_the_shape_and_stays_isolated() {
+    check_copy_isolation(NARROW);
+}
+
+/// After a shared copy the thread's shape still holds the root time of
+/// the moment it was shared; every read of the root entry must see the
+/// clock's own root time instead.
+#[test]
+fn a_lagging_root_entry_is_never_read() {
+    let mut src = clock_at(WIDE, 4);
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&src);
+    src.increment(5);
+    assert!(src.shares_shape_with(&lock));
+    assert_eq!(src.check_invariants(), Ok(()));
+
+    let mut expected = vec![4; WIDE as usize];
+    expected[0] = 9;
+    let expected = VectorTime::from(expected);
+    assert_eq!(src.vector_time(), expected);
+    assert_eq!(src.node(t(0)).unwrap().clk, 9);
+    assert!(src.to_string().starts_with("(t0, 9, ⊥)"));
+    assert_ne!(src, lock);
+    assert_eq!(lock.get(t(0)), 4);
+
+    // Joins attach the source's root at its root time, timed or counted.
+    let mut reader = rooted(WIDE, 1);
+    reader.join(&src);
+    assert_eq!(reader.get(t(0)), 9);
+    let mut counted = rooted(WIDE, 1);
+    counted.join_counted(&src);
+    assert_eq!(counted.get(t(0)), 9);
+    assert_eq!(reader, counted);
+
+    // The counted deep copy reads it too.
+    let mut deep = rooted(WIDE + 1, 2);
+    let (mode, _) = deep.copy_check_monotone_counted(&src);
+    assert_eq!(mode, CopyMode::Deep);
+    assert_eq!(deep.vector_time(), expected);
+    assert_eq!(deep.check_invariants(), Ok(()));
+
+    // So does the timed dense join: three dense joins switch it on, and
+    // its star rebuild hangs every thread straight under the root.
+    let mut dense = rooted(WIDE, 1);
+    for time in 1..=3 {
+        dense.join(&clock_at(WIDE, time));
+    }
+    dense.increment(1);
+    dense.join(&src);
+    assert_eq!(dense.children(t(WIDE)).len(), WIDE as usize);
+    assert_eq!(dense.get(t(0)), 9);
+    assert_eq!(dense.check_invariants(), Ok(()));
+}
+
+/// A wide thread's root entry lags as soon as it increments. When a
+/// peer hands the thread's own published time back, the join must see
+/// the thread's root time, not the lagging entry, or it would take its
+/// own root for news and re-hang it under the peer.
+#[test]
+fn a_joined_back_root_is_not_news() {
+    for counted in [false, true] {
+        let mut thread = clock_at(WIDE, 1);
+        thread.increment(1);
+        let mut lock = TreeClock::new();
+        lock.monotone_copy(&thread);
+        let mut peer = rooted(WIDE, 1);
+        peer.join(&lock);
+        peer.increment(1);
+        if counted {
+            thread.join_counted(&peer);
+        } else {
+            thread.join(&peer);
+        }
+        assert_eq!(thread.check_invariants(), Ok(()), "counted: {counted}");
+        assert_eq!(thread.root_tid(), Some(t(0)));
+        assert_eq!(thread.get(t(0)), 2);
+        assert_eq!(thread.get(t(WIDE)), 2);
+    }
+}
+
+/// `heap_bytes` divides a shared shape by its strong count, so the
+/// clocks sharing one shape sum to about one shape's bytes.
+#[test]
+fn clocks_sharing_a_shape_sum_to_one_shape() {
+    const SHARERS: usize = 8;
+    let source = clock_at(WIDE * 2, 1);
+    let alone = source.heap_bytes();
+    let locks: Vec<TreeClock> = (0..SHARERS)
+        .map(|_| {
+            let mut lock = TreeClock::new();
+            lock.monotone_copy(&source);
+            lock
+        })
+        .collect();
+    assert!(locks.iter().all(|l| l.shares_shape_with(&source)));
+    let total = source.heap_bytes() + locks.iter().map(TreeClock::heap_bytes).sum::<usize>();
+    assert!(
+        total <= alone && total + SHARERS + 1 > alone,
+        "{SHARERS} sharers plus the source sum to {total} bytes, alone {alone}"
+    );
+}
+
+/// A clock released while its shape is shared parks without it: the
+/// pool's byte count of a parked clock must not change when the other
+/// sharers go away. A shape the clock owns alone parks with it.
+#[test]
+fn a_pooled_clock_parks_without_a_shared_shape() {
+    let mut pool = ClockPool::<TreeClock>::new();
+    let source = clock_at(WIDE, 1);
+    let mut lock = pool.acquire();
+    lock.monotone_copy(&source);
+    assert!(lock.shares_shape_with(&source));
+    pool.release(lock);
+    let parked = pool.heap_bytes();
+    assert_eq!(parked, 0, "the lock owned nothing but its share");
+    drop(source);
+    assert_eq!(pool.heap_bytes(), parked);
+
+    let owner = clock_at(WIDE, 1);
+    let owned = owner.heap_bytes();
+    pool.release(owner);
+    assert_eq!(pool.heap_bytes(), parked + owned);
+    let mut reused = pool.acquire();
+    assert!(reused.is_empty());
+    assert_eq!(
+        reused.heap_bytes(),
+        owned,
+        "the recycled clock keeps its buffers"
+    );
+    reused.init_root(t(3));
+    reused.increment(2);
+    assert_eq!(reused.vector_time(), VectorTime::from(vec![0, 0, 0, 2]));
+    assert_eq!(reused.check_invariants(), Ok(()));
+}

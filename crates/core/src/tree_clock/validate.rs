@@ -36,32 +36,48 @@ impl Error for InvariantViolation {}
 impl TreeClock {
     /// Checks every structural invariant of the tree clock:
     ///
-    /// 1. an empty clock has no present nodes;
+    /// 1. an empty clock has no present nodes and root time 0;
     /// 2. the root is present and has no parent and no attachment clock
     ///    semantics;
     /// 3. parent/child/sibling links are mutually consistent;
     /// 4. every present node is reachable from the root exactly once (no
-    ///    cycles, no orphans);
+    ///    cycles, no orphans), and the present count matches;
     /// 5. each child list is sorted by non-increasing attachment clock,
     ///    and every attachment clock is at most the parent's clock;
-    /// 6. absent slots carry no stale time.
+    /// 6. absent slots carry no stale time;
+    /// 7. an inline shape is at most the sharing width wide and its root
+    ///    entry equals the root time; a shared shape's root entry is at
+    ///    most the root time, and the clock holds no inline shape beside
+    ///    it.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let present_count = self.nodes.iter().filter(|s| s.present()).count();
+        let shape = self.shape();
+        let nodes = &shape.nodes;
+        let present_count = nodes.iter().filter(|s| s.present()).count();
+        if present_count != shape.num_present as usize {
+            return Err(InvariantViolation::new(format!(
+                "{present_count} nodes present but the present count says {}",
+                shape.num_present
+            )));
+        }
+        self.store.check().map_err(InvariantViolation::new)?;
+        let inline = !self.store.is_shared();
         let Some(root) = self.root_idx() else {
             if present_count != 0 {
                 return Err(InvariantViolation::new(format!(
                     "empty clock (no root) but {present_count} nodes present"
                 )));
             }
+            if self.root_time != 0 {
+                return Err(InvariantViolation::new("empty clock has a root time"));
+            }
             return Ok(());
         };
 
-        let root_slot = self
-            .nodes
+        let root_slot = nodes
             .get(root as usize)
             .ok_or_else(|| InvariantViolation::new("root index out of bounds"))?;
         if !root_slot.present() {
@@ -70,18 +86,25 @@ impl TreeClock {
         if root_slot.parent != NIL {
             return Err(InvariantViolation::new("root node has a parent"));
         }
+        let entry = shape.clks[root as usize];
+        if entry > self.root_time || (inline && entry != self.root_time) {
+            return Err(InvariantViolation::new(format!(
+                "root entry {entry} disagrees with the root time {}",
+                self.root_time
+            )));
+        }
 
-        for (i, slot) in self.nodes.iter().enumerate() {
-            if !slot.present() && self.clks[i] != 0 {
+        for (i, slot) in nodes.iter().enumerate() {
+            if !slot.present() && shape.clks[i] != 0 {
                 return Err(InvariantViolation::new(format!(
                     "absent slot {i} has non-zero time {}",
-                    self.clks[i]
+                    shape.clks[i]
                 )));
             }
         }
 
         // Iterative DFS from the root, checking link consistency.
-        let mut visited = vec![false; self.nodes.len()];
+        let mut visited = vec![false; nodes.len()];
         let mut stack = vec![root];
         let mut reached = 0usize;
         while let Some(u) = stack.pop() {
@@ -93,14 +116,13 @@ impl TreeClock {
             }
             visited[iu] = true;
             reached += 1;
-            let node = &self.nodes[iu];
-            let node_clk = self.clks[iu];
+            let node = &nodes[iu];
+            let node_clk = self.get_idx(u);
             let mut child = node.head_child;
             let mut prev = NIL;
             let mut prev_aclk = None::<u32>;
             while child != NIL {
-                let c = self
-                    .nodes
+                let c = nodes
                     .get(child as usize)
                     .ok_or_else(|| InvariantViolation::new("child index out of bounds"))?;
                 if !c.present() {
