@@ -17,15 +17,6 @@
 //!   These are the candidate backtracking points a stateless model
 //!   checker (DPOR) explores.
 //!
-//! Two classic clock-free analyses are included for comparison and for
-//! the broader application domains the paper cites:
-//!
-//! - [`LocksetDetector`] — Eraser-style lock-discipline checking (fast
-//!   but imprecise; its false positives on fork/join-ordered code are
-//!   the textbook motivation for clock-based detection);
-//! - [`LockOrderAnalyzer`] — lock-order-inversion (deadlock candidate)
-//!   detection.
-//!
 //! All analyzers are generic over the clock data structure, so the
 //! paper's "PO + analysis" comparison is again a single type-parameter
 //! swap.
@@ -49,18 +40,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod deadlock;
 pub mod epoch;
 pub mod hb_race;
-pub mod lockset;
 pub mod maz_analysis;
 pub mod report;
 pub mod shb_race;
 
-pub use deadlock::{DeadlockCandidate, LockOrderAnalyzer};
 pub use epoch::{upcoming_epoch, ReadsSnapshot, VarHistories, VarHistory, VarHistorySnapshot};
 pub use hb_race::HbRaceDetector;
-pub use lockset::{LocksetDetector, LocksetViolation};
 pub use maz_analysis::MazAnalyzer;
 pub use report::{Race, RaceKind, RaceReport};
 pub use shb_race::ShbRaceDetector;

@@ -2,18 +2,20 @@
 //! [`NodeCore`].
 //!
 //! One TCP port per node serves **both** planes: the first byte of
-//! each message picks the protocol — text lines and `0xF7`/`0xF6`
-//! binary frames are client traffic, `0xF8` messages are peer
-//! traffic (an inbound peer link always opens with
-//! [`ClusterMsg::Hello`]). When the node runs with a shared-secret
-//! auth token, that Hello must carry it: `0xF8` messages on a
-//! connection that has not presented a valid Hello are rejected and
-//! the connection dropped, so an unauthenticated client on the
-//! shared port cannot reach the peer plane (forwards, replication,
-//! session assignment). Outbound peer links are lazy, persistent
-//! and FIFO: a dedicated writer thread per peer drains an in-order
-//! channel, which — together with the core being fed under one lock —
-//! preserves the per-link ordering the replication protocol assumes.
+//! each message picks the protocol — text lines and `0xF6` binary
+//! frames are client traffic, `0xF8` messages are peer traffic (an
+//! inbound peer link always opens with [`ClusterMsg::Hello`]). Any
+//! other first byte from [`wire::BINARY_MIN`] up is a corrupt client
+//! frame, answered with one `err` line before the connection drops.
+//! When the node runs with a shared-secret auth token, that Hello must
+//! carry it: `0xF8` messages on a connection that has not presented a
+//! valid Hello are rejected and the connection dropped, so an
+//! unauthenticated client on the shared port cannot reach the peer
+//! plane (forwards, replication, session assignment). Outbound peer
+//! links are lazy, persistent and FIFO: a dedicated writer thread per
+//! peer drains an in-order channel, which — together with the core
+//! being fed under one lock — preserves the per-link ordering the
+//! replication protocol assumes.
 //!
 //! A ticker thread drives heartbeats, matrix-row gossip and failure
 //! detection: a peer not heard from for `miss_limit` ticks is
@@ -35,7 +37,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tc_stream::{constant_time_eq, write_or_sever, CLIENT_WRITE_TIMEOUT};
-use tc_trace::wire::{self, CLUSTER_MAGIC, FRAME_MAGIC, MULTI_MAGIC};
+use tc_trace::wire::{self, CLUSTER_MAGIC};
 use tc_trace::ClusterMsg;
 
 use crate::node::{ConnId, NodeCore, Output};
@@ -414,14 +416,10 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     Ok(None) => break,
                     Err(_) => break 'serve,
                 },
-                FRAME_MAGIC | MULTI_MAGIC => match wire::try_message(&buf) {
+                first if first >= wire::BINARY_MIN => match wire::try_message(&buf) {
                     Ok(Some((msg, used))) => {
                         buf.drain(..used);
-                        let frames = match msg {
-                            wire::WireMessage::Single(f) => vec![f],
-                            wire::WireMessage::Multi(fs) => fs,
-                        };
-                        for f in frames {
+                        for f in msg.into_frames() {
                             feed(shared, |core| {
                                 core.client_frame(conn, f.session, &f.events);
                             });

@@ -381,6 +381,68 @@ fn sockets_peer_plane_requires_auth_when_configured() {
 }
 
 #[test]
+fn sockets_reject_the_retired_single_session_magic() {
+    use std::io::{Read, Write};
+    use tc_trace::{text_format, wire};
+
+    // Dense-id events and the report a plain session gives them.
+    let (lines, _) = workload();
+    let trace = text_format::parse_text(&lines.join("\n")).expect("workload parses");
+    let events = trace.events();
+    let half = events.len() / 2;
+    let (clock, config) = parse_open(&["hb", "tc"]).expect("valid open");
+    let mut session = Session::new(1, clock, config);
+    let mut want = String::new();
+    session.handle_frame(events, &mut want);
+    assert!(want.is_empty(), "reference rejected an event: {want}");
+    session.handle_line("races", &mut want);
+
+    let addrs = reserve_addrs(3);
+    let servers = start_ring(&addrs, Duration::from_millis(25), 40);
+    let mut client = Client::open(sock(&addrs[0]), "hb tc").expect("open");
+    let id = client.session();
+    client.send_frame(id, &events[..half]).unwrap();
+    client.send("stats").unwrap();
+    client.flush().unwrap();
+    assert!(client
+        .read_reply()
+        .unwrap()
+        .contains(&format!("events={half} ")));
+
+    // An old-style frame addressed to that session, built by hand: magic
+    // 0xF7, a u32 LE length, then a one-group 0xF6 payload without its
+    // group count. It gets one `err` line and loses its connection.
+    let multi = wire::encode_multi_frame(&[(id, &events[half..])]).unwrap();
+    let payload = &multi[wire::FRAME_HEADER_LEN + 1..];
+    let mut retired = vec![0xF7];
+    retired.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    retired.extend_from_slice(payload);
+    let mut intruder = std::net::TcpStream::connect(sock(&addrs[0])).expect("connect");
+    intruder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    intruder.write_all(&retired).expect("write");
+    let mut reply = String::new();
+    intruder
+        .read_to_string(&mut reply)
+        .expect("the node hangs up");
+    let got: Vec<&str> = reply.lines().collect();
+    assert_eq!(got.len(), 1, "{reply}");
+    assert!(got[0].starts_with("err "), "{reply}");
+    assert!(got[0].contains("bad frame magic 0xf7"), "{reply}");
+
+    // The session it addressed never saw it.
+    client.send_frame(id, &events[half..]).unwrap();
+    client.send("races").unwrap();
+    client.flush().unwrap();
+    assert_eq!(read_report(&mut client), want);
+
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+#[test]
 fn sockets_heartbeat_failover_recovers_byte_identical_reports() {
     let (lines, _) = workload();
     let (want_races, want_cp) = reference(&lines);

@@ -299,9 +299,9 @@ impl IdentityMap {
         !self.pending.is_empty()
     }
 
-    /// `true` if a reclaimed slot is ready for reuse.
-    pub fn has_free(&self) -> bool {
-        !self.free.is_empty()
+    /// Reclaimed slots ready for reuse.
+    pub fn free_slots(&self) -> usize {
+        self.free.len()
     }
 
     /// Number of internal slots ever created — the width every clock
@@ -462,7 +462,7 @@ mod tests {
         // Floor below fin: nothing reclaimed.
         assert_eq!(m.reclaim(&[100, 6]), 0);
         assert_eq!(m.reclaim(&[100, 7]), 1);
-        assert!(m.has_free());
+        assert_eq!(m.free_slots(), 1);
         let b = m.bind(t(2)).unwrap();
         assert_eq!(b.slot, t(1));
         assert_eq!(b.base, 7);

@@ -38,6 +38,15 @@ use tc_trace::{Event, Op};
 
 use crate::checkpoint::Checkpoint;
 
+/// Clock slots one detector may open. Every thread clock is as wide as
+/// the slot space and the engine sizes each new clock to it, so a slot
+/// id `n` costs about `n²` clock entries: a bound that lets one wire
+/// event with a large thread id allocate gigabytes is no bound. On the
+/// direct path the slot is the thread id; under
+/// [`DetectorConfig::recycle_slots`] it is the slot the identity map
+/// assigns, so a churning session may use any thread ids.
+const MAX_THREAD_SLOTS: usize = 4096;
+
 /// How often (in events) the detector samples its live clock bytes into
 /// the `peak_clock_bytes` high-water mark. Sampling (rather than
 /// per-event accounting) keeps the O(threads + locks + vars) byte walk
@@ -121,6 +130,14 @@ pub enum FeedError {
         /// The event index at which it was referenced.
         at: u64,
     },
+    /// The event would open a clock slot past the detector's bound of
+    /// 4,096 for a thread it has not seen yet.
+    SlotLimit {
+        /// The thread that would need the slot.
+        thread: ThreadId,
+        /// The event index at which it appeared.
+        at: u64,
+    },
 }
 
 impl fmt::Display for FeedError {
@@ -142,6 +159,11 @@ impl fmt::Display for FeedError {
                 "event {at} involves thread {thread}, which was already joined and \
                  retired, and whose clock slot has been recycled to another thread \
                  (a joined thread cannot act or be forked/joined again)"
+            ),
+            FeedError::SlotLimit { thread, at } => write!(
+                f,
+                "event {at} needs a clock slot for thread {thread}, but a session holds at \
+                 most {MAX_THREAD_SLOTS} (without recycling, thread ids are the slots)"
             ),
         }
     }
@@ -389,6 +411,10 @@ impl<C: LogicalClock> IncrementalDetector<C> {
     /// The direct path: external ids *are* the clock slots.
     fn feed_direct(&mut self, e: &Event) -> Result<&[Race], FeedError> {
         let t = e.tid;
+        self.check_direct_slot(t)?;
+        if let Op::Fork(u) | Op::Join(u) = e.op {
+            self.check_direct_slot(u)?;
+        }
         self.grow_thread(t.index());
         // A retired thread can neither act nor be targeted again: the
         // batch validators accept e.g. a fork of a never-started thread
@@ -459,6 +485,11 @@ impl<C: LogicalClock> IncrementalDetector<C> {
                 check(u)?;
             }
         }
+        // An event binds at most two new externals, so below this width
+        // every binding fits.
+        if self.slot_width() + 2 > MAX_THREAD_SLOTS {
+            self.check_slot_room(e)?;
+        }
         self.grow_thread(t.index());
         // Reclamation assumes fork discipline exactly like eviction:
         // once a slot has been reclaimed on the strength of the live
@@ -528,25 +559,72 @@ impl<C: LogicalClock> IncrementalDetector<C> {
         Ok(self.emit())
     }
 
+    /// Rejects a thread id that would open a direct-path clock slot at
+    /// or past [`MAX_THREAD_SLOTS`]. An id below the detector's width
+    /// already has its slot, so it pays one comparison.
+    fn check_direct_slot(&self, u: ThreadId) -> Result<(), FeedError> {
+        if u.index() >= self.started.len() && u.index() >= MAX_THREAD_SLOTS {
+            return Err(FeedError::SlotLimit {
+                thread: u,
+                at: self.events,
+            });
+        }
+        Ok(())
+    }
+
+    /// Rejects an event whose unbound externals would need a fresh slot
+    /// at or past [`MAX_THREAD_SLOTS`]. It first runs the reclamation
+    /// sweep binding would run, so joined threads' slots count as free;
+    /// the sweep changes no binding.
+    fn check_slot_room(&mut self, e: &Event) -> Result<(), FeedError> {
+        let map = self.identity.as_ref().expect("recycling map");
+        let mut unbound = match e.op {
+            Op::Fork(u) | Op::Join(u) if u != e.tid => vec![e.tid, u],
+            _ => vec![e.tid],
+        };
+        unbound.retain(|&x| map.binding_of(x).is_none());
+        if !unbound.is_empty() {
+            self.refill_free_slots();
+        }
+        let map = self.identity.as_ref().expect("recycling map");
+        let room = map.free_slots() + MAX_THREAD_SLOTS.saturating_sub(map.slot_width());
+        match unbound.get(room) {
+            Some(&thread) => Err(FeedError::SlotLimit {
+                thread,
+                at: self.events,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// With the free pool dry, sweeps the pending retirements against
+    /// the live floor — roughly one floor computation per churn wave.
+    fn refill_free_slots(&mut self) {
+        let map = self.identity.as_ref().expect("recycling map");
+        if map.free_slots() > 0 || !map.has_pending() {
+            return;
+        }
+        let mut floor = std::mem::take(&mut self.floor_buf);
+        let any_live = dispatch!(&self.engine, e2 => e2.live_floor(&mut floor));
+        let map = self.identity.as_mut().expect("recycling map");
+        if any_live {
+            map.reclaim(&floor);
+        } else {
+            map.reclaim_all();
+        }
+        self.floor_buf = floor;
+    }
+
     /// Binds one external id to its slot (infallible after the
-    /// `rebind_error` pre-checks). Binding a *new* external with the
-    /// free pool dry first sweeps the pending retirements against the
-    /// live floor — roughly one floor computation per churn wave — and
-    /// a fresh binding re-arms the engine slot at the binding's base
-    /// time before any of the occupant's events are processed (the
-    /// engine's lazy rooting would root at time 0 and rewind the slot).
+    /// `rebind_error` pre-checks). Binding a *new* external first
+    /// refills a dry free pool, and a fresh binding re-arms the engine
+    /// slot at the binding's base time before any of the occupant's
+    /// events are processed (the engine's lazy rooting would root at
+    /// time 0 and rewind the slot).
     fn bind_external(&mut self, ext: ThreadId) -> ThreadId {
         let map = self.identity.as_ref().expect("recycling map");
-        if map.binding_of(ext).is_none() && !map.has_free() && map.has_pending() {
-            let mut floor = std::mem::take(&mut self.floor_buf);
-            let any_live = dispatch!(&self.engine, e2 => e2.live_floor(&mut floor));
-            let map = self.identity.as_mut().expect("recycling map");
-            if any_live {
-                map.reclaim(&floor);
-            } else {
-                map.reclaim_all();
-            }
-            self.floor_buf = floor;
+        if map.binding_of(ext).is_none() {
+            self.refill_free_slots();
         }
         let binding = self
             .identity
@@ -934,6 +1012,60 @@ mod tests {
             on.peak_clock_bytes(),
             off.peak_clock_bytes()
         );
+    }
+
+    #[test]
+    fn recycling_bounds_the_slots_not_the_thread_ids() {
+        use tc_trace::VarId;
+        let t = ThreadId::new;
+        let fork = |u: u32| Event::new(t(0), Op::Fork(t(u)));
+        let join = |u: u32| Event::new(t(0), Op::Join(t(u)));
+        let config = DetectorConfig {
+            recycle_slots: true,
+            ..DetectorConfig::default()
+        };
+        // Vector clocks keep the 4,096 live clocks to about 32 MiB.
+        let mut d = IncrementalDetector::<VectorClock>::new(config);
+        d.feed(&Event::new(t(0), Op::Write(VarId::new(0)))).unwrap();
+        let children = 1_000_000..1_000_000 + MAX_THREAD_SLOTS as u32 - 1;
+        for u in children.clone() {
+            d.feed(&fork(u)).unwrap();
+        }
+        assert_eq!(d.slot_width(), MAX_THREAD_SLOTS);
+        let refused = |d: &mut IncrementalDetector<VectorClock>| {
+            let at = d.events();
+            let err = d.feed(&fork(7)).unwrap_err();
+            assert_eq!(err, FeedError::SlotLimit { thread: t(7), at });
+            assert_eq!(d.events(), at);
+            assert_eq!(d.slot_width(), MAX_THREAD_SLOTS);
+        };
+        refused(&mut d);
+        // A joined thread's slot stays pending while other live clocks
+        // know less of it than its final time.
+        let first = children.start;
+        d.feed(&Event::new(t(first), Op::Write(VarId::new(1))))
+            .unwrap();
+        d.feed(&join(first)).unwrap();
+        refused(&mut d);
+        // Once every other child is joined too, the slots are free.
+        for u in children.skip(1) {
+            d.feed(&join(u)).unwrap();
+        }
+        d.feed(&fork(7)).unwrap();
+        assert_eq!(d.slot_width(), MAX_THREAD_SLOTS);
+        assert_eq!(d.recycled_slots(), 1);
+    }
+
+    #[test]
+    fn direct_thread_ids_past_the_slot_bound_are_refused() {
+        let (t, bound) = (ThreadId::new, MAX_THREAD_SLOTS as u32);
+        let mut d = IncrementalDetector::<TreeClock>::new(DetectorConfig::default());
+        for op in [Op::Fork(t(bound)), Op::Join(t(u32::MAX - 1))] {
+            let err = d.feed(&Event::new(t(0), op)).unwrap_err();
+            assert!(matches!(err, FeedError::SlotLimit { at: 0, .. }), "{err}");
+        }
+        assert_eq!(d.clock_bytes(), 0);
+        d.feed(&Event::new(t(0), Op::Fork(t(bound - 1)))).unwrap();
     }
 
     #[test]

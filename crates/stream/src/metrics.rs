@@ -31,10 +31,8 @@ pub struct ServiceMetrics {
     pub(crate) rejected: Counter,
     pub(crate) races: Counter,
     pub(crate) msgs_text: Counter,
-    pub(crate) msgs_frame: Counter,
     pub(crate) msgs_multi: Counter,
     pub(crate) batch_text: Histogram,
-    pub(crate) batch_frame: Histogram,
     pub(crate) batch_multi: Histogram,
     pub(crate) wire_err_corrupt: Counter,
     pub(crate) wire_err_oversize: Counter,
@@ -73,10 +71,8 @@ impl ServiceMetrics {
             rejected: registry.counter("tc_rejected_total"),
             races: registry.counter("tc_races_total"),
             msgs_text: registry.counter(&labeled("tc_messages_total", &[("wire", "text")])),
-            msgs_frame: registry.counter(&labeled("tc_messages_total", &[("wire", "frame")])),
             msgs_multi: registry.counter(&labeled("tc_messages_total", &[("wire", "multi")])),
             batch_text: registry.histogram(&labeled("tc_batch_events", &[("wire", "text")])),
-            batch_frame: registry.histogram(&labeled("tc_batch_events", &[("wire", "frame")])),
             batch_multi: registry.histogram(&labeled("tc_batch_events", &[("wire", "multi")])),
             wire_err_corrupt: registry
                 .counter(&labeled("tc_wire_errors_total", &[("kind", "corrupt")])),
@@ -145,13 +141,13 @@ mod tests {
         assert_send_sync::<ServiceMetrics>();
         let m = ServiceMetrics::new(Registry::new(), 2);
         m.conns_accepted.inc();
-        m.msgs_frame.inc();
-        m.batch_frame.record(512);
+        m.msgs_multi.inc();
+        m.batch_multi.record(512);
         m.wire_err_oversize.inc();
         m.wire_errors_total.inc();
         let text = m.render_prometheus();
         assert!(text.contains("tc_connections_accepted_total 1\n"));
-        assert!(text.contains("tc_messages_total{wire=\"frame\"} 1\n"));
+        assert!(text.contains("tc_messages_total{wire=\"multi\"} 1\n"));
         assert!(text.contains("tc_wire_errors_total{kind=\"oversize\"} 1\n"));
         assert!(text.contains("tc_workers 2\n"));
         assert!(text.ends_with("# EOF\n"));

@@ -34,8 +34,10 @@
 //! ## Wire protocols
 //!
 //! Both protocols are served on one port; every message is sniffed by
-//! its first byte (a binary frame starts with `0xF7`, which no ASCII
-//! text line can).
+//! its first byte. A first byte of [`wire::BINARY_MIN`] or above, which
+//! no UTF-8 text line can start with, goes to the frame decoder, and
+//! anything but the `0xF6` frame magic there is a corrupt frame that
+//! drops the connection.
 //!
 //! **Text** — line-oriented, one request per line, as in
 //! [`Session::handle_line`]. A connection binds its bare event lines to
@@ -53,9 +55,9 @@
 //! silent on success, so a client can pipeline a whole trace and
 //! synchronize once with `poll` or `stats`.
 //!
-//! **Binary** — length-prefixed [wire frames](tc_trace::wire), each
-//! carrying a batch of dense-id event records for an explicit session
-//! id (so one connection can fan events into many sessions). Open a
+//! **Binary** — length-prefixed `0xF6` [wire frames](tc_trace::wire),
+//! each carrying batches of dense-id event records for explicit session
+//! ids (so one connection can fan events into many sessions). Open a
 //! session with a text `open` line, read the id from the reply, then
 //! stream frames; text commands (`races`, `stats`, `close`) remain
 //! available on the same connection for synchronization. Frames are
@@ -75,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use tc_orders::PartialOrderKind;
 use tc_telemetry::{labeled, Counter, Histogram, Registry};
-use tc_trace::wire::{self, WireError, WireMessage, FRAME_MAGIC, MULTI_MAGIC};
+use tc_trace::wire::{self, WireError};
 use tc_trace::Event;
 
 use crate::detector::DetectorConfig;
@@ -173,10 +175,8 @@ const WORKER_PARK: Duration = Duration::from_millis(20);
 enum ItemKind {
     /// A block of complete text protocol lines (newline separated).
     Text(String),
-    /// A decoded binary frame's event batch, tagged with the wire kind
-    /// it arrived in (`"frame"` for `0xF7`, `"multi"` for `0xF6`) so
-    /// the per-wire-kind handling histograms can tell them apart.
-    Frame(Vec<Event>, &'static str),
+    /// One session's event batch from a decoded binary frame.
+    Frame(Vec<Event>),
     /// A pre-formatted reply to forward verbatim (used to keep
     /// handshake replies ordered behind in-flight work).
     Write(String),
@@ -613,7 +613,6 @@ struct WorkerMetrics {
     stolen: Counter,
     reply_us: Histogram,
     text_us: Histogram,
-    frame_us: Histogram,
     multi_us: Histogram,
 }
 
@@ -626,7 +625,6 @@ impl WorkerMetrics {
             stolen: reg.counter(&labeled("tc_worker_steals_total", &[("worker", &id)])),
             reply_us: reg.histogram("tc_reply_us"),
             text_us: reg.histogram(&labeled("tc_ingest_handle_us", &[("wire", "text")])),
-            frame_us: reg.histogram(&labeled("tc_ingest_handle_us", &[("wire", "frame")])),
             multi_us: reg.histogram(&labeled("tc_ingest_handle_us", &[("wire", "multi")])),
         }
     }
@@ -737,15 +735,10 @@ fn process_item(
             }
             wm.text_us.end(t);
         }
-        ItemKind::Frame(events, wire_kind) => {
-            let h = if wire_kind == "multi" {
-                &wm.multi_us
-            } else {
-                &wm.frame_us
-            };
-            let t = h.begin();
+        ItemKind::Frame(events) => {
+            let t = wm.multi_us.begin();
             session.handle_frame(&events, &mut out);
-            h.end(t);
+            wm.multi_us.end(t);
         }
         ItemKind::Write(reply) => out = reply,
         ItemKind::Stats(mut ticket) => ticket.fold(
@@ -930,32 +923,23 @@ fn parse_messages(conn: &mut Conn, shared: &ServiceShared) -> bool {
         if buf.is_empty() {
             break;
         }
-        if buf[0] == FRAME_MAGIC || buf[0] == MULTI_MAGIC {
+        if buf[0] >= wire::BINARY_MIN {
             flush_text(conn, shared, &mut text_block);
             match wire::try_message(buf) {
                 Ok(None) => break, // partial frame: wait for more bytes
                 Ok(Some((message, used))) => {
                     consumed += used;
                     let m = &shared.metrics;
-                    let (frames, wire_kind) = match message {
-                        WireMessage::Single(frame) => {
-                            m.msgs_frame.inc();
-                            m.batch_frame.record(frame.events.len() as u64);
-                            (vec![frame], "frame")
-                        }
-                        WireMessage::Multi(frames) => {
-                            m.msgs_multi.inc();
-                            m.batch_multi
-                                .record(frames.iter().map(|f| f.events.len() as u64).sum());
-                            (frames, "multi")
-                        }
-                    };
+                    let frames = message.into_frames();
+                    m.msgs_multi.inc();
+                    m.batch_multi
+                        .record(frames.iter().map(|f| f.events.len() as u64).sum());
                     for frame in frames {
                         let origin = Origin::new(&conn.shared, frame.events.len());
                         let delivered = shared.enqueue(
                             frame.session,
                             WorkItem {
-                                kind: ItemKind::Frame(frame.events, wire_kind),
+                                kind: ItemKind::Frame(frame.events),
                                 origin: Some(origin),
                             },
                         );
@@ -1513,18 +1497,25 @@ impl Client {
         Ok(reply.trim_end().to_owned())
     }
 
-    /// Sends binary event frames for `session` without waiting for a
-    /// reply (frames are silent on success). Batches too large for one
-    /// frame are split automatically.
+    /// Sends `events` for `session` as single-group binary frames
+    /// without waiting for a reply (frames are silent on success).
+    /// Batches too large for one frame are split every
+    /// [`wire::MAX_SPLIT_EVENTS`] events; an empty batch is one empty
+    /// frame.
     ///
     /// # Errors
     ///
     /// I/O failures as strings.
     pub fn send_frame(&mut self, session: u64, events: &[Event]) -> Result<(), String> {
-        for bytes in wire::encode_frames(session, events) {
-            self.writer.write_all(&bytes).map_err(|e| e.to_string())?;
+        let mut rest = events;
+        loop {
+            let (batch, tail) = rest.split_at(rest.len().min(wire::MAX_SPLIT_EVENTS));
+            self.send_multi_frame(&[(session, batch)])?;
+            rest = tail;
+            if rest.is_empty() {
+                return Ok(());
+            }
         }
-        Ok(())
     }
 
     /// Sends one multi-session wire message — a batch of events per

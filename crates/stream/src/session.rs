@@ -548,6 +548,43 @@ mod tests {
     }
 
     #[test]
+    fn wire_ids_cannot_size_the_session() {
+        use tc_trace::{LockId, Op, VarId};
+        let t = ThreadId::new;
+        let huge = u32::MAX - 1;
+        let hostile = [
+            // Past the detector's slot bound, inside the validator's.
+            Event::new(t(5_000), Op::Write(VarId::new(0))),
+            Event::new(t(huge), Op::Write(VarId::new(0))),
+            Event::new(t(0), Op::Fork(t(huge))),
+            Event::new(t(0), Op::Join(t(huge))),
+            Event::new(t(0), Op::Acquire(LockId::new(huge))),
+            Event::new(t(0), Op::Write(VarId::new(huge))),
+        ];
+        for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+            let empty = Session::new(1, clock, DetectorConfig::default())
+                .detector()
+                .clock_bytes();
+            for e in hostile {
+                let mut s = Session::new(1, clock, DetectorConfig::default());
+                let mut out = String::new();
+                s.handle_frame(&[e], &mut out);
+                assert!(out.starts_with("err at 0: "), "{clock:?} {e}: {out}");
+                assert!(
+                    s.detector().clock_bytes() <= empty + 1024,
+                    "{clock:?} {e}: {} clock bytes",
+                    s.detector().clock_bytes()
+                );
+                out.clear();
+                s.handle_frame(&[Event::new(t(1), Op::Write(VarId::new(0)))], &mut out);
+                assert!(out.is_empty(), "{clock:?} {e}: {out}");
+                assert_eq!(s.detector().events(), 1);
+                assert_eq!(s.rejected(), 1);
+            }
+        }
+    }
+
+    #[test]
     fn clock_choice_parses_both_spellings() {
         assert_eq!("tc".parse::<ClockChoice>().unwrap(), ClockChoice::Tree);
         assert_eq!(

@@ -75,7 +75,7 @@ fn profile<C: LogicalClock>(trace: &Trace, retire: bool) -> MemoryProfile {
     }
 }
 
-/// The acceptance criterion: with 10× more total threads than live
+/// The acceptance bar: with 10× more total threads than live
 /// threads, peak pool bytes stay within 2× of the live-thread working
 /// set.
 #[test]

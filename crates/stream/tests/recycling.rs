@@ -172,10 +172,10 @@ fn run_churn<C: LogicalClock>(total: u32, live: u32, events: usize, recycle: boo
 /// same churn trace, recycling never raises the hybrid's peak.
 ///
 /// The headline regime is 50k -> 500k spawns; this test runs the same
-/// 10x growth at debug-friendly sizes (5k -> 50k recycled, 800 -> 8k
+/// 10x growth at debug-friendly sizes (5k -> 50k recycled, 400 -> 4k
 /// direct — the direct baseline's clock arenas scale with *total*
-/// threads, so its big leg is kept smaller to bound test memory and
-/// time).
+/// threads, and a detector without recycling serves at most 4,096
+/// thread ids, so its big leg stays under that bound).
 #[test]
 fn churn_peak_clock_bytes_stay_flat_under_10x_spawn_growth() {
     const LIVE: u32 = 64;
@@ -199,12 +199,12 @@ fn churn_peak_clock_bytes_stay_flat_under_10x_spawn_growth() {
         on_big.peak_clock_bytes,
     );
 
-    let off_small = run_churn::<TreeClock>(800, LIVE, 2_400, false);
-    let off_big = run_churn::<TreeClock>(8_000, LIVE, 22_000, false);
+    let off_small = run_churn::<TreeClock>(400, LIVE, 1_200, false);
+    let off_big = run_churn::<TreeClock>(4_000, LIVE, 11_000, false);
     assert!(
         off_big.peak_clock_bytes >= 3 * off_small.peak_clock_bytes,
         "no-recycling baseline must measurably grow across 10x spawn growth: \
-         {} bytes at 800 spawns vs {} bytes at 8k spawns",
+         {} bytes at 400 spawns vs {} bytes at 4k spawns",
         off_small.peak_clock_bytes,
         off_big.peak_clock_bytes,
     );

@@ -408,7 +408,7 @@ fn frames_for_unknown_sessions_error_without_killing_the_connection() {
     let addr = server.local_addr();
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
-        .write_all(&wire::encode_frame(4096, &[]).unwrap())
+        .write_all(&wire::encode_multi_frame(&[(4096, &[])]).unwrap())
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();
@@ -430,11 +430,117 @@ fn corrupt_frames_close_the_connection() {
     let mut stream = TcpStream::connect(addr).unwrap();
     // Magic + absurd length: the server must reply `err` and hang up
     // rather than buffer 2 GiB.
-    stream.write_all(&[0xF7, 0xFF, 0xFF, 0xFF, 0x7F]).unwrap();
+    stream
+        .write_all(&[wire::MULTI_MAGIC, 0xFF, 0xFF, 0xFF, 0x7F])
+        .unwrap();
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).unwrap(); // EOF proves the hangup
     let text = String::from_utf8_lossy(&reply);
     assert!(text.starts_with("err"), "{text}");
+    server.shutdown();
+    server.join();
+}
+
+/// A well-formed frame of the retired single-session kind, built by
+/// hand since no encoder for it remains: magic `0xF7`, a u32 LE payload
+/// length, then the session id, the event count and the records. That
+/// payload is a one-group `0xF6` payload without its group count.
+fn retired_single_session_frame(session: u64, events: &[Event]) -> Vec<u8> {
+    let multi = wire::encode_multi_frame(&[(session, events)]).unwrap();
+    assert_eq!(multi[wire::FRAME_HEADER_LEN], 1, "a one-byte group count");
+    let payload = &multi[wire::FRAME_HEADER_LEN + 1..];
+    let mut bytes = vec![0xF7];
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+#[test]
+fn the_retired_single_session_magic_is_a_corrupt_frame() {
+    let server = start();
+    let addr = server.local_addr();
+    let metrics = server.metrics();
+    let registry = metrics.registry();
+    let trace = wire_trace(0xf7);
+    let batches: Vec<&[Event]> = trace.events().chunks(64).collect();
+    let half = batches.len() / 2;
+
+    // The report a session gets with no intruder around.
+    let mut alone = Client::open(addr, "hb tc").unwrap();
+    let id = alone.session();
+    for batch in &batches {
+        alone.send_frame(id, batch).unwrap();
+    }
+    let want = alone.request("races").unwrap();
+    alone.request("close").unwrap();
+
+    let errors = || {
+        (
+            registry.counter_value("tc_wire_errors"),
+            registry.counter_value("tc_wire_errors_total{kind=\"corrupt\"}"),
+        )
+    };
+    let before = errors();
+    let mut client = Client::open(addr, "hb tc").unwrap();
+    let id = client.session();
+    for batch in &batches[..half] {
+        client.send_frame(id, batch).unwrap();
+    }
+    client.request("stats").unwrap();
+
+    // An old-style frame addressed to that session is refused with one
+    // `err` line naming the magic, and its connection is dropped.
+    let mut intruder = TcpStream::connect(addr).unwrap();
+    intruder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    intruder
+        .write_all(&retired_single_session_frame(id, batches[half]))
+        .unwrap();
+    let mut reply = String::new();
+    intruder.read_to_string(&mut reply).unwrap(); // EOF proves the hangup
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "{reply}");
+    assert!(lines[0].starts_with("err "), "{reply}");
+    assert!(lines[0].contains("bad frame magic 0xf7"), "{reply}");
+    let after = errors();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
+
+    // The session it addressed never saw it.
+    for batch in &batches[half..] {
+        client.send_frame(id, batch).unwrap();
+    }
+    assert_eq!(client.request("races").unwrap(), want);
+    client.request("close").unwrap();
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn send_frame_splits_oversize_batches_into_one_group_frames() {
+    let server = start();
+    let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
+    let id = client.session();
+    // Seven events past the split size: the client sends two frames,
+    // and an empty batch still sends one (empty) frame.
+    let events =
+        vec![Event::new(ThreadId::new(0), Op::Write(VarId::new(0))); wire::MAX_SPLIT_EVENTS + 7];
+    client.send_frame(id, &events).unwrap();
+    client.send_frame(id, &[]).unwrap();
+    let stats = client.request("stats").unwrap();
+    let line = stats.last().unwrap();
+    assert!(
+        line.contains(&format!("events={} ", events.len())),
+        "{line}"
+    );
+    assert!(line.contains("rejected=0"), "{line}");
+    let scrape = client.metrics_scrape().unwrap();
+    assert_eq!(sample(&scrape, "tc_messages_total{wire=\"multi\"}"), 3);
+    assert_eq!(
+        sample(&scrape, "tc_batch_events_sum{wire=\"multi\"}"),
+        events.len() as u64
+    );
+    client.request("close").unwrap();
     server.shutdown();
     server.join();
 }
@@ -538,7 +644,7 @@ fn metrics_scrape_agrees_with_stats_and_counts_wire_errors() {
     // it replies, so they are visible once the reply (or EOF) is read.
     let mut stray = TcpStream::connect(addr).unwrap();
     stray
-        .write_all(&wire::encode_frame(4096, &[]).unwrap())
+        .write_all(&wire::encode_multi_frame(&[(4096, &[])]).unwrap())
         .unwrap();
     let mut reply = String::new();
     BufReader::new(stray.try_clone().unwrap())
@@ -546,7 +652,9 @@ fn metrics_scrape_agrees_with_stats_and_counts_wire_errors() {
         .unwrap();
     assert!(reply.starts_with("err unknown session"), "{reply}");
     let mut oversize = TcpStream::connect(addr).unwrap();
-    oversize.write_all(&[0xF7, 0xFF, 0xFF, 0xFF, 0x7F]).unwrap();
+    oversize
+        .write_all(&[wire::MULTI_MAGIC, 0xFF, 0xFF, 0xFF, 0x7F])
+        .unwrap();
     let mut hangup = Vec::new();
     oversize.read_to_end(&mut hangup).unwrap();
 
@@ -558,7 +666,7 @@ fn metrics_scrape_agrees_with_stats_and_counts_wire_errors() {
     // +1: the stray unknown-session frame below still *parses* as a
     // frame message before its session lookup fails.
     assert_eq!(
-        sample(&scrape, "tc_messages_total{wire=\"frame\"}"),
+        sample(&scrape, "tc_messages_total{wire=\"multi\"}"),
         frames + 1
     );
     assert!(sample(&scrape, "tc_messages_total{wire=\"text\"}") >= 1);
@@ -575,7 +683,7 @@ fn metrics_scrape_agrees_with_stats_and_counts_wire_errors() {
     assert_eq!(sample(&scrape, "tc_workers"), 2);
     assert!(sample(&scrape, "tc_reply_us_count") >= 2);
     assert!(sample(&scrape, "tc_peak_clock_bytes") > 0);
-    assert!(sample(&scrape, "tc_batch_events_count{wire=\"frame\"}") >= frames);
+    assert!(sample(&scrape, "tc_batch_events_count{wire=\"multi\"}") >= frames);
 
     // The stats suffix reflects the wire errors too.
     let after = text.request("stats").unwrap();
@@ -725,7 +833,7 @@ fn a_sync_behind_a_large_frame_is_not_held_for_a_delayed_ack() {
     let mut client = Client::open(server.local_addr(), "hb tc").unwrap();
     let id = client.session();
     let frame = racy_pairs_frame(512);
-    assert!(wire::encode_frame(id, &frame).unwrap().len() > 8 * 1024);
+    assert!(wire::encode_multi_frame(&[(id, &frame)]).unwrap().len() > 8 * 1024);
     let mut round_ms: Vec<f64> = (0..21)
         .map(|_| {
             let start = Instant::now();
@@ -821,8 +929,8 @@ fn a_half_written_frame_stalls_only_its_own_connection() {
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|id| id.parse().ok())
         .unwrap_or_else(|| panic!("unexpected open reply `{opened}`"));
-    let frame = wire::encode_frame(stalled_id, &racy_pairs_frame(8)).unwrap();
-    assert_eq!(frame[0], wire::FRAME_MAGIC);
+    let frame = wire::encode_multi_frame(&[(stalled_id, &racy_pairs_frame(8))]).unwrap();
+    assert_eq!(frame[0], wire::MULTI_MAGIC);
     stalled.write_all(&frame[..frame.len() / 2]).unwrap();
 
     // A well-behaved client keeps completing frame + sync rounds; its

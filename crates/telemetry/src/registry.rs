@@ -285,7 +285,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter(&labeled("tc_frames_total", &[("wire", "text")]))
             .add(3);
-        reg.counter(&labeled("tc_frames_total", &[("wire", "frame")]))
+        reg.counter(&labeled("tc_frames_total", &[("wire", "multi")]))
             .add(4);
         reg.gauge("tc_queue_high_water").record_max(7);
         let h = reg.histogram("tc_reply_us");
@@ -297,7 +297,7 @@ mod tests {
         // One TYPE line covers both labeled series of the family.
         assert_eq!(text.matches("# TYPE tc_frames_total").count(), 1);
         assert!(text.contains("tc_frames_total{wire=\"text\"} 3\n"));
-        assert!(text.contains("tc_frames_total{wire=\"frame\"} 4\n"));
+        assert!(text.contains("tc_frames_total{wire=\"multi\"} 4\n"));
         assert!(text.contains("# TYPE tc_queue_high_water gauge\n"));
         assert!(text.contains("tc_queue_high_water 7\n"));
         assert!(text.contains("# TYPE tc_reply_us summary\n"));

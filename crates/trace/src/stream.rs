@@ -371,10 +371,29 @@ impl<R: BufRead> EventReader<R> {
     }
 }
 
+/// Ids a [`SessionValidator`] accepts: thread, lock and variable ids
+/// must lie below this bound.
+const MAX_ID: usize = 1 << 20;
+
+/// Rejects an id at or past [`MAX_ID`].
+fn check_id(id: usize, what: &str, at: usize) -> Result<(), ValidationError> {
+    if id >= MAX_ID {
+        return Err(ValidationError {
+            at,
+            message: format!("{what} id {id} is past the session bound of {MAX_ID} ids"),
+        });
+    }
+    Ok(())
+}
+
 /// Incremental trace well-formedness validation: the same rules as
 /// [`Trace::validate`](crate::Trace::validate) (lock discipline,
 /// fork/join sanity), applied one event at a time. State grows with the
 /// number of threads and locks, not with the number of events.
+///
+/// On top of those rules it rejects any thread, lock or variable id at
+/// or past 2²⁰: downstream tables are dense by id, so an id read off the
+/// wire must not be able to size them.
 #[derive(Clone, Debug, Default)]
 pub struct SessionValidator {
     held_by: Vec<Option<ThreadId>>,
@@ -405,12 +424,15 @@ impl SessionValidator {
         self.started.get(t.index()).copied().unwrap_or(false)
     }
 
-    fn grow_thread(&mut self, i: usize) {
+    fn grow_thread(&mut self, t: ThreadId, at: usize) -> Result<(), ValidationError> {
+        let i = t.index();
         if i >= self.started.len() {
+            check_id(i, "thread", at)?;
             self.started.resize(i + 1, false);
             self.forked.resize(i + 1, false);
             self.joined.resize(i + 1, false);
         }
+        Ok(())
     }
 
     /// Checks `e` against the rules and, on success, records it.
@@ -423,7 +445,7 @@ impl SessionValidator {
     pub fn check(&mut self, e: &Event) -> Result<(), ValidationError> {
         let at = self.events;
         let t = e.tid;
-        self.grow_thread(t.index());
+        self.grow_thread(t, at)?;
         if self.joined[t.index()] {
             return Err(ValidationError {
                 at,
@@ -432,7 +454,7 @@ impl SessionValidator {
         }
         match e.op {
             Op::Acquire(l) => {
-                let slot = self.lock_slot(l);
+                let slot = self.lock_slot(l, at)?;
                 if let Some(holder) = self.held_by[slot] {
                     return Err(ValidationError {
                         at,
@@ -444,7 +466,7 @@ impl SessionValidator {
                 self.held_by[slot] = Some(t);
             }
             Op::Release(l) => {
-                let slot = self.lock_slot(l);
+                let slot = self.lock_slot(l, at)?;
                 match self.held_by[slot] {
                     Some(holder) if holder == t => self.held_by[slot] = None,
                     Some(holder) => {
@@ -462,7 +484,7 @@ impl SessionValidator {
                 }
             }
             Op::Fork(u) => {
-                self.grow_thread(u.index());
+                self.grow_thread(u, at)?;
                 if u == t {
                     return Err(ValidationError {
                         at,
@@ -491,7 +513,7 @@ impl SessionValidator {
                 self.started[u.index()] = true;
             }
             Op::Join(u) => {
-                self.grow_thread(u.index());
+                self.grow_thread(u, at)?;
                 if u == t {
                     return Err(ValidationError {
                         at,
@@ -506,18 +528,19 @@ impl SessionValidator {
                 }
                 self.joined[u.index()] = true;
             }
-            Op::Read(_) | Op::Write(_) => {}
+            Op::Read(x) | Op::Write(x) => check_id(x.index(), "variable", at)?,
         }
         self.started[t.index()] = true;
         self.events += 1;
         Ok(())
     }
 
-    fn lock_slot(&mut self, l: LockId) -> usize {
+    fn lock_slot(&mut self, l: LockId, at: usize) -> Result<usize, ValidationError> {
         if l.index() >= self.held_by.len() {
+            check_id(l.index(), "lock", at)?;
             self.held_by.resize(l.index() + 1, None);
         }
-        l.index()
+        Ok(l.index())
     }
 
     /// Captures the validator's state for a streaming checkpoint.
@@ -696,6 +719,29 @@ mod tests {
             }
         }
         assert_eq!(stream_err.unwrap(), batch_err);
+    }
+
+    #[test]
+    fn session_validator_bounds_every_id() {
+        let (t, bound) = (ThreadId::new, MAX_ID as u32);
+        let mut v = SessionValidator::new();
+        for op in [
+            Op::Fork(t(bound)),
+            Op::Join(t(bound)),
+            Op::Acquire(LockId::new(bound)),
+            Op::Read(VarId::new(bound)),
+        ] {
+            let err = v.check(&Event::new(t(0), op)).unwrap_err();
+            assert!(err.message.contains("past the session bound"), "{err}");
+        }
+        assert!(v
+            .check(&Event::new(t(bound), Op::Write(VarId::new(0))))
+            .is_err());
+        assert_eq!(v.events(), 0);
+        let last = Event::new(t(bound - 1), Op::Acquire(LockId::new(bound - 1)));
+        v.check(&last).unwrap();
+        v.check(&Event::new(t(bound - 1), Op::Write(VarId::new(bound - 1))))
+            .unwrap();
     }
 
     #[test]

@@ -5,61 +5,60 @@
 //! interner lookup per event. At network scale (Chrono-style causal
 //! metadata services) the transport of choice is a compact binary
 //! encoding with *batched* delivery: one length-prefixed frame carries
-//! a whole burst of events for one session, amortizing both the
-//! syscall and the dispatch over the batch.
+//! a whole burst of events for one or many sessions, amortizing both
+//! the syscall and the dispatch over the batch.
 //!
 //! # Frame layout
 //!
 //! ```text
-//! magic    u8          0xF7 (FRAME_MAGIC)
+//! magic    u8          0xF6 (MULTI_MAGIC)
 //! length   u32 LE      payload length in bytes (≤ MAX_FRAME_LEN)
 //! payload:
-//!   session varint     session id the events belong to
-//!   count   varint     number of event records
-//!   events  count × (opcode u8, tid varint, operand varint)
+//!   groups  varint     number of (session, batch) groups
+//!   groups × (session varint, count varint,
+//!             count × (opcode u8, tid varint, operand varint))
 //! ```
 //!
+//! A client with one session sends one group per frame; a fan-in
+//! client packs a batch for each of its sessions into one frame.
 //! Event records reuse the [binary trace format](crate::binary_format)
 //! encoding exactly (LEB128 varints, the same opcode table), so a
 //! logged `.tctr` file shreds into frames with no re-encoding of
 //! events. Ids are dense (no name tables) — the binary path bypasses
 //! the interner by construction.
 //!
-//! The magic byte `0xF7` has the high bit set, so it can never begin a
-//! line of the UTF-8/ASCII text protocol: a server can sniff the first
-//! byte of every message and speak both protocols on one port.
+//! Servers hand every message whose first byte is [`BINARY_MIN`] or
+//! above to a binary decoder. No UTF-8 text can start with such a
+//! byte, so one port serves the text protocol and binary frames side
+//! by side, and any binary magic other than the expected one is a
+//! corrupt frame rather than a text line.
 //!
 //! # Reading
 //!
-//! Two consumption styles are provided:
-//!
-//! - [`read_frame`] — blocking, from any [`Read`] (tests, simple
-//!   clients);
-//! - [`try_frame`] — incremental, from a byte buffer: returns
-//!   `Ok(None)` until a full frame is buffered, then the decoded frame
-//!   plus the number of bytes consumed. This is the form a reader that
-//!   buffers whatever each socket read returns wants.
+//! [`try_message`] decodes incrementally from a byte buffer: it returns
+//! `Ok(None)` until a full frame is buffered, then the decoded frame
+//! plus the number of bytes consumed. This is the form a reader that
+//! buffers whatever each socket read returns wants.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read};
+use std::io::Read;
 
 use tc_core::ThreadId;
 
 use crate::binary_format::{decode_op, opcode, read_varint, write_varint};
 use crate::event::Event;
 
-/// First byte of every binary frame. The high bit is set, so no text
-/// protocol line can start with it — one port can serve both protocols
-/// by sniffing the first byte of each message.
-pub const FRAME_MAGIC: u8 = 0xF7;
-
-/// First byte of a multi-session frame: one length-prefixed message
-/// carrying event batches for *several* sessions (the fan-in shape —
+/// First byte of every client event frame: one length-prefixed message
+/// carrying event batches for one or more sessions (the fan-in shape —
 /// hundreds of tiny per-session batches share one header, one sniff
-/// and one parse). High bit set, like [`FRAME_MAGIC`], and distinct
-/// from it so `try_message` can dispatch on the first byte.
+/// and one parse).
 pub const MULTI_MAGIC: u8 = 0xF6;
+
+/// Lowest first byte a server hands to a binary decoder. UTF-8 never
+/// uses the bytes `0xF5`–`0xFF`, so no text protocol line can start
+/// with one, and every magic byte of this module lies in that range.
+pub const BINARY_MIN: u8 = 0xF5;
 
 /// Upper bound on a frame's payload length (16 MiB) — a corruption
 /// guard: a glitched length prefix must not make a server buffer
@@ -72,14 +71,11 @@ pub const FRAME_HEADER_LEN: usize = 5;
 /// An error while decoding a wire frame.
 #[derive(Debug)]
 pub enum WireError {
-    /// The underlying reader failed (includes truncation for the
-    /// blocking reader).
-    Io(io::Error),
     /// The bytes are not a valid frame.
     Corrupt(String),
     /// An encode was asked to build a frame whose payload would exceed
-    /// [`MAX_FRAME_LEN`] — batch fewer events, or use [`encode_frames`]
-    /// which splits automatically.
+    /// [`MAX_FRAME_LEN`] — batch fewer events per frame (at most
+    /// [`MAX_SPLIT_EVENTS`] always fit).
     Oversize {
         /// The payload size that would have been produced.
         bytes: usize,
@@ -89,33 +85,19 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "I/O error reading wire frame: {e}"),
             WireError::Corrupt(m) => write!(f, "corrupt wire frame: {m}"),
             WireError::Oversize { bytes } => write!(
                 f,
                 "frame payload of {bytes} bytes exceeds the {MAX_FRAME_LEN}-byte cap \
-                 (batch fewer events or use encode_frames)"
+                 (batch fewer events per frame)"
             ),
         }
     }
 }
 
-impl Error for WireError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            WireError::Io(e) => Some(e),
-            WireError::Corrupt(_) | WireError::Oversize { .. } => None,
-        }
-    }
-}
+impl Error for WireError {}
 
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
-
-/// A decoded event frame: a batch of events bound for one session.
+/// A decoded event batch bound for one session: one group of a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// The session the events belong to.
@@ -128,9 +110,9 @@ pub struct Frame {
 /// (≤ 5 bytes each).
 const MAX_EVENT_BYTES: usize = 11;
 
-/// Events per frame that are guaranteed to fit under [`MAX_FRAME_LEN`]
-/// even at worst-case varint widths (session id included) — the split
-/// size [`encode_frames`] uses.
+/// Events per one-group frame that are guaranteed to fit under
+/// [`MAX_FRAME_LEN`] even at worst-case varint widths (group count and
+/// session id included) — the size a sender splits larger batches at.
 pub const MAX_SPLIT_EVENTS: usize = (MAX_FRAME_LEN - 15) / MAX_EVENT_BYTES;
 
 /// Appends one event batch (count varint + records) to `payload`.
@@ -158,53 +140,14 @@ fn seal(magic: u8, payload: Vec<u8>) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Encodes one frame carrying `events` for `session`.
-///
-/// # Errors
-///
-/// [`WireError::Oversize`] if the encoded payload would exceed
-/// [`MAX_FRAME_LEN`] — a misbehaving batch size must not abort the
-/// encoder side. Use [`encode_frames`] to split arbitrarily large
-/// batches automatically.
-pub fn encode_frame(session: u64, events: &[Event]) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::with_capacity(8 + events.len() * 3);
-    write_varint(&mut payload, session).expect("writing to a Vec cannot fail");
-    encode_batch(&mut payload, events);
-    seal(FRAME_MAGIC, payload)
-}
-
-/// Encodes `events` for `session` as one or more frames, splitting the
-/// batch whenever a single frame would overflow [`MAX_FRAME_LEN`].
-/// Never fails; an empty batch encodes as one empty frame.
-pub fn encode_frames(session: u64, events: &[Event]) -> Vec<Vec<u8>> {
-    if events.is_empty() {
-        return vec![encode_frame(session, events).expect("an empty frame always fits")];
-    }
-    events
-        .chunks(MAX_SPLIT_EVENTS)
-        .map(|chunk| encode_frame(session, chunk).expect("a split chunk always fits"))
-        .collect()
-}
-
-/// Encodes one multi-session frame: `(session, events)` batches that
-/// share a single header. Sniffed by [`MULTI_MAGIC`]; decoded by
+/// Encodes one event frame: `(session, events)` batches that share a
+/// single header (see the [layout](self#frame-layout)). Decoded by
 /// [`try_message`] into one [`Frame`] per group.
-///
-/// # Frame layout
-///
-/// ```text
-/// magic    u8          0xF6 (MULTI_MAGIC)
-/// length   u32 LE      payload length in bytes (≤ MAX_FRAME_LEN)
-/// payload:
-///   groups  varint     number of (session, batch) groups
-///   groups × (session varint, count varint, count × event record)
-/// ```
 ///
 /// # Errors
 ///
 /// [`WireError::Oversize`] if the combined payload would exceed
-/// [`MAX_FRAME_LEN`] — split the group list and encode several
-/// multi-frames.
+/// [`MAX_FRAME_LEN`] — split the batches and encode several frames.
 pub fn encode_multi_frame(groups: &[(u64, &[Event])]) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::with_capacity(8 + groups.len() * 16);
     write_varint(&mut payload, groups.len() as u64).expect("writing to a Vec cannot fail");
@@ -241,22 +184,7 @@ fn decode_events(r: &mut &[u8]) -> Result<Vec<Event>, WireError> {
     Ok(events)
 }
 
-/// Decodes a frame payload (the bytes after the header).
-fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    let mut r = payload;
-    let session = read_varint(&mut r).map_err(bin_err)?;
-    let events = decode_events(&mut r)?;
-    if !r.is_empty() {
-        return Err(WireError::Corrupt(format!(
-            "{} trailing bytes after {} events",
-            r.len(),
-            events.len()
-        )));
-    }
-    Ok(Frame { session, events })
-}
-
-/// Decodes a multi-session frame payload into one [`Frame`] per group.
+/// Decodes an event frame payload into one [`Frame`] per group.
 fn decode_multi_payload(payload: &[u8]) -> Result<Vec<Frame>, WireError> {
     let mut r = payload;
     let groups = read_varint(&mut r).map_err(bin_err)?;
@@ -290,55 +218,20 @@ fn bin_err(e: crate::binary_format::BinaryError) -> WireError {
     }
 }
 
-/// Reads one frame from a blocking reader. The first byte must be
-/// [`FRAME_MAGIC`] (sniff before calling when multiplexing protocols).
-///
-/// # Errors
-///
-/// [`WireError::Corrupt`] for bad magic, implausible lengths or
-/// malformed payloads; [`WireError::Io`] for reader failures,
-/// including truncation.
-pub fn read_frame<R: Read>(mut reader: R) -> Result<Frame, WireError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    reader.read_exact(&mut header)?;
-    if header[0] != FRAME_MAGIC {
-        return Err(WireError::Corrupt(format!(
-            "bad frame magic 0x{:02x} (expected 0x{FRAME_MAGIC:02x})",
-            header[0]
-        )));
-    }
-    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Corrupt(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    decode_payload(&payload)
-}
-
-/// Attempts to extract one frame from the front of `buf` without
-/// blocking: returns `Ok(None)` while the buffer holds only a partial
-/// frame, or the decoded frame plus the number of bytes it consumed.
-///
-/// The caller owns buffer compaction (`drain(..consumed)`) and calls
-/// this after every read; the service's per-connection readers do so
-/// through [`try_message`].
-///
-/// # Errors
-///
-/// [`WireError::Corrupt`] as for [`read_frame`] — a corrupt frame
-/// poisons the connection (there is no resynchronization point in the
-/// stream), so callers should drop it.
-pub fn try_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.is_empty() {
+/// Finds one sealed `magic` message at the front of `buf`: `Ok(None)`
+/// while only part of it is buffered, else its payload and the number
+/// of bytes it takes up. `what` names the message kind in errors.
+fn unseal<'a>(
+    buf: &'a [u8],
+    magic: u8,
+    what: &str,
+) -> Result<Option<(&'a [u8], usize)>, WireError> {
+    let Some(&first) = buf.first() else {
         return Ok(None);
-    }
-    if buf[0] != FRAME_MAGIC {
+    };
+    if first != magic {
         return Err(WireError::Corrupt(format!(
-            "bad frame magic 0x{:02x} (expected 0x{FRAME_MAGIC:02x})",
-            buf[0]
+            "bad {what} magic 0x{first:02x} (expected 0x{magic:02x})"
         )));
     }
     if buf.len() < FRAME_HEADER_LEN {
@@ -347,73 +240,65 @@ pub fn try_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
     let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Corrupt(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
+            "{what} length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
     let total = FRAME_HEADER_LEN + len;
     if buf.len() < total {
         return Ok(None);
     }
-    let frame = decode_payload(&buf[FRAME_HEADER_LEN..total])?;
-    Ok(Some((frame, total)))
+    Ok(Some((&buf[FRAME_HEADER_LEN..total], total)))
 }
 
-/// One decoded wire message: a single-session frame, or a
-/// multi-session frame's groups.
+/// One decoded client wire message.
+///
+/// Non-exhaustive: code outside this crate matches it with a fallback
+/// arm, so another message kind can be added without breaking callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum WireMessage {
-    /// A [`FRAME_MAGIC`] frame.
-    Single(Frame),
     /// A [`MULTI_MAGIC`] frame, one entry per session group (in wire
     /// order).
     Multi(Vec<Frame>),
 }
 
-/// Like [`try_frame`], but accepts both frame kinds: dispatches on the
-/// first byte ([`FRAME_MAGIC`] or [`MULTI_MAGIC`]) and returns the
-/// decoded message plus the number of bytes it consumed.
+impl WireMessage {
+    /// The message's session batches, in wire order.
+    pub fn into_frames(self) -> Vec<Frame> {
+        match self {
+            WireMessage::Multi(frames) => frames,
+        }
+    }
+}
+
+/// Attempts to extract one client frame from the front of `buf`
+/// without blocking: returns `Ok(None)` while the buffer holds only a
+/// partial frame, or the decoded message plus the number of bytes it
+/// consumed.
+///
+/// The caller owns buffer compaction (`drain(..consumed)`) and calls
+/// this after every read.
 ///
 /// # Errors
 ///
-/// [`WireError::Corrupt`] as for [`try_frame`].
+/// [`WireError::Corrupt`] for a first byte other than [`MULTI_MAGIC`],
+/// implausible lengths or malformed payloads — a corrupt frame poisons
+/// the connection (there is no resynchronization point in the stream),
+/// so callers should drop it.
 pub fn try_message(buf: &[u8]) -> Result<Option<(WireMessage, usize)>, WireError> {
-    if buf.is_empty() {
+    let Some((payload, total)) = unseal(buf, MULTI_MAGIC, "frame")? else {
         return Ok(None);
-    }
-    if buf[0] != FRAME_MAGIC && buf[0] != MULTI_MAGIC {
-        return Err(WireError::Corrupt(format!(
-            "bad frame magic 0x{:02x} (expected 0x{FRAME_MAGIC:02x} or 0x{MULTI_MAGIC:02x})",
-            buf[0]
-        )));
-    }
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Corrupt(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    let total = FRAME_HEADER_LEN + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    let message = if buf[0] == FRAME_MAGIC {
-        WireMessage::Single(decode_payload(payload)?)
-    } else {
-        WireMessage::Multi(decode_multi_payload(payload)?)
     };
-    Ok(Some((message, total)))
+    let frames = decode_multi_payload(payload)?;
+    Ok(Some((WireMessage::Multi(frames), total)))
 }
 
 /// First byte of an inter-node **cluster** message: the control plane
 /// `tcr serve --cluster` nodes speak to each other — client-frame
 /// forwarding, checkpoint-delta shipping, heartbeats and matrix-clock
-/// stable vectors. High bit set like the other magics, so a cluster
-/// node serves clients and peers on one port by sniffing the first
-/// byte of each message.
+/// stable vectors. Above [`BINARY_MIN`] like [`MULTI_MAGIC`], so a
+/// cluster node serves clients and peers on one port by sniffing the
+/// first byte of each message.
 pub const CLUSTER_MAGIC: u8 = 0xF8;
 
 /// One inter-node message of the cluster protocol. The wire layer
@@ -841,7 +726,7 @@ fn decode_cluster_payload(payload: &[u8]) -> Result<ClusterMsg, WireError> {
     Ok(msg)
 }
 
-/// Like [`try_frame`], but for [`CLUSTER_MAGIC`] messages: returns
+/// Like [`try_message`], but for [`CLUSTER_MAGIC`] messages: returns
 /// `Ok(None)` while the buffer holds only a partial message, or the
 /// decoded message plus the number of bytes it consumed.
 ///
@@ -850,30 +735,10 @@ fn decode_cluster_payload(payload: &[u8]) -> Result<ClusterMsg, WireError> {
 /// [`WireError::Corrupt`] for bad magic, implausible lengths or
 /// malformed payloads — a corrupt message poisons the inter-node link.
 pub fn try_cluster(buf: &[u8]) -> Result<Option<(ClusterMsg, usize)>, WireError> {
-    if buf.is_empty() {
+    let Some((payload, total)) = unseal(buf, CLUSTER_MAGIC, "cluster message")? else {
         return Ok(None);
-    }
-    if buf[0] != CLUSTER_MAGIC {
-        return Err(WireError::Corrupt(format!(
-            "bad cluster magic 0x{:02x} (expected 0x{CLUSTER_MAGIC:02x})",
-            buf[0]
-        )));
-    }
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Corrupt(format!(
-            "cluster message length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
-        )));
-    }
-    let total = FRAME_HEADER_LEN + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let msg = decode_cluster_payload(&buf[FRAME_HEADER_LEN..total])?;
-    Ok(Some((msg, total)))
+    };
+    Ok(Some((decode_cluster_payload(payload)?, total)))
 }
 
 #[cfg(test)]
@@ -891,114 +756,124 @@ mod tests {
         b.finish().events().to_vec()
     }
 
+    /// Encodes one single-group frame.
+    fn one_group(session: u64, events: &[Event]) -> Vec<u8> {
+        encode_multi_frame(&[(session, events)]).unwrap()
+    }
+
+    /// Decodes a buffer that must hold exactly one whole frame.
+    fn decode(bytes: &[u8]) -> Result<Vec<Frame>, WireError> {
+        let (msg, used) = try_message(bytes)?.expect("a whole frame");
+        assert_eq!(used, bytes.len());
+        Ok(msg.into_frames())
+    }
+
+    /// A frame's header + group count + one-byte session + one-byte
+    /// event count: where a small single-group frame's first record
+    /// starts.
+    const FIRST_RECORD: usize = FRAME_HEADER_LEN + 3;
+
     #[test]
     fn frame_round_trips() {
         let events = sample_events();
-        let bytes = encode_frame(42, &events).unwrap();
-        let frame = read_frame(bytes.as_slice()).unwrap();
-        assert_eq!(frame.session, 42);
-        assert_eq!(frame.events, events);
+        let frames = decode(&one_group(42, &events)).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!((frames[0].session, &frames[0].events), (42, &events));
     }
 
     #[test]
     fn empty_frame_round_trips() {
-        let bytes = encode_frame(7, &[]).unwrap();
-        assert_eq!(bytes.len(), FRAME_HEADER_LEN + 2);
-        let frame = read_frame(bytes.as_slice()).unwrap();
-        assert_eq!(frame.session, 7);
-        assert!(frame.events.is_empty());
+        let bytes = one_group(7, &[]);
+        assert_eq!(bytes.len(), FIRST_RECORD);
+        let frames = decode(&bytes).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].session, 7);
+        assert!(frames[0].events.is_empty());
     }
 
     #[test]
     fn magic_byte_cannot_start_a_text_line() {
-        // The multiplexing invariant: the text protocol is ASCII.
-        const { assert!(FRAME_MAGIC >= 0x80) };
-        assert!(!FRAME_MAGIC.is_ascii());
+        // The multiplexing invariant: bytes from BINARY_MIN up never
+        // occur in UTF-8, so no text line can start with a magic byte.
+        const { assert!(MULTI_MAGIC >= BINARY_MIN && CLUSTER_MAGIC >= BINARY_MIN) };
+        for b in BINARY_MIN..=u8::MAX {
+            assert!(std::str::from_utf8(&[b, 0x80, 0x80, 0x80]).is_err());
+        }
     }
 
     #[test]
-    fn try_frame_is_incremental() {
+    fn try_message_is_incremental() {
         let events = sample_events();
-        let bytes = encode_frame(3, &events).unwrap();
+        let bytes = one_group(3, &events);
         // Every proper prefix: not yet a frame.
         for cut in 0..bytes.len() {
             assert!(
-                try_frame(&bytes[..cut]).unwrap().is_none(),
+                try_message(&bytes[..cut]).unwrap().is_none(),
                 "prefix of {cut} bytes must be incomplete"
             );
         }
         // The full buffer (plus trailing bytes of the next frame)
         // yields the frame and its exact length.
         let mut buf = bytes.clone();
-        buf.push(FRAME_MAGIC);
-        let (frame, used) = try_frame(&buf).unwrap().unwrap();
+        buf.push(MULTI_MAGIC);
+        let (msg, used) = try_message(&buf).unwrap().unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!(frame.events, events);
-        assert_eq!(frame.session, 3);
+        let frames = msg.into_frames();
+        assert_eq!(frames[0].events, events);
+        assert_eq!(frames[0].session, 3);
+    }
+
+    /// A well-formed frame of the retired single-session kind: magic
+    /// `0xF7`, then session and event count with no group count.
+    fn retired_single_session_frame(session: u8) -> Vec<u8> {
+        vec![0xF7, 2, 0, 0, 0, session, 0]
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let e = read_frame(&b"open hb tc\n"[..]).unwrap_err();
-        assert!(matches!(e, WireError::Corrupt(_)));
-        assert!(e.to_string().contains("magic"));
-        let e = try_frame(b"o").unwrap_err();
-        assert!(e.to_string().contains("magic"));
+        for bytes in [&b"open hb tc\n"[..], b"o", &retired_single_session_frame(1)] {
+            let e = try_message(bytes).unwrap_err();
+            assert!(matches!(e, WireError::Corrupt(_)));
+            assert!(e.to_string().contains("magic"), "{e}");
+        }
     }
 
     #[test]
     fn rejects_oversized_length() {
-        let mut bytes = vec![FRAME_MAGIC];
+        let mut bytes = vec![MULTI_MAGIC];
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(read_frame(bytes.as_slice())
-            .unwrap_err()
-            .to_string()
-            .contains("cap"));
-        assert!(try_frame(&bytes).unwrap_err().to_string().contains("cap"));
+        assert!(try_message(&bytes).unwrap_err().to_string().contains("cap"));
     }
 
     #[test]
     fn rejects_unknown_opcode() {
-        let mut bytes = encode_frame(1, &sample_events()).unwrap();
-        // First event's opcode byte sits after the header + two
-        // single-byte varints (session, count).
-        bytes[FRAME_HEADER_LEN + 2] = 0x3f;
-        let e = read_frame(bytes.as_slice()).unwrap_err();
+        let mut bytes = one_group(1, &sample_events());
+        bytes[FIRST_RECORD] = 0x3f;
+        let e = decode(&bytes).unwrap_err();
         assert!(e.to_string().contains("opcode"));
     }
 
     #[test]
     fn rejects_truncated_payload() {
         // A count promising more events than the payload holds: the
-        // frame is fully buffered yet malformed — Corrupt, not Io.
-        let payload: &[u8] = &[9, 5, 0, 0, 0]; // session 9, count 5, one event
-        let mut bytes = vec![FRAME_MAGIC];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        let e = read_frame(bytes.as_slice()).unwrap_err();
+        // frame is fully buffered yet malformed — Corrupt, not pending.
+        let payload: &[u8] = &[1, 9, 5, 0, 0, 0]; // 1 group, session 9, count 5, one event
+        let bytes = seal(MULTI_MAGIC, payload.to_vec()).unwrap();
+        let e = try_message(&bytes).unwrap_err();
         assert!(matches!(e, WireError::Corrupt(_)), "got {e}");
         assert!(e.to_string().contains("truncated"));
-        let e = try_frame(&bytes).unwrap_err();
-        assert!(matches!(e, WireError::Corrupt(_)), "got {e}");
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = encode_frame(1, &sample_events()).unwrap();
+        let mut bytes = one_group(1, &sample_events());
         // Grow the declared length and append junk: decode must notice.
         let junk = [0u8, 0, 0];
         let new_len = (bytes.len() - FRAME_HEADER_LEN + junk.len()) as u32;
         bytes[1..5].copy_from_slice(&new_len.to_le_bytes());
         bytes.extend_from_slice(&junk);
-        let e = read_frame(bytes.as_slice()).unwrap_err();
+        let e = try_message(&bytes).unwrap_err();
         assert!(e.to_string().contains("trailing"));
-    }
-
-    #[test]
-    fn truncated_reader_is_an_io_error() {
-        let bytes = encode_frame(5, &sample_events()).unwrap();
-        let e = read_frame(&bytes[..bytes.len() - 1]).unwrap_err();
-        assert!(matches!(e, WireError::Io(_)));
     }
 
     #[test]
@@ -1010,15 +885,16 @@ mod tests {
             Event::new(ThreadId::new(1), Op::Read(VarId::new(300))),
             Event::new(ThreadId::new(200), Op::Acquire(LockId::new(2))),
         ];
-        let frame_bytes = encode_frame(0, &events).unwrap();
+        let frame_bytes = one_group(0, &events);
         let mut trace = TraceBuilder::with_capacity(2);
         for e in &events {
             trace.push(*e);
         }
         let bin = crate::binary_format::to_binary(&trace.finish());
-        // Skip frame header + session + count on one side, magic +
-        // version + count on the other: the record bytes must match.
-        assert_eq!(frame_bytes[FRAME_HEADER_LEN + 2..], bin[6..]);
+        // Skip frame header + group count + session + count on one
+        // side, magic + version + count on the other: the record bytes
+        // must match.
+        assert_eq!(frame_bytes[FIRST_RECORD..], bin[6..]);
     }
 
     #[test]
@@ -1026,11 +902,10 @@ mod tests {
         let events: Vec<Event> = (0..1000)
             .map(|i| Event::new(ThreadId::new(i % 7), Op::Write(VarId::new(i))))
             .collect();
-        let bytes = encode_frame(u64::MAX, &events).unwrap();
-        let frame = read_frame(bytes.as_slice()).unwrap();
-        assert_eq!(frame.session, u64::MAX);
-        assert_eq!(frame.events.len(), 1000);
-        assert_eq!(frame.events, events);
+        let frames = decode(&one_group(u64::MAX, &events)).unwrap();
+        assert_eq!(frames[0].session, u64::MAX);
+        assert_eq!(frames[0].events.len(), 1000);
+        assert_eq!(frames[0].events, events);
     }
 
     /// Worst-case-width events: every varint in the record is 5 bytes.
@@ -1050,28 +925,23 @@ mod tests {
         // Enough records that their bytes alone exceed the cap, so the
         // overflow cannot hinge on session/count varint widths (at
         // MAX_SPLIT_EVENTS + 1, a 1-byte session id leaves the payload
-        // one byte *under* the cap — the split headroom is 15 bytes).
+        // under the cap — the split headroom is 15 bytes).
         let events = wide_events(MAX_FRAME_LEN / MAX_EVENT_BYTES + 1);
-        let e = encode_frame(9, &events).expect_err("past-cap batch must not encode");
+        let e = encode_multi_frame(&[(9, &events)]).expect_err("past-cap batch must not encode");
         assert!(matches!(e, WireError::Oversize { .. }), "got {e}");
         assert!(e.to_string().contains("exceeds"));
     }
 
     #[test]
-    fn encode_frames_splits_oversize_batches_and_round_trips() {
-        let events = wide_events(MAX_SPLIT_EVENTS + 7);
-        let frames = encode_frames(9, &events);
-        assert_eq!(frames.len(), 2);
-        let mut decoded = Vec::new();
-        for bytes in &frames {
-            let frame = read_frame(bytes.as_slice()).unwrap();
-            assert_eq!(frame.session, 9);
-            decoded.extend(frame.events);
-        }
-        assert_eq!(decoded, events);
-        // Small batches stay a single frame.
-        assert_eq!(encode_frames(9, &sample_events()).len(), 1);
-        assert_eq!(encode_frames(9, &[]).len(), 1);
+    fn split_size_batches_fit_one_group_frames() {
+        // The split size holds at every varint's widest: a u64::MAX
+        // session id and 5-byte record varints.
+        let events = wide_events(MAX_SPLIT_EVENTS);
+        let bytes = one_group(u64::MAX, &events);
+        assert!(bytes.len() > MAX_FRAME_LEN - 16 * MAX_EVENT_BYTES);
+        let frames = decode(&bytes).unwrap();
+        assert_eq!(frames[0].session, u64::MAX);
+        assert_eq!(frames[0].events, events);
     }
 
     #[test]
@@ -1086,29 +956,11 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(try_message(&bytes[..cut]).unwrap().is_none());
         }
-        let (msg, used) = try_message(&bytes).unwrap().unwrap();
-        assert_eq!(used, bytes.len());
-        match msg {
-            WireMessage::Multi(frames) => {
-                assert_eq!(frames.len(), 3);
-                assert_eq!(
-                    frames[0],
-                    Frame {
-                        session: 4,
-                        events: a
-                    }
-                );
-                assert_eq!(
-                    frames[1],
-                    Frame {
-                        session: 17,
-                        events: b
-                    }
-                );
-                assert!(frames[2].events.is_empty());
-            }
-            other => panic!("expected a multi message, got {other:?}"),
-        }
+        let frames = decode(&bytes).unwrap();
+        assert_eq!(frames.len(), 3);
+        assert_eq!((frames[0].session, &frames[0].events), (4, &a));
+        assert_eq!((frames[1].session, &frames[1].events), (17, &b));
+        assert!(frames[2].events.is_empty());
     }
 
     fn sample_cluster_msgs() -> Vec<ClusterMsg> {
@@ -1197,7 +1049,7 @@ mod tests {
     #[test]
     fn cluster_magic_is_distinct_and_non_ascii() {
         const { assert!(CLUSTER_MAGIC >= 0x80) };
-        const { assert!(CLUSTER_MAGIC != FRAME_MAGIC && CLUSTER_MAGIC != MULTI_MAGIC) };
+        const { assert!(CLUSTER_MAGIC != MULTI_MAGIC) };
         // The ordinary frame dispatcher refuses cluster messages, so a
         // non-cluster server counts them as corrupt rather than
         // misreading them.
@@ -1267,13 +1119,16 @@ mod tests {
 
     #[test]
     fn try_message_dispatches_on_the_magic_byte() {
-        let single = encode_frame(3, &sample_events()).unwrap();
-        let (msg, used) = try_message(&single).unwrap().unwrap();
-        assert_eq!(used, single.len());
-        assert!(matches!(msg, WireMessage::Single(f) if f.session == 3));
-        // `try_frame` keeps its stricter contract: single frames only.
-        let multi = encode_multi_frame(&[(1, &sample_events()[..])]).unwrap();
-        assert!(try_frame(&multi).unwrap_err().to_string().contains("magic"));
+        let bytes = one_group(3, &sample_events());
+        let (msg, used) = try_message(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(matches!(msg, WireMessage::Multi(f) if f[0].session == 3));
+        // Only the client frame magic decodes: the retired
+        // single-session magic and the cluster magic are corrupt.
+        let e = try_message(&retired_single_session_frame(3)).unwrap_err();
+        assert!(e.to_string().contains("magic 0xf7"), "{e}");
+        let e = try_cluster(&bytes).unwrap_err();
+        assert!(e.to_string().contains("magic 0xf6"), "{e}");
         assert!(try_message(b"x").unwrap_err().to_string().contains("magic"));
     }
 }

@@ -70,9 +70,7 @@ pub use tc_core::{
 
 /// Convenient glob-import surface: `use treeclocks::prelude::*;`.
 pub mod prelude {
-    pub use tc_analysis::{
-        HbRaceDetector, LockOrderAnalyzer, LocksetDetector, MazAnalyzer, ShbRaceDetector,
-    };
+    pub use tc_analysis::{HbRaceDetector, MazAnalyzer, ShbRaceDetector};
     pub use tc_core::{
         CopyMode, Epoch, HybridClock, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock,
         VectorClock, VectorTime,
