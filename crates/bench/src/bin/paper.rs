@@ -67,7 +67,7 @@ fn progress_done() {
 
 /// Runs the suite sweep once; reused by table2 and figures 6-9.
 fn suite_results(scale: Scale) -> Vec<SuiteResult> {
-    eprintln!("running the benchmark suite (39 traces × 3 orders × 2 modes × 2 clocks)...");
+    eprintln!("running the benchmark suite (39 traces × 3 orders × 2 modes × 3 clocks)...");
     let results = tables::run_suite(scale, progress);
     progress_done();
     results
@@ -154,14 +154,20 @@ USAGE: paper [SUBCOMMAND] [--quick|--full] [--out DIR]
 SUBCOMMANDS
   all       run everything (default)
   table1    aggregate trace statistics
-  table2    average TC-vs-VC speedups
+  table2    average TC and HC speedups over VC, with ranges and
+            win/tie/loss counts
   table3    per-benchmark trace information
-  fig6      per-trace times scatter data
+  fig6      per-trace times, speedup range and verdict, with thread
+            count and VTWork per event
   fig7      HB+Analysis speedup vs sync%
   fig8      work ratios vs the VTWork lower bound
   fig9      VCWork/TCWork histogram
-  fig10     scalability scenarios sweep
+  fig10     scalability scenarios sweep (TC and HC vs VC)
   ablation  TC-examined vs VTWork vs VC-examined (extension)
+
+Each timed cell is the median of 5 runs after a warm-up; a speedup's
+range is VC_Q1/X_Q3 to VC_Q3/X_Q1, and a trace whose Q1-Q3 ranges
+overlap counts as a tie.
 
 OPTIONS
   --quick   ~40k-event traces (fast smoke run)

@@ -9,16 +9,31 @@ use tc_orders::{HbEngine, PartialOrderKind, RunMetrics};
 use tc_trace::gen::Scenario;
 
 use crate::render::{fnum, TextTable};
-use crate::runner::{measure, ClockKind, Mode};
+use crate::runner::{ClockKind, Comparison, Mode, Speedup};
 use crate::suite::Scale;
 use crate::tables::SuiteResult;
 
 /// **Figure 6**: per-trace processing times, tree clocks vs vector
 /// clocks — six panels (MAZ/SHB/HB × PO/PO+Analysis) flattened into one
-/// long table with `panel` as the first column.
+/// long table with `panel` as the first column. Each row also carries
+/// the trace's thread count and VTWork per event under the panel's
+/// order (the dense regime, where a vector clock's sweep has to win,
+/// is many entries changed per event at a modest thread count), and
+/// the speedup's range and verdict.
 pub fn fig6(results: &[SuiteResult]) -> TextTable {
-    let mut t = TextTable::new(["panel", "benchmark", "vc_seconds", "tc_seconds", "speedup"])
-        .with_title("Figure 6: times for processing each trace (TC vs VC)");
+    let mut t = TextTable::new([
+        "panel",
+        "benchmark",
+        "threads",
+        "vt_work_per_event",
+        "vc_seconds",
+        "tc_seconds",
+        "speedup",
+        "speedup_low",
+        "speedup_high",
+        "verdict",
+    ])
+    .with_title("Figure 6: times for processing each trace (TC vs VC, medians)");
     for mode in [Mode::Po, Mode::PoAnalysis] {
         for order in PartialOrderKind::ALL {
             let panel = match mode {
@@ -27,17 +42,31 @@ pub fn fig6(results: &[SuiteResult]) -> TextTable {
             };
             for r in results {
                 let c = r.get(order, mode);
-                t.row([
+                let vt_work = r.work_of(order).0.vt_work();
+                let mut row = vec![
                     panel.clone(),
                     r.name.to_owned(),
-                    format!("{:.6}", c.vector.seconds),
-                    format!("{:.6}", c.tree.seconds),
-                    fnum(c.speedup()),
-                ]);
+                    r.stats.threads.to_string(),
+                    fnum(vt_work as f64 / r.stats.events.max(1) as f64),
+                    format!("{:.6}", c.vector.median()),
+                    format!("{:.6}", c.tree.median()),
+                ];
+                row.extend(speedup_cells(c.speedup(ClockKind::Tree)));
+                t.row(row);
             }
         }
     }
     t
+}
+
+/// A speedup as four cells: median, low, high, verdict.
+fn speedup_cells(s: Speedup) -> [String; 4] {
+    [
+        fnum(s.median),
+        fnum(s.low),
+        fnum(s.high),
+        s.verdict.to_string(),
+    ]
 }
 
 /// **Figure 7**: speedup of HB+Analysis as a function of the percentage
@@ -48,11 +77,11 @@ pub fn fig7(results: &[SuiteResult], min_seconds: f64) -> TextTable {
         .with_title("Figure 7: HB+Analysis speedup vs fraction of synchronization events");
     for r in results {
         let c = r.get(PartialOrderKind::Hb, Mode::PoAnalysis);
-        if c.vector.seconds + c.tree.seconds >= min_seconds {
+        if c.vector.median() + c.tree.median() >= min_seconds {
             t.row([
                 r.name.to_owned(),
                 fnum(r.stats.sync_pct()),
-                fnum(c.speedup()),
+                fnum(c.speedup(ClockKind::Tree).median),
             ]);
         }
     }
@@ -127,24 +156,41 @@ pub fn fig10_events(scale: Scale) -> usize {
 }
 
 /// **Figure 10**: HB computation time vs thread count for the four
-/// controlled scenarios, tree vs vector clocks.
+/// controlled scenarios: the tree's and the hybrid's speedup over
+/// vector clocks, each with its range and verdict.
 pub fn fig10(scale: Scale, mut progress: impl FnMut(&str)) -> TextTable {
-    let mut t = TextTable::new(["scenario", "threads", "vc_seconds", "tc_seconds", "speedup"])
-        .with_title("Figure 10: scalability on controlled communication patterns (HB)");
+    let mut t = TextTable::new([
+        "scenario",
+        "threads",
+        "vc_seconds",
+        "tc_seconds",
+        "hc_seconds",
+        "tc_speedup",
+        "tc_low",
+        "tc_high",
+        "tc_verdict",
+        "hc_speedup",
+        "hc_low",
+        "hc_high",
+        "hc_verdict",
+    ])
+    .with_title("Figure 10: scalability on controlled communication patterns (HB, medians)");
     let events = fig10_events(scale);
     for s in Scenario::FIG10 {
         for &threads in &FIG10_THREADS {
             progress(&format!("{s}/{threads}"));
             let trace = s.generate(threads, events, 0xF16 + u64::from(threads));
-            let vc = measure(&trace, PartialOrderKind::Hb, ClockKind::Vector, Mode::Po);
-            let tc = measure(&trace, PartialOrderKind::Hb, ClockKind::Tree, Mode::Po);
-            t.row([
+            let c = Comparison::measure(&trace, PartialOrderKind::Hb, Mode::Po);
+            let mut row = vec![
                 s.to_string(),
                 threads.to_string(),
-                format!("{:.6}", vc.seconds),
-                format!("{:.6}", tc.seconds),
-                fnum(vc.seconds / tc.seconds.max(1e-12)),
-            ]);
+                format!("{:.6}", c.vector.median()),
+                format!("{:.6}", c.tree.median()),
+                format!("{:.6}", c.hybrid.median()),
+            ];
+            row.extend(speedup_cells(c.speedup(ClockKind::Tree)));
+            row.extend(speedup_cells(c.speedup(ClockKind::Hybrid)));
+            t.row(row);
         }
     }
     t
@@ -196,51 +242,50 @@ pub fn max_local_time(events: usize, threads: u32) -> LocalTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Comparison;
     use crate::suite::suite;
+    use crate::tables::measure_trace;
+    use std::sync::OnceLock;
 
-    fn tiny_results() -> Vec<SuiteResult> {
-        let entry = &suite()[20]; // a scenario entry
-        let trace = entry.generate(Scale::Quick);
-        let mut results = Vec::new();
-        let mut work = Vec::new();
-        for order in PartialOrderKind::ALL {
-            for mode in [Mode::Po, Mode::PoAnalysis] {
-                results.push((order, mode, Comparison::measure(&trace, order, mode)));
-            }
-            work.push((
-                order,
-                crate::runner::work_metrics(&trace, order, ClockKind::Tree),
-                crate::runner::work_metrics(&trace, order, ClockKind::Vector),
-            ));
-        }
-        vec![SuiteResult {
-            name: entry.name,
-            stats: trace.stats(),
-            results,
-            work,
-        }]
+    fn tiny_results() -> &'static [SuiteResult] {
+        static RESULTS: OnceLock<Vec<SuiteResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| {
+            let entry = &suite()[20]; // a scenario entry
+            vec![measure_trace(entry.name, &entry.generate(Scale::Quick))]
+        })
     }
 
     #[test]
     fn fig6_emits_six_panels_per_trace() {
         let r = tiny_results();
-        let t = fig6(&r);
+        let t = fig6(r);
         assert_eq!(t.len(), 6);
-        assert!(t.to_csv().contains("HB+Analysis"));
+        let csv = t.to_csv();
+        assert!(csv.contains("HB+Analysis"));
+        let field = |line, col| crate::render::csv_field::<String>(&csv, line, col).unwrap();
+        for line in 2..=7 {
+            assert_eq!(field(line, 2), r[0].stats.threads.to_string());
+            assert!(
+                field(line, 3).parse::<f64>().unwrap() > 0.0,
+                "VTWork per event"
+            );
+            let low: f64 = field(line, 7).parse().unwrap();
+            let high: f64 = field(line, 8).parse().unwrap();
+            assert!(low <= high, "line {line}: {low} > {high}");
+            assert!(["win", "tie", "loss"].contains(&field(line, 9).as_str()));
+        }
     }
 
     #[test]
     fn fig7_filters_fast_traces() {
         let r = tiny_results();
-        assert_eq!(fig7(&r, 0.0).len(), 1);
-        assert_eq!(fig7(&r, f64::INFINITY).len(), 0);
+        assert_eq!(fig7(r, 0.0).len(), 1);
+        assert_eq!(fig7(r, f64::INFINITY).len(), 0);
     }
 
     #[test]
     fn fig8_reports_bounded_tree_ratio() {
         let r = tiny_results();
-        let t = fig8(&r);
+        let t = fig8(r);
         assert_eq!(t.len(), 1);
         let csv = t.to_csv();
         let ratio: f64 = crate::render::csv_field(&csv, 2, 2)
@@ -251,7 +296,7 @@ mod tests {
     #[test]
     fn fig9_buckets_sum_to_suite_size() {
         let r = tiny_results();
-        let t = fig9(&r);
+        let t = fig9(r);
         assert_eq!(t.len(), FIG9_BUCKETS.len());
         let csv = t.to_csv();
         let total: u32 = (0..FIG9_BUCKETS.len())

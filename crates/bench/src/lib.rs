@@ -13,29 +13,29 @@
 //! | Figure 10 (scalability, 4 scenarios) | [`figures::fig10`] | CSV series |
 //!
 //! The paper's 153 logged benchmark traces are simulated by the seeded
-//! synthetic [`suite`](mod@suite) (see DESIGN.md for the substitution rationale);
-//! the Figure 10 scenarios are generated exactly as described in the
-//! paper. Run everything via the `paper` binary:
+//! synthetic [`suite`](mod@suite), whose module documentation gives the
+//! substitution rationale; the Figure 10 scenarios are generated
+//! exactly as described in the paper. Every timed cell keeps
+//! [`REPETITIONS`](runner::REPETITIONS) runs and reports their median
+//! and quartiles: Table 2 and Figure 10 give the tree's and the
+//! hybrid's speedup over the vector clock with its range, and count a
+//! trace whose Q1–Q3 ranges overlap as a tie. Run everything via the
+//! `paper` binary:
 //!
 //! ```text
 //! cargo run -p tc-bench --release --bin paper -- all
 //! cargo run -p tc-bench --release --bin paper -- table2 --quick
 //! cargo run -p tc-bench --release --bin paper -- fig10 --out results/
 //! ```
-//!
-//! [`baseline`] measures the partial order × clock backend grid that
-//! `tcr bench` prints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod figures;
 pub mod render;
 pub mod runner;
 pub mod suite;
 pub mod tables;
 
-pub use baseline::BaselineRecord;
 pub use runner::{ClockKind, Measurement, Mode};
 pub use suite::{suite, Scale, SuiteEntry};

@@ -21,7 +21,8 @@ use tc_trace::Trace;
 pub enum Scale {
     /// ~40k events per trace: smoke-test the full pipeline in seconds.
     Quick,
-    /// ~200k events per trace: the default for EXPERIMENTS.md numbers.
+    /// ~200k events per trace: what the `paper` binary runs when given
+    /// neither `--quick` nor `--full`.
     Default,
     /// ~1M events per trace: closest to the paper (minutes of runtime).
     Full,

@@ -2,15 +2,15 @@
 
 use tc_orders::{PartialOrderKind, RunMetrics};
 use tc_trace::stats::StatsAggregate;
-use tc_trace::TraceStats;
+use tc_trace::{Trace, TraceStats};
 
 use crate::render::{count, fnum, TextTable};
-use crate::runner::{ClockKind, Comparison, Mode};
+use crate::runner::{work_metrics, ClockKind, Comparison, Mode, Speedup, Verdict};
 use crate::suite::{suite, Scale};
 
 /// Per-trace results of the full suite sweep: statistics plus one
-/// TC/VC comparison for every (partial order, mode) configuration, and
-/// the exact (untimed) work metrics per partial order.
+/// TC/VC/HC comparison for every (partial order, mode) configuration,
+/// and the exact (untimed) work metrics per partial order.
 #[derive(Clone, Debug)]
 pub struct SuiteResult {
     /// The suite entry's name.
@@ -50,28 +50,31 @@ pub fn run_suite(scale: Scale, mut progress: impl FnMut(&str)) -> Vec<SuiteResul
     let mut out = Vec::new();
     for entry in suite() {
         progress(entry.name);
-        let trace = entry.generate(scale);
-        let stats = trace.stats();
-        let mut results = Vec::with_capacity(6);
-        let mut work = Vec::with_capacity(3);
-        for order in PartialOrderKind::ALL {
-            for mode in [Mode::Po, Mode::PoAnalysis] {
-                results.push((order, mode, Comparison::measure(&trace, order, mode)));
-            }
-            work.push((
-                order,
-                crate::runner::work_metrics(&trace, order, ClockKind::Tree),
-                crate::runner::work_metrics(&trace, order, ClockKind::Vector),
-            ));
-        }
-        out.push(SuiteResult {
-            name: entry.name,
-            stats,
-            results,
-            work,
-        });
+        out.push(measure_trace(entry.name, &entry.generate(scale)));
     }
     out
+}
+
+/// Measures every configuration of one trace: [`run_suite`]'s step.
+pub(crate) fn measure_trace(name: &'static str, trace: &Trace) -> SuiteResult {
+    let mut results = Vec::with_capacity(6);
+    let mut work = Vec::with_capacity(3);
+    for order in PartialOrderKind::ALL {
+        for mode in [Mode::Po, Mode::PoAnalysis] {
+            results.push((order, mode, Comparison::measure(trace, order, mode)));
+        }
+        work.push((
+            order,
+            work_metrics(trace, order, ClockKind::Tree),
+            work_metrics(trace, order, ClockKind::Vector),
+        ));
+    }
+    SuiteResult {
+        name,
+        stats: trace.stats(),
+        results,
+        work,
+    }
 }
 
 /// **Table 1**: aggregate statistics of the benchmark suite (min / max
@@ -104,24 +107,48 @@ pub fn table1(stats: &[TraceStats]) -> TextTable {
     t
 }
 
-/// **Table 2**: average TC-over-VC speedup per partial order, for the
-/// PO computation alone and with the analysis on top.
+/// **Table 2**: average speedup over the vector clock per partial
+/// order, for the tree (TC) and the hybrid (HC), each for the PO
+/// computation alone and with the analysis on top. A cell reads
+/// `mean [low-high] wins/ties/losses`: the mean over the traces of the
+/// median speedup, the means of the range ends (`VC_Q1/X_Q3` and
+/// `VC_Q3/X_Q1`), and the traces per [`Verdict`].
 pub fn table2(results: &[SuiteResult]) -> TextTable {
-    let mut t = TextTable::new(["", "MAZ", "SHB", "HB"])
-        .with_title("Table 2: average speedup (VC time / TC time) due to tree clocks");
-    for mode in [Mode::Po, Mode::PoAnalysis] {
-        let mut cells = vec![mode.to_string()];
-        for order in PartialOrderKind::ALL {
-            let mean = results
-                .iter()
-                .map(|r| r.get(order, mode).speedup())
-                .sum::<f64>()
-                / results.len().max(1) as f64;
-            cells.push(fnum(mean));
+    let mut t = TextTable::new(["", "MAZ", "SHB", "HB"]).with_title(
+        "Table 2: average speedup over vector clocks (VC time / X time); \
+         mean [VC_Q1/X_Q3-VC_Q3/X_Q1] wins/ties/losses",
+    );
+    for clock in [ClockKind::Tree, ClockKind::Hybrid] {
+        for mode in [Mode::Po, Mode::PoAnalysis] {
+            let mut cells = vec![format!("{clock} {mode}")];
+            for order in PartialOrderKind::ALL {
+                let speedups: Vec<Speedup> = results
+                    .iter()
+                    .map(|r| r.get(order, mode).speedup(clock))
+                    .collect();
+                cells.push(summarize(&speedups));
+            }
+            t.row(cells);
         }
-        t.row(cells);
     }
     t
+}
+
+/// One Table 2 cell: the means of the speedups and of their range
+/// ends, and the verdict counts.
+fn summarize(speedups: &[Speedup]) -> String {
+    let mean =
+        |f: fn(&Speedup) -> f64| speedups.iter().map(f).sum::<f64>() / speedups.len().max(1) as f64;
+    let tally = |v: Verdict| speedups.iter().filter(|s| s.verdict == v).count();
+    format!(
+        "{} [{}-{}] {}/{}/{}",
+        fnum(mean(|s| s.median)),
+        fnum(mean(|s| s.low)),
+        fnum(mean(|s| s.high)),
+        tally(Verdict::Win),
+        tally(Verdict::Tie),
+        tally(Verdict::Loss)
+    )
 }
 
 /// **Table 3**: per-benchmark trace information (`N`, `T`, `M`, `L`,
@@ -180,32 +207,23 @@ mod tests {
     fn table2_shape_from_tiny_run() {
         // Use a single tiny entry to keep the test fast.
         let entry = &suite()[10]; // a java-style workload
-        let trace = entry.generate(Scale::Quick);
-        let mut results = Vec::new();
-        for order in PartialOrderKind::ALL {
-            for mode in [Mode::Po, Mode::PoAnalysis] {
-                results.push((order, mode, Comparison::measure(&trace, order, mode)));
-            }
-        }
-        let work = PartialOrderKind::ALL
-            .iter()
-            .map(|&o| {
-                (
-                    o,
-                    crate::runner::work_metrics(&trace, o, ClockKind::Tree),
-                    crate::runner::work_metrics(&trace, o, ClockKind::Vector),
-                )
-            })
-            .collect();
-        let r = SuiteResult {
-            name: entry.name,
-            stats: trace.stats(),
-            results,
-            work,
-        };
+        let r = measure_trace(entry.name, &entry.generate(Scale::Quick));
         let t = table2(std::slice::from_ref(&r));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.len(), 4);
         let csv = t.to_csv();
         assert!(csv.starts_with(",MAZ,SHB,HB"));
+        for (line, label) in ["TC PO", "TC PO+Analysis", "HC PO", "HC PO+Analysis"]
+            .iter()
+            .enumerate()
+        {
+            let row = csv.lines().nth(line + 1).unwrap();
+            assert!(row.starts_with(label), "{row}");
+            // Every cell's verdict counts cover the one trace.
+            for cell in row.split(',').skip(1) {
+                let counts = cell.rsplit(' ').next().unwrap();
+                let total: usize = counts.split('/').map(|n| n.parse::<usize>().unwrap()).sum();
+                assert_eq!(total, 1, "{cell}");
+            }
+        }
     }
 }

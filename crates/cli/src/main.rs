@@ -10,7 +10,6 @@
 //!   tcr convert IN OUT
 //!   tcr conformance [--full] [--filter NEEDLE] [--fault F] [--no-shrink]
 //!                   [--repro-dir DIR] [--replay FILE]
-//!   tcr bench [--full] [--trace FILE]
 //!   tcr stream FILE [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N]
 //!              [--evict N] [--no-retire] [--recycle] [--checkpoint FILE]
 //!              [--checkpoint-every N] [--resume FILE]
@@ -20,7 +19,9 @@
 //! ```
 //!
 //! Trace files ending in `.tctr` use the compact binary format; any
-//! other extension uses the human-readable text format.
+//! other extension uses the human-readable text format. Timing tables
+//! (the paper's Table 2 and Figures 6–10, with spread) come from the
+//! `paper` binary of `tc-bench`.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -29,9 +30,6 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, RaceReport, ShbRaceDetector};
-use tc_bench::baseline::{self, BaselineScale};
-use tc_bench::render::TextTable;
-use tc_bench::ClockKind;
 use tc_conformance::{check_trace, run_sweep, Corpus, Fault, SweepOptions};
 use tc_core::{HybridClock, TreeClock, VectorClock};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, ShbEngine};
@@ -86,7 +84,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "timestamps" => cmd_timestamps(rest),
         "convert" => cmd_convert(rest),
         "conformance" => cmd_conformance(rest),
-        "bench" => cmd_bench(rest),
         "stream" => cmd_stream(rest),
         "serve" => cmd_serve(rest),
         other => Err(format!("unknown command `{other}`")),
@@ -275,7 +272,7 @@ fn cmd_race(args: &[String]) -> Result<(), String> {
         return Err("race requires exactly one FILE".into());
     };
     let order: PartialOrderKind = value(&kv, "order").unwrap_or("hb").parse()?;
-    let clock: ClockKind = value(&kv, "clock").unwrap_or("tc").parse()?;
+    let clock: ClockChoice = value(&kv, "clock").unwrap_or("tc").parse()?;
     let limit: usize = value(&kv, "limit")
         .unwrap_or("20")
         .parse()
@@ -284,31 +281,31 @@ fn cmd_race(args: &[String]) -> Result<(), String> {
 
     let start = std::time::Instant::now();
     let report: RaceReport = match (order, clock) {
-        (PartialOrderKind::Hb, ClockKind::Tree) => {
+        (PartialOrderKind::Hb, ClockChoice::Tree) => {
             HbRaceDetector::<TreeClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Hb, ClockKind::Vector) => {
+        (PartialOrderKind::Hb, ClockChoice::Vector) => {
             HbRaceDetector::<VectorClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Hb, ClockKind::Hybrid) => {
+        (PartialOrderKind::Hb, ClockChoice::Hybrid) => {
             HbRaceDetector::<HybridClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Shb, ClockKind::Tree) => {
+        (PartialOrderKind::Shb, ClockChoice::Tree) => {
             ShbRaceDetector::<TreeClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Shb, ClockKind::Vector) => {
+        (PartialOrderKind::Shb, ClockChoice::Vector) => {
             ShbRaceDetector::<VectorClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Shb, ClockKind::Hybrid) => {
+        (PartialOrderKind::Shb, ClockChoice::Hybrid) => {
             ShbRaceDetector::<HybridClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Maz, ClockKind::Tree) => {
+        (PartialOrderKind::Maz, ClockChoice::Tree) => {
             MazAnalyzer::<TreeClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Maz, ClockKind::Vector) => {
+        (PartialOrderKind::Maz, ClockChoice::Vector) => {
             MazAnalyzer::<VectorClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Maz, ClockKind::Hybrid) => {
+        (PartialOrderKind::Maz, ClockChoice::Hybrid) => {
             MazAnalyzer::<HybridClock>::new(&trace).run(&trace)
         }
     };
@@ -429,49 +426,6 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
     } else {
         Err(format!("{} conformance failure(s)", report.failures()))
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (flags, kv) = Flags::parse(args, &["trace"], &["full"])?;
-    if let Some(extra) = flags.positional.first() {
-        return Err(format!("bench takes no positional argument `{extra}`"));
-    }
-    let records = match value(&kv, "trace") {
-        Some(path) => {
-            let trace = load(path)?;
-            eprintln!("bench: {path} ({} events)", trace.len());
-            baseline::collect_trace(path, &trace)
-        }
-        None => {
-            let scale = if value(&kv, "full").is_some() {
-                BaselineScale::full()
-            } else {
-                BaselineScale::default_scale()
-            };
-            baseline::collect(scale, |cell| eprintln!("bench: {cell}"))
-        }
-    };
-
-    let mut t = TextTable::new([
-        "scenario", "threads", "order", "backend", "seconds", "joins", "copies", "vt_work",
-        "ds_work", "clock_kb",
-    ])
-    .with_title("Engine grid (wall times are means over pooled repetitions)");
-    for r in &records {
-        t.row([
-            r.scenario.clone(),
-            r.threads.to_string(),
-            r.order.to_string(),
-            r.backend.name().to_owned(),
-            format!("{:.6}", r.seconds),
-            r.joins.to_string(),
-            r.copies.to_string(),
-            r.vt_work.to_string(),
-            r.ds_work.to_string(),
-            (r.peak_clock_bytes / 1024).to_string(),
-        ]);
-    }
-    write_report(&mut io::stdout().lock(), |out| write!(out, "{t}"))
 }
 
 fn cmd_stream(args: &[String]) -> Result<(), String> {
@@ -780,7 +734,6 @@ USAGE:
   tcr convert IN OUT
   tcr conformance [--full] [--filter NEEDLE] [--fault F] [--no-shrink]
                   [--repro-dir DIR] [--replay FILE]
-  tcr bench [--full] [--trace FILE]
   tcr stream FILE [--order hb|shb|maz] [--clock tc|vc|hc] [--limit N]
              [--evict N] [--no-retire] [--recycle] [--checkpoint FILE]
              [--checkpoint-every N] [--resume FILE]
@@ -793,6 +746,8 @@ barrier-phases, pipeline, read-mostly, bursty-channels,
 spawn-join-churn.
 Clocks: tc (tree), vc (vector), hc (adaptive flat/tree hybrid).
 Files ending in .tctr use the binary format; others the text format.
+Timing tables (the paper's Table 2 and Figures 6-10, with spread) come
+from the `paper` binary: cargo run --release -p tc-bench --bin paper.
 
 conformance runs every corpus trace through the HB/SHB/MAZ engines with
 all three clock backends and cross-checks timestamps, race reports and
@@ -801,13 +756,6 @@ shrunk to minimal text-format repros (written to --repro-dir if given).
 --replay re-checks a dumped repro file instead of the corpus. --fault
 injects a deliberate result perturbation (drop-race, skew-timestamp,
 inflate-work, each optionally :hb/:shb/:maz) to demo the pipeline.
-
-bench times every partial order (HB/SHB/MAZ) with every clock backend
-(tree/vector/hybrid) on the FIG10 scenarios at 128 and 360 threads and
-prints one row per cell: mean wall time over pooled repetitions,
-operation counts, VTWork/DSWork and peak clock memory. --full adds the
-structured workload families at a budgeted size; --trace FILE times
-one trace file instead.
 
 stream analyzes FILE incrementally (chunked reads, nothing
 materialized), printing races as they are found, with bounded memory:
@@ -1062,7 +1010,7 @@ mod tests {
             vec!["timestamps", missing],
             vec!["convert", missing, "/tmp/out.trace"],
             vec!["conformance", "--replay", missing],
-            vec!["bench", "--trace", missing],
+            vec!["stream", missing],
         ] {
             let e = run(&args(&cmd)).unwrap_err();
             assert!(e.contains("cannot"), "cmd {cmd:?} gave `{e}`");
@@ -1076,7 +1024,7 @@ mod tests {
             vec!["stats", bad_s],
             vec!["race", bad_s],
             vec!["conformance", "--replay", bad_s],
-            vec!["bench", "--trace", bad_s],
+            vec!["stream", bad_s],
         ] {
             assert!(run(&args(&cmd)).is_err(), "cmd {cmd:?} accepted garbage");
         }
@@ -1119,27 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_text_table_prints_for_a_tiny_trace() {
-        let dir = temp_dir("bench-text");
-        let trace = dir.join("t.trace");
-        run(&args(&[
-            "gen",
-            "--scenario",
-            "pairwise",
-            "--threads",
-            "4",
-            "--events",
-            "800",
-            "-o",
-            trace.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&args(&["bench", "--trace", trace.to_str().unwrap()])).unwrap();
-        assert!(run(&args(&["bench", "positional"])).is_err());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn dash_o_is_an_unknown_flag_where_a_command_writes_no_file() {
         let dir = temp_dir("dash-o");
         let trace = dir.join("t.trace");
@@ -1161,7 +1088,6 @@ mod tests {
         for cmd in [
             vec!["race", "-o", ignored_s, trace_s],
             vec!["convert", "-o", ignored_s, trace_s, copy_s],
-            vec!["bench", "--trace", trace_s, "-o", ignored_s],
         ] {
             let e = run(&args(&cmd)).unwrap_err();
             assert!(e.contains("unknown flag"), "cmd {cmd:?} gave `{e}`");
@@ -1280,9 +1206,31 @@ mod tests {
     fn bad_order_and_clock_are_rejected() {
         let dir = temp_dir("badflags");
         let path = dir.join("t.trace");
-        std::fs::write(&path, "t0 w x\n").unwrap();
         let p = path.to_str().unwrap();
+        run(&args(&[
+            "gen",
+            "--threads",
+            "3",
+            "--events",
+            "300",
+            "-o",
+            p,
+        ]))
+        .unwrap();
         assert!(run(&args(&["race", "--order", "cp", p])).is_err());
+        // `race` and `stream` share one `--clock` parser: the same
+        // spellings pass and the same ones fail, with one message.
+        for cmd in ["race", "stream"] {
+            for clock in ["tc", "vc", "hc", "tree", "vector", "hybrid"] {
+                run(&args(&[cmd, "--clock", clock, p])).unwrap();
+            }
+        }
+        for clock in ["TC", "quartz"] {
+            let race = run(&args(&["race", "--clock", clock, p])).unwrap_err();
+            let stream = run(&args(&["stream", "--clock", clock, p])).unwrap_err();
+            assert_eq!(race, stream);
+            assert!(race.contains(clock), "{race}");
+        }
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

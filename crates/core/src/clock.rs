@@ -208,8 +208,8 @@ pub trait LogicalClock: Clone + Debug + Default {
     fn reserve_threads(&mut self, threads: usize);
 
     /// Heap bytes currently owned by this clock's buffers (capacity, not
-    /// length) — the quantity summed into the `clock_kb` column of
-    /// `tcr bench`.
+    /// length) — the quantity the engines' and detectors'
+    /// `clock_bytes` sum.
     fn heap_bytes(&self) -> usize;
 
     /// Restores an *empty* clock to the given value: entry `i` becomes

@@ -15,7 +15,7 @@
 //! [`clear`](crate::LogicalClock::clear)s a clock and free-lists it.
 //! Engines take a pool at construction and give it back (with every
 //! clock they created) at teardown, so the second run of anything —
-//! the next timed repetition of `tcr bench`, the next engine of a
+//! the next timed repetition of the `paper` binary, the next engine of a
 //! conformance check, the next corpus case of a sweep — acquires no
 //! fresh clock at all. `tc_orders`' `pooled_reruns_are_allocation_free`
 //! test holds every partial order × clock backend to that. Clocks are

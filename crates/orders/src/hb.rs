@@ -155,9 +155,9 @@ impl<C: LogicalClock> HbEngine<C> {
         self.core.into_pool()
     }
 
-    /// Heap bytes currently owned by the engine's clocks (the
-    /// `clock_kb` column of `tcr bench` — clocks only grow, so the
-    /// value after a run is the run's peak).
+    /// Heap bytes currently owned by the engine's clocks (thread and
+    /// lock clocks) — clocks only grow, so the value after a run is the
+    /// run's peak.
     pub fn clock_bytes(&self) -> usize {
         self.core.clock_bytes()
     }

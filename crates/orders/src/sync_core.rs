@@ -87,18 +87,23 @@ impl<C: LogicalClock> SyncCore<C> {
         (&mut self.pool, &self.threads[t.index()])
     }
 
+    /// Opens thread slots up to `i`. Only slot `i` is pre-sized; the
+    /// gap slots below it take unsized pool clocks that grow when their
+    /// thread appears, so a new thread id costs O(id), not O(id²).
+    fn grow_threads(&mut self, i: usize) {
+        let (threads, pool) = (&mut self.threads, &mut self.pool);
+        threads.resize_with(i, || pool.acquire());
+        let mut c = pool.acquire();
+        c.reserve_threads(self.thread_hint.max(i + 1));
+        threads.push(c);
+        self.rooted.resize(i + 1, false);
+        self.retired.resize(i + 1, false);
+    }
+
     fn ensure_thread(&mut self, t: ThreadId) {
         let i = t.index();
         if i >= self.threads.len() {
-            let hint = self.thread_hint.max(i + 1);
-            let (threads, pool) = (&mut self.threads, &mut self.pool);
-            threads.resize_with(i + 1, || {
-                let mut c = pool.acquire();
-                c.reserve_threads(hint);
-                c
-            });
-            self.rooted.resize(i + 1, false);
-            self.retired.resize(i + 1, false);
+            self.grow_threads(i);
         }
         if !self.rooted[i] {
             // The check lives inside the un-rooted branch so the hot
@@ -235,15 +240,7 @@ impl<C: LogicalClock> SyncCore<C> {
     pub(crate) fn adopt_thread(&mut self, t: ThreadId, base: tc_core::LocalTime) {
         let i = t.index();
         if i >= self.threads.len() {
-            let hint = self.thread_hint.max(i + 1);
-            let (threads, pool) = (&mut self.threads, &mut self.pool);
-            threads.resize_with(i + 1, || {
-                let mut c = pool.acquire();
-                c.reserve_threads(hint);
-                c
-            });
-            self.rooted.resize(i + 1, false);
-            self.retired.resize(i + 1, false);
+            self.grow_threads(i);
         }
         assert!(
             !self.rooted[i],

@@ -585,6 +585,26 @@ mod tests {
     }
 
     #[test]
+    fn the_highest_thread_slot_costs_one_clock_not_a_square() {
+        use tc_trace::{Op, VarId};
+        for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+            let mut s = Session::new(1, clock, DetectorConfig::default());
+            let mut out = String::new();
+            s.handle_frame(
+                &[Event::new(ThreadId::new(4_095), Op::Write(VarId::new(0)))],
+                &mut out,
+            );
+            assert!(out.is_empty(), "{clock:?}: {out}");
+            assert_eq!(s.detector().events(), 1);
+            assert!(
+                s.detector().clock_bytes() < 1 << 20,
+                "{clock:?}: {} clock bytes",
+                s.detector().clock_bytes()
+            );
+        }
+    }
+
+    #[test]
     fn clock_choice_parses_both_spellings() {
         assert_eq!("tc".parse::<ClockChoice>().unwrap(), ClockChoice::Tree);
         assert_eq!(
