@@ -170,7 +170,9 @@ range is VC_Q1/X_Q3 to VC_Q3/X_Q1, and a trace whose Q1-Q3 ranges
 overlap counts as a tie.
 
 OPTIONS
-  --quick   ~40k-event traces (fast smoke run)
-  --full    ~1M-event traces (closest to the paper)
+  --quick   ~40k-event suite traces, 800k-event Figure 10 traces
+            (fast smoke run)
+  --full    ~1M-event suite traces, 2M-event Figure 10 traces
+            (closest to the paper)
   --out DIR directory for CSV output (default: results)
 ";

@@ -18,8 +18,9 @@ use crate::tables::SuiteResult;
 /// long table with `panel` as the first column. Each row also carries
 /// the trace's thread count and VTWork per event under the panel's
 /// order (the dense regime, where a vector clock's sweep has to win,
-/// is many entries changed per event at a modest thread count), and
-/// the speedup's range and verdict.
+/// is many entries changed per event at a modest thread count), the
+/// speedup's range and verdict, and the same account for the hybrid
+/// clock.
 pub fn fig6(results: &[SuiteResult]) -> TextTable {
     let mut t = TextTable::new([
         "panel",
@@ -32,8 +33,13 @@ pub fn fig6(results: &[SuiteResult]) -> TextTable {
         "speedup_low",
         "speedup_high",
         "verdict",
+        "hc_seconds",
+        "hc_speedup",
+        "hc_low",
+        "hc_high",
+        "hc_verdict",
     ])
-    .with_title("Figure 6: times for processing each trace (TC vs VC, medians)");
+    .with_title("Figure 6: times for processing each trace (TC and HC vs VC, medians)");
     for mode in [Mode::Po, Mode::PoAnalysis] {
         for order in PartialOrderKind::ALL {
             let panel = match mode {
@@ -52,6 +58,8 @@ pub fn fig6(results: &[SuiteResult]) -> TextTable {
                     format!("{:.6}", c.tree.median()),
                 ];
                 row.extend(speedup_cells(c.speedup(ClockKind::Tree)));
+                row.push(format!("{:.6}", c.hybrid.median()));
+                row.extend(speedup_cells(c.speedup(ClockKind::Hybrid)));
                 t.row(row);
             }
         }
@@ -149,8 +157,8 @@ pub const FIG10_THREADS: [u32; 7] = [10, 30, 60, 120, 200, 280, 360];
 /// Events per Figure 10 trace at each scale (the paper uses 10M).
 pub fn fig10_events(scale: Scale) -> usize {
     match scale {
-        Scale::Quick => 60_000,
-        Scale::Default => 400_000,
+        Scale::Quick => 800_000,
+        Scale::Default => 1_000_000,
         Scale::Full => 2_000_000,
     }
 }
@@ -268,10 +276,17 @@ mod tests {
                 field(line, 3).parse::<f64>().unwrap() > 0.0,
                 "VTWork per event"
             );
-            let low: f64 = field(line, 7).parse().unwrap();
-            let high: f64 = field(line, 8).parse().unwrap();
-            assert!(low <= high, "line {line}: {low} > {high}");
-            assert!(["win", "tie", "loss"].contains(&field(line, 9).as_str()));
+            for (low, high, verdict) in [(7, 8, 9), (12, 13, 14)] {
+                let low: f64 = field(line, low).parse().unwrap();
+                let high: f64 = field(line, high).parse().unwrap();
+                assert!(low <= high, "line {line}: {low} > {high}");
+                assert!(["win", "tie", "loss"].contains(&field(line, verdict).as_str()));
+            }
+            assert!(
+                field(line, 10).parse::<f64>().unwrap() > 0.0,
+                "hybrid seconds"
+            );
+            assert!(field(line, 11).parse::<f64>().unwrap() > 0.0);
         }
     }
 

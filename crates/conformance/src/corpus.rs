@@ -83,6 +83,28 @@ impl fmt::Display for CaseConfig {
     }
 }
 
+/// Lock-only scenarios wider than the tree clock's copy-on-write
+/// sharing width (64 entries), where releases share shapes and dense
+/// joins turn clocks flat: single-lock, pairwise and star at each of
+/// `widths` threads.
+fn wide_cases(widths: &[u32], events: usize, seed: u64) -> Vec<CaseConfig> {
+    let mut cases = Vec::new();
+    for &threads in widths {
+        for (i, s) in [Scenario::SingleLock, Scenario::Pairwise, Scenario::Star]
+            .into_iter()
+            .enumerate()
+        {
+            cases.push(CaseConfig {
+                source: TraceSource::Scenario(s),
+                threads,
+                events,
+                seed: seed + u64::from(threads) + i as u64,
+            });
+        }
+    }
+    cases
+}
+
 /// A registry of conformance cases.
 #[derive(Clone, Debug, Default)]
 pub struct Corpus {
@@ -91,9 +113,10 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// The tier-1 corpus: every scenario family at two shapes plus six
-    /// racy workloads, small enough that the full sweep (including the
-    /// O(n²) oracles) finishes in seconds.
+    /// The tier-1 corpus: every scenario family at two shapes, three
+    /// lock scenarios at 80 threads (past the tree clock's sharing
+    /// width) and six racy workloads, small enough that the full sweep
+    /// (including the O(n²) oracles) finishes in seconds.
     pub fn quick() -> Corpus {
         let mut cases = Vec::new();
         for (i, s) in Scenario::ALL.into_iter().enumerate() {
@@ -111,6 +134,7 @@ impl Corpus {
                 seed: seed + 1,
             });
         }
+        cases.extend(wide_cases(&[80], 1_000, 300));
         for (i, (sync_pct, vars, threads)) in [
             (0u8, 3u32, 3u32),
             (0, 2, 5),
@@ -133,7 +157,8 @@ impl Corpus {
     }
 
     /// The broader command-line corpus: more thread counts, longer
-    /// traces and more seeds per configuration (still oracle-friendly).
+    /// traces and more seeds per configuration, and the wide lock
+    /// scenarios at 80 and 130 threads (still oracle-friendly).
     pub fn full() -> Corpus {
         let mut cases = Vec::new();
         for (i, s) in Scenario::ALL.into_iter().enumerate() {
@@ -148,6 +173,7 @@ impl Corpus {
                 }
             }
         }
+        cases.extend(wide_cases(&[80, 130], 2_000, 3_000));
         for sync_pct in [0u8, 5, 15, 30, 50, 80] {
             for threads in [2u32, 4, 8] {
                 cases.push(CaseConfig {

@@ -144,7 +144,12 @@ pub trait LogicalClock: Clone + Debug + Default {
     /// This is the fast, uninstrumented variant used by timed runs; use
     /// [`join_counted`](Self::join_counted) to obtain per-entry work
     /// statistics (the instrumentation has a measurable cost — it
-    /// prevents vectorizing the vector-clock loop, for instance).
+    /// prevents vectorizing the vector-clock loop, for instance). The
+    /// two may differ in how they represent the result, never in its
+    /// value: a tree clock's timed operations keep a dense clock flat,
+    /// as times without links (see [`TreeClock`](crate::TreeClock)),
+    /// while its counted ones run Algorithm 2 whenever both clocks are
+    /// trees.
     ///
     /// # Panics
     ///

@@ -52,9 +52,10 @@
 //!
 //! Observations accumulate over a window of `WINDOW_OPS` operations
 //! and the aggregate is judged dense when at least an eighth of the
-//! arena moved per operation — approximating the measured cost
-//! crossover (a flat sweep costs ~0.2–0.3 ns per slot, the surgical
-//! walk ~2–3 ns per moved entry), with a tree-ward bias. Aggregating
+//! arena moved per operation — a tree-ward margin on the measured cost
+//! crossover (on a 2-core x86 box a flat sweep costs about 0.5 ns per
+//! slot at 360 entries, and the surgical walk 40–55 ns per moved entry
+//! on the cold shapes of the 360-thread Fig. 10 traces). Aggregating
 //! over a window is what lets mixed profiles resolve correctly: in
 //! single-lock workloads the joins are dense and the copies are not; in
 //! pairwise workloads the copies are dense and the joins are not; in
@@ -79,9 +80,10 @@
 //! every `PROBE_PERIOD`-th join (and copy-from-self) runs a
 //! *branchless* counting sweep instead to keep the window fed — so a
 //! workload turning sparse flips the clock back to tree, with an
-//! O(present) star re-materialization ([`TreeClock`]'s own dense fast
-//! path produces the same shape, sound for both monotonicity
-//! principles).
+//! O(present) star re-materialization (a flat [`TreeClock`] turning
+//! back into a tree produces the same shape, sound for both
+//! monotonicity principles). Since the tree backend keeps its own flat
+//! shape, the inner tree of a tree-mode hybrid may itself be flat.
 //!
 //! # The dense cutoff
 //!
@@ -127,7 +129,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::clock::{CopyMode, LogicalClock, OpStats};
-use crate::tree_clock::{Times, TreeClock};
+use crate::tree_clock::{count_diffs, Times, TreeClock};
 use crate::{LocalTime, ThreadId, VectorTime};
 
 /// Operations aggregated per density-window verdict. Small enough
@@ -184,35 +186,6 @@ const ST_FLIP_MASK: u8 = ST_FLIP_TO_FLAT | ST_FLIP_TO_TREE;
 #[inline]
 fn time_at(times: &[LocalTime], idx: u32) -> LocalTime {
     times.get(idx as usize).copied().unwrap_or(0)
-}
-
-/// Counts index positions whose values differ between two dense
-/// values (used for exact `changed` accounting of wholesale copies).
-fn count_diffs(old: Times<'_>, new: Times<'_>) -> u64 {
-    let (o, n) = (old.slice, new.slice);
-    let shared = o.len().min(n.len());
-    let mut diffs = 0u64;
-    for i in 0..shared {
-        diffs += u64::from(o[i] != n[i]);
-    }
-    for &t in &o[shared..] {
-        diffs += u64::from(t != 0);
-    }
-    for &t in &n[shared..] {
-        diffs += u64::from(t != 0);
-    }
-    // A tree's root entry may lag its root time: re-judge the (at most
-    // two) root indices on the authoritative values.
-    let old_root = old.root_entry().map(|(r, _)| r);
-    let new_root = new
-        .root_entry()
-        .map(|(r, _)| r)
-        .filter(|&r| Some(r) != old_root);
-    for r in [old_root, new_root].into_iter().flatten() {
-        let raw = time_at(o, r) != time_at(n, r);
-        diffs = diffs + u64::from(old.get(r) != new.get(r)) - u64::from(raw);
-    }
-    diffs
 }
 
 // ---- the shared observation word ------------------------------------
@@ -573,8 +546,9 @@ impl HybridClock {
         }
     }
 
-    /// Tree destination ⊔ flat source: pointwise maximum on the dense
-    /// arrays, then a flat re-attachment under the destination's root.
+    /// Tree destination ⊔ flat source: the inner tree hangs each entry
+    /// the source progressed under its root (a flat inner tree sweeps
+    /// the source instead).
     fn tree_join_flat<const COUNT: bool>(&mut self, other: &Self) -> OpStats {
         let Some(or) = other.root else {
             // A rootless flat clock is empty by construction (values
@@ -616,7 +590,13 @@ impl HybridClock {
             self.observe_mut(0, arena);
             return stats;
         }
-        let changed = self.tree.flat_join_slice(src, z);
+        // Counted on both paths: the exact `changed` is the density
+        // observation, and the counted join never changes the inner
+        // tree's shape.
+        let changed = self
+            .tree
+            .join_dense::<true>(Times::flat(src), z, usize::MAX)
+            .changed;
         self.observe_mut(changed, arena);
         if COUNT {
             OpStats {

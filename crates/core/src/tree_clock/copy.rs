@@ -9,13 +9,16 @@
 //! repositioned like any other updated node (collected by the traversal
 //! even if its time did not progress — line 67 of Algorithm 2).
 //!
+//! With a flat clock on either side there are no links to walk, and the
+//! destination becomes a replica of the source, taking its shape.
+//!
 //! Like the join, the traversal borrows the scratch stacks as disjoint
 //! fields — no per-operation swap-out/restore.
 
 use crate::clock::{LogicalClock, OpStats};
 use crate::ThreadId;
 
-use super::join::{time_at, Frame};
+use super::join::{time_at, walk_limit, Frame};
 use super::node::NIL;
 use super::TreeClock;
 
@@ -23,7 +26,7 @@ impl TreeClock {
     /// Like the join, the uncounted path reports the surgically moved
     /// entry count in `stats.moved` (and nothing else) — the hybrid
     /// clock's density observation for copies. A timed copy that shares
-    /// the source's shape moves nothing and reports 0.
+    /// the source's shape, or replicates a flat clock's, reports 0.
     pub(crate) fn monotone_copy_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -45,6 +48,7 @@ impl TreeClock {
         // Timed path: a wide source's shape is shared, not copied; the
         // source copies it only when it next changes it.
         if !COUNT && self.share(other) {
+            self.streak = 0;
             return stats;
         }
         let Some(z) = self.root_idx() else {
@@ -58,15 +62,10 @@ impl TreeClock {
             }
             return s;
         };
-
-        // Timed-path fast path: when recent copies kept replacing most
-        // of the tree, skip the traversal and replicate `other` outright
-        // (a full replica is always a valid monotone copy — the result
-        // must represent `other`'s vector time, and `other`'s own tree
-        // satisfies every invariant).
-        if !COUNT && self.take_dense_path() {
-            stats.moved = self.copy_arrays(other) as u64;
-            return stats;
+        if self.is_flat() || other.is_flat() {
+            // No links on one side to walk: the destination becomes a
+            // replica of the source, flat or tree.
+            return self.replicate::<COUNT>(other);
         }
 
         let arena = self.num_threads().max(other.num_threads());
@@ -76,18 +75,23 @@ impl TreeClock {
         if COUNT {
             stats.examined += 1; // the root of `other` is always processed
         }
-        let found_old_root = Self::gather_copy::<COUNT>(
+        // A timed copy that would move more than its walk limit stops
+        // walking and replicates the source: its arrays cost less to
+        // copy than that many moved entries.
+        let limit = walk_limit::<COUNT>(arena);
+        let Some(found_old_root) = Self::gather_copy::<COUNT>(
             &self.store.unique(z, self.root_time).clks,
             other,
-            zp,
-            z,
-            &mut self.gather,
-            &mut self.frames,
+            (zp, z),
+            limit,
+            (&mut self.gather, &mut self.frames),
             &mut stats,
-        );
+        ) else {
+            self.gather.clear();
+            return self.replicate::<COUNT>(other);
+        };
         let moved = self.gather.len();
         if !COUNT {
-            self.note_density(moved, arena);
             stats.moved = moved as u64;
         }
 
@@ -157,17 +161,16 @@ impl TreeClock {
     ///
     /// Returns whether `old_root` was collected; the caller must handle
     /// the (rare) miss — the sibling pruning can cut a scan short of a
-    /// non-progressed `old_root`.
-    #[allow(clippy::too_many_arguments)]
+    /// non-progressed `old_root`. Returns `None` instead as soon as
+    /// more than `limit` nodes are collected.
     fn gather_copy<const COUNT: bool>(
         self_clks: &[crate::LocalTime],
         other: &TreeClock,
-        start: u32,
-        old_root: u32,
-        gathered: &mut Vec<u32>,
-        frames: &mut Vec<Frame>,
+        (start, old_root): (u32, u32),
+        limit: usize,
+        (gathered, frames): (&mut Vec<u32>, &mut Vec<Frame>),
         stats: &mut OpStats,
-    ) -> bool {
+    ) -> Option<bool> {
         // Only children are read from `other`'s shape, never its root
         // entry (which may lag in a shared shape).
         let o_nodes = &other.shape().nodes[..];
@@ -209,9 +212,12 @@ impl TreeClock {
                 found_old_root = true;
             }
             gathered.push(frame.node);
+            if gathered.len() > limit {
+                return None;
+            }
             match frames.pop() {
                 Some(f) => frame = f,
-                None => return found_old_root,
+                None => return Some(found_old_root),
             }
         }
     }

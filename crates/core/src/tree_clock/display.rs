@@ -2,10 +2,35 @@
 
 use std::fmt;
 
+use crate::LogicalClock;
+
 use super::node::NIL;
 use super::TreeClock;
 
 impl TreeClock {
+    /// Writes a flat clock rooted at `r` as the star of its known
+    /// threads.
+    fn fmt_star(&self, f: &mut fmt::Formatter<'_>, r: u32) -> fmt::Result {
+        let root_time = self.get_idx(r);
+        write!(f, "(t{r}, {root_time}, ⊥)")?;
+        let mut known = (0..self.num_threads() as u32)
+            .filter(|&i| i != r)
+            .map(|i| (i, self.get_idx(i)))
+            .filter(|&(_, clk)| clk > 0)
+            .peekable();
+        if known.peek().is_none() {
+            return Ok(());
+        }
+        write!(f, "[")?;
+        for (n, (i, clk)) in known.enumerate() {
+            if n > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "(t{i}, {clk}, {root_time})")?;
+        }
+        write!(f, "]")
+    }
+
     /// Writes the subtree rooted at `u` as `(t, clk, aclk)[children…]`.
     fn fmt_subtree(&self, f: &mut fmt::Formatter<'_>, u: u32, is_root: bool) -> fmt::Result {
         let nodes = &self.shape().nodes;
@@ -36,11 +61,14 @@ impl TreeClock {
 
 /// Single-line rendering in the paper's node notation, e.g.
 /// `(t2, 4, ⊥)[(t3, 6, 3)[(t4, 3, 5), (t1, 2, 1), (t5, 2, 2)]]`
-/// (the tree of Figure 11b after event e16).
+/// (the tree of Figure 11b after event e16). A flat clock renders as
+/// the star it would become as a tree: every known thread under the
+/// root, attached at the root's time, in thread order.
 impl fmt::Display for TreeClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.root_idx() {
             None => write!(f, "(empty)"),
+            Some(r) if self.is_flat() => self.fmt_star(f, r),
             Some(r) => self.fmt_subtree(f, r, true),
         }
     }

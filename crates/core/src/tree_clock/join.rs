@@ -9,6 +9,10 @@
 //! shape mirroring `other`; finally the updated subtree is hung under
 //! `self`'s root.
 //!
+//! A flat clock on either side takes the dense path instead: a flat
+//! receiver sweeps the source's times, and a tree receiver hangs each
+//! entry a flat source progressed under its own root.
+//!
 //! The `COUNT` const parameter selects the instrumented variant that
 //! tallies [`OpStats`]; the plain variant compiles the counters out so
 //! timed runs measure only the algorithm.
@@ -23,8 +27,8 @@ use crate::clock::{LogicalClock, OpStats};
 use crate::{LocalTime, ThreadId};
 
 use super::node::{Node, NIL};
-use super::shape::Shape;
-use super::TreeClock;
+use super::shape::{Shape, SHARED_WIDTH};
+use super::{Times, TreeClock, DENSE_FRACTION, DENSE_STREAK_LIMIT, SPARSE_SWEEP_LIMIT};
 
 /// One frame of the iterative pre-order traversal: a node of `other` and
 /// the next child of that node still to be examined.
@@ -41,10 +45,41 @@ pub(crate) fn time_at(clks: &[LocalTime], idx: u32) -> LocalTime {
     clks.get(idx as usize).copied().unwrap_or(0)
 }
 
+/// How many nodes a timed walk may move before the operation takes the
+/// flat path instead: an eighth of the arena, and at least an eighth of
+/// the sharing width. The counted operations always walk in full.
+#[inline]
+pub(crate) fn walk_limit<const COUNT: bool>(arena: usize) -> usize {
+    if COUNT {
+        usize::MAX
+    } else {
+        arena.max(SHARED_WIDTH) / DENSE_FRACTION
+    }
+}
+
+/// The flat join: raises every entry of `mine` (at least as long as
+/// `src`) to `src`'s value and returns how many rose. A branchless
+/// max-and-count loop the compiler vectorizes; a lagging root entry of
+/// the source is settled first, so the loop sees it unchanged.
+#[inline]
+fn max_sweep(mine: &mut [LocalTime], src: Times<'_>) -> u64 {
+    let mut changed = 0u32;
+    if let Some((r, time)) = src.root_entry() {
+        let entry = &mut mine[r as usize];
+        changed += u32::from(time > *entry);
+        *entry = (*entry).max(time);
+    }
+    for (entry, &time) in mine.iter_mut().zip(src.slice) {
+        changed += u32::from(time > *entry);
+        *entry = (*entry).max(time);
+    }
+    u64::from(changed)
+}
+
 impl TreeClock {
     /// Returns both the join's result statistics and (for the uncounted
-    /// path) the number of surgically moved entries in `stats.moved`,
-    /// which the hybrid clock reads as its density observation.
+    /// path) the number of moved entries in `stats.moved`, which the
+    /// hybrid clock reads as its density observation.
     pub(crate) fn join_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -69,27 +104,38 @@ impl TreeClock {
             ThreadId::new(z),
         );
 
-        // Timed-path fast path: when recent joins kept moving most of
-        // the tree (dense communication — the regime where the surgical
-        // walk's pointer chasing loses to a flat loop), join on the
-        // dense arrays instead. Value-identical; see `flat_join`.
-        if !COUNT && self.take_dense_path() {
-            stats.moved = self.flat_join(other, z) as u64;
-            return stats;
+        let arena = self.num_threads().max(other.num_threads());
+        let limit = walk_limit::<COUNT>(arena);
+        if !COUNT
+            && !self.is_flat()
+            && (self.streak >= DENSE_STREAK_LIMIT || self.store.shared_with_others())
+        {
+            self.flatten();
+        }
+        if self.is_flat() || other.is_flat() {
+            let mut s = self.join_dense::<COUNT>(other.times(), z, limit);
+            if !COUNT {
+                self.note_density(s.changed as usize, arena);
+            }
+            s.examined += stats.examined;
+            return s;
         }
 
-        let arena = self.num_threads().max(other.num_threads());
         let shape = self.store.unique(z, self.root_time);
         self.gather.clear();
         self.frames.clear();
-        Self::gather_join::<COUNT>(
+        let walked = Self::gather_join::<COUNT>(
             &shape.clks,
             other,
             zp,
-            &mut self.gather,
-            &mut self.frames,
+            limit,
+            (&mut self.gather, &mut self.frames),
             &mut stats,
         );
+        if !walked {
+            self.flatten();
+            return self.join_dense::<false>(other.times(), z, limit);
+        }
         let moved = self.gather.len();
         Self::detach_nodes_in(&mut shape.nodes, z, &self.gather);
         Self::attach_nodes_in::<COUNT>(shape, other, &mut self.gather, &mut stats);
@@ -108,77 +154,127 @@ impl TreeClock {
         stats
     }
 
-    /// Value-equivalent join on the dense arrays: a (vectorizable)
-    /// pointwise maximum, followed by re-hanging every known thread
-    /// directly under the root at the root's *current* time.
-    ///
-    /// Attaching at the current root time is sound for both monotonicity
-    /// principles: any later joiner that already knows this root's
-    /// current local time transitively knows everything the root knows
-    /// *now* — including every child's current value — so skipping the
-    /// flat child list is exactly as safe as skipping a surgically
-    /// maintained one. What the flat shape gives up is *granularity*
-    /// (children can no longer be skipped individually by older
-    /// knowledge), which is precisely worthless in the dense regime that
-    /// triggers this path: most entries change every operation anyway.
-    ///
-    /// Only the uncounted (timed) path takes this shortcut; the counted
-    /// variants always run Algorithm 2 verbatim, so all work accounting
-    /// (`OpStats`, Theorem 1 checks) measures the paper's algorithm.
-    /// Returns the arena length.
-    pub(crate) fn flat_join(&mut self, other: &TreeClock, z: u32) -> usize {
-        let src = other.shape();
-        let shape = self.store.unique(z, self.root_time);
-        let grew = src.clks.len() > shape.clks.len();
-        shape.ensure_len(src.clks.len());
-        for (mine, &theirs) in shape.clks.iter_mut().zip(src.clks.iter()) {
-            if theirs > *mine {
-                *mine = theirs;
-            }
-        }
-        // A shared source's root entry may lag: take its root time.
-        if other.store.is_shared() {
-            let r = other.root as usize;
-            shape.clks[r] = shape.clks[r].max(other.root_time);
-        }
-        Self::rebuild_star(shape, z, |i| src.is_present(i));
-        let arena = shape.nodes.len();
-        if grew {
-            self.store.settle();
-        }
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        arena
+    /// Turns a tree flat, dropping its links (a shape other clocks share
+    /// is left to them; this clock keeps a copy of the times alone).
+    fn flatten(&mut self) {
+        self.store.flatten(self.root, self.root_time);
+        self.streak = 0;
     }
 
-    /// The slice twin of [`flat_join`](Self::flat_join), for a source
-    /// that *is* a flat array (the hybrid clock's `Tree ⊔ Flat` case):
-    /// pointwise maximum against `times`, then a flat re-attachment of
-    /// every known thread under `self`'s root `z`. Returns the number of
-    /// entries whose value changed (the caller's density observation and
-    /// exact `VTWork` contribution).
-    pub(crate) fn flat_join_slice(&mut self, times: &[LocalTime], z: u32) -> u64 {
-        let shape = self.store.unique(z, self.root_time);
-        shape.ensure_len(times.len());
-        let mut changed = 0u64;
-        for (mine, &theirs) in shape.clks.iter_mut().zip(times.iter()) {
-            changed += u64::from(theirs > *mine);
-            *mine = (*mine).max(theirs);
+    /// Feeds a timed join's moved (or changed) count to the streak of
+    /// the clock's shape. A tree counts consecutive dense joins, each
+    /// moving at least an eighth of the arena; its next timed join after
+    /// `DENSE_STREAK_LIMIT` of them turns it flat. A flat clock counts
+    /// consecutive sparse sweeps, and becomes a tree again after
+    /// `SPARSE_SWEEP_LIMIT` of them.
+    ///
+    /// Density is judged against the *arena length*, not the tree size:
+    /// a flat sweep costs Θ(arena), so it only pays off when the moved
+    /// set is a sizable fraction of the arena.
+    fn note_density(&mut self, moved: usize, arena: usize) {
+        let dense = moved * DENSE_FRACTION >= arena.max(1);
+        // A tree counts dense joins, a flat clock sparse ones.
+        if dense != self.is_flat() {
+            self.streak = self.streak.saturating_add(1);
+        } else {
+            self.streak = 0;
         }
-        Self::rebuild_star(shape, z, |_| false);
-        self.root_time = shape.clks[z as usize];
+        if self.is_flat() && self.streak >= SPARSE_SWEEP_LIMIT {
+            self.unflatten();
+        }
+    }
+
+    /// Turns a flat clock back into a tree: every known thread hangs
+    /// directly under the root, attached at the root's current time.
+    fn unflatten(&mut self) {
+        let shape = self.store.unique(self.root, self.root_time);
+        shape.nodes.resize_with(shape.clks.len(), Node::default);
+        Self::rebuild_star(shape, self.root);
+        self.streak = 0;
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+    }
+
+    /// Joins the dense value `src` into this clock, rooted at `z`: a
+    /// flat clock sweeps it, and a tree hangs each progressed entry
+    /// directly under its root, attached at the root's current time. A
+    /// tree that would hang more than `limit` entries turns flat and
+    /// sweeps the rest. Returns the exact `changed` count, also as
+    /// `moved`; the counted variant examines every entry of `src`.
+    pub(crate) fn join_dense<const COUNT: bool>(
+        &mut self,
+        src: Times<'_>,
+        z: u32,
+        limit: usize,
+    ) -> OpStats {
+        let aclk = self.root_time;
+        let shape = self.store.unique(z, aclk);
+        shape.ensure_len(src.slice.len());
+        let mut changed = 0;
+        if !shape.is_flat() {
+            changed = Self::hang_progressed(shape, z, aclk, src, limit);
+            if changed as usize > limit {
+                shape.drop_links();
+                self.streak = 0;
+            }
+        }
+        if shape.is_flat() {
+            changed += max_sweep(&mut shape.clks, src);
+        }
         self.store.settle();
         debug_assert_eq!(self.check_invariants(), Ok(()));
-        changed
+        let examined = if COUNT { src.slice.len() as u64 } else { 0 };
+        OpStats::new(examined, changed, changed)
+    }
+
+    /// The tree side of [`join_dense`](Self::join_dense): raises each
+    /// entry of `shape` that `src` has progressed, and moves its node to
+    /// the front of root `z`'s child list at attachment clock `aclk`,
+    /// its own subtree in tow. Stops after hanging more than `limit`
+    /// entries. Returns the number of entries moved.
+    fn hang_progressed(
+        shape: &mut Shape,
+        z: u32,
+        aclk: LocalTime,
+        src: Times<'_>,
+        limit: usize,
+    ) -> u64 {
+        let hang = |shape: &mut Shape, i: usize, time: LocalTime| {
+            shape.clks[i] = time;
+            if shape.nodes[i].present() {
+                Self::unlink_in(&mut shape.nodes, i as u32);
+            } else {
+                shape.num_present += 1;
+            }
+            shape.nodes[i].aclk = aclk;
+            Self::push_child_in(&mut shape.nodes, i as u32, z);
+        };
+        let mut moved = 0;
+        // A lagging root entry of the source is settled first, so the
+        // loop below sees it unchanged.
+        if let Some((r, time)) = src.root_entry() {
+            if time > shape.clks[r as usize] {
+                hang(shape, r as usize, time);
+                moved += 1;
+            }
+        }
+        for (i, &time) in src.slice.iter().enumerate() {
+            if moved > limit {
+                break;
+            }
+            if time > shape.clks[i] {
+                hang(shape, i, time);
+                moved += 1;
+            }
+        }
+        moved as u64
     }
 
     /// Rebuilds the tree shape flat: every known thread becomes a direct
     /// child of root `z`, attached at the root's current time, in a
     /// single forward sweep over the arena. A thread is *known* when its
-    /// local time is nonzero, its node is currently in the tree, or
-    /// `keep_extra` says so (used by [`flat_join`](Self::flat_join) to
-    /// retain zero-time nodes present in the join source). `shape` must
-    /// hold the root's current time in its root entry.
-    pub(crate) fn rebuild_star(shape: &mut Shape, z: u32, keep_extra: impl Fn(u32) -> bool) {
+    /// local time is nonzero or its node is currently in the tree.
+    /// `shape` must hold the root's current time in its root entry.
+    pub(crate) fn rebuild_star(shape: &mut Shape, z: u32) {
         let root_time = shape.clks[z as usize];
         let mut head = NIL;
         let mut prev = NIL;
@@ -188,7 +284,7 @@ impl TreeClock {
                 continue;
             }
             let iu = i as usize;
-            if shape.clks[iu] == 0 && !shape.nodes[iu].present() && !keep_extra(i) {
+            if shape.clks[iu] == 0 && !shape.nodes[iu].present() {
                 continue;
             }
             {
@@ -220,10 +316,10 @@ impl TreeClock {
 
     /// Materializes a tree from a flat times array: the values become
     /// `self`'s local times and every known thread hangs directly under
-    /// `root` (the star shape [`flat_join`](Self::flat_join) also
-    /// produces, sound by the same argument). This is the hybrid clock's
-    /// dense→sparse re-materialization: the scan is one forward sweep
-    /// and the link work is O(present entries).
+    /// `root` (the star shape a flat clock turning back into a tree
+    /// also produces, sound by the same argument). This is the hybrid
+    /// clock's dense→sparse re-materialization: the scan is one forward
+    /// sweep and the link work is O(present entries).
     ///
     /// # Panics
     ///
@@ -238,7 +334,7 @@ impl TreeClock {
         shape.clks[..times.len()].copy_from_slice(times);
         // Entries past `times.len()` were zeroed by the teardown that
         // emptied this clock; nothing to reset.
-        Self::rebuild_star(shape, root, |_| false);
+        Self::rebuild_star(shape, root);
         self.root = root;
         self.root_time = shape.clks[root as usize];
         self.store.settle();
@@ -248,15 +344,16 @@ impl TreeClock {
     /// Iterative `getUpdatedNodesJoin`: collects, in post-order, every
     /// node of `other` (starting at `start`, which the caller has already
     /// determined to be progressed) whose clock has progressed relative
-    /// to the receiver's times `self_clks`.
+    /// to the receiver's times `self_clks`. Returns `false` as soon as
+    /// more than `limit` nodes are collected.
     pub(crate) fn gather_join<const COUNT: bool>(
         self_clks: &[LocalTime],
         other: &TreeClock,
         start: u32,
-        gathered: &mut Vec<u32>,
-        frames: &mut Vec<Frame>,
+        limit: usize,
+        (gathered, frames): (&mut Vec<u32>, &mut Vec<Frame>),
         stats: &mut OpStats,
-    ) {
+    ) -> bool {
         // Only children are read from `other`'s shape, never its root
         // entry (which may lag in a shared shape).
         let o_nodes: &[Node] = &other.shape().nodes;
@@ -294,9 +391,12 @@ impl TreeClock {
             }
             // All relevant children handled: emit the node (post-order).
             gathered.push(frame.node);
+            if gathered.len() > limit {
+                return false;
+            }
             match frames.pop() {
                 Some(f) => frame = f,
-                None => return,
+                None => return true,
             }
         }
     }

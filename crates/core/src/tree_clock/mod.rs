@@ -19,16 +19,48 @@
 //! The representation is the paper's "two arrays of length k" — a dense
 //! array of local times plus a parallel arena of tree links, indexed by
 //! thread id (the `ThrMap` of Algorithm 2 is the identity map) — and all
-//! traversals are iterative. The two arrays and the present count form
-//! the clock's *shape*, which is copy-on-write: a clock wider than 64
+//! traversals are iterative. The arrays and the present count form the
+//! clock's *shape*, which is copy-on-write: a clock wider than 64
 //! entries holds it behind an `Arc`, so a timed copy from it (a release
 //! into a lock clock, say) shares the shape in O(1), and the source
 //! copies the shape only when it next changes it. Narrower clocks keep
 //! the shape inline. The root thread's time lives in the clock, not the
 //! shape, so `increment` never writes a shared shape; a shared shape's
 //! root entry may therefore lag, and every read of a root entry goes
-//! through the clock. The counted (`*_counted`) operations always run
-//! Algorithm 2 on a shape of their own.
+//! through the clock.
+//!
+//! # The flat shape
+//!
+//! Where much of the arena changes on every operation, the walk's
+//! pointer chasing loses to a vector clock's array sweep. So the timed
+//! path keeps a dense clock *flat*: its shape holds the times only, with
+//! the links dropped, and a join is a branchless max-and-count sweep.
+//! A timed join turns its receiver flat when it would otherwise copy a
+//! shape another clock shares (Θ(k) either way, and the times alone are
+//! a sixth of the bytes), after `DENSE_STREAK_LIMIT` consecutive joins
+//! that each moved at least an eighth of the arena, or when its walk
+//! would move more than an eighth of the arena (and more than 8
+//! entries): the walk stops there and the join sweeps instead. A flat
+//! clock becomes a tree again, every known thread hung directly under
+//! the root, after `SPARSE_SWEEP_LIMIT` consecutive sweeps that each
+//! changed less than an eighth of the arena. A flat shape is shared
+//! copy-on-write like a tree, and a copy gives the destination the
+//! source's shape; a timed copy between trees that would move past the
+//! same walk limit replicates the source instead. A tree that joins a
+//! flat source hangs each progressed entry under its own root,
+//! attached at the root's current time — the attachment a join of
+//! Algorithm 2 gives its source's root, sound by the same argument.
+//!
+//! The eighth is a tree-ward margin on measured costs: on a 2-core
+//! x86 box a flat join sweeps 360 entries at about 0.5 ns each, while
+//! Algorithm 2's walk over the cold shapes of the 360-thread Fig. 10
+//! traces costs 40–55 ns per moved entry, so the sweep already wins
+//! where a join moves about 1 % of the arena.
+//!
+//! The counted (`*_counted`) operations never flatten: between two
+//! trees they run Algorithm 2 on a shape of their own, so `DSWork`
+//! measures the paper's algorithm. With a flat clock on either side
+//! they take the flat path and count the entries it sweeps.
 
 mod copy;
 mod display;
@@ -92,28 +124,26 @@ pub struct TreeClock {
     /// an inline shape's root entry always equals it, a shared shape's
     /// may lag behind it.
     root_time: LocalTime,
-    /// Consecutive *uncounted* operations that moved most of the tree.
-    /// Drives the adaptive dense fast paths of the timed hot path (see
-    /// [`flat_join`](Self::flat_join)); the instrumented (`COUNT`)
-    /// variants always run the exact surgical algorithm.
-    dense_streak: u8,
-    /// Uncounted operations taken by a dense fast path since the last
-    /// surgical probe (the fast path re-measures density periodically).
-    dense_ops: u32,
+    /// Consecutive timed joins that argue for the other shape: in a
+    /// tree, joins that each moved at least an eighth of the arena; in a
+    /// flat clock, sweeps that each changed less than that.
+    streak: u8,
     /// Scratch stack `S` of Algorithm 2, reused across operations.
     gather: Vec<u32>,
     /// Scratch traversal frames, reused across operations.
     frames: Vec<join::Frame>,
 }
 
-/// Consecutive dense operations before the timed path switches to the
-/// dense (flat) fast paths.
+/// Consecutive dense joins after which the next timed join turns a tree
+/// flat.
 const DENSE_STREAK_LIMIT: u8 = 3;
 
-/// While in dense mode, every `DENSE_PROBE_PERIOD`-th operation runs the
-/// surgical algorithm to re-measure density (and exit dense mode when
-/// the workload turns sparse again).
-const DENSE_PROBE_PERIOD: u32 = 256;
+/// Consecutive sparse sweeps after which a flat clock becomes a tree.
+const SPARSE_SWEEP_LIMIT: u8 = 16;
+
+/// An operation is dense when it moves at least `1/DENSE_FRACTION` of
+/// the arena, and a timed walk stops past that share of a wide arena.
+const DENSE_FRACTION: usize = 8;
 
 /// A read-only snapshot of one tree-clock node, for inspection and
 /// testing (compare against the paper's figures).
@@ -184,6 +214,35 @@ impl<'a> Times<'a> {
     }
 }
 
+/// Counts the index positions whose values differ between two dense
+/// values (the exact `changed` of a wholesale copy).
+pub(crate) fn count_diffs(old: Times<'_>, new: Times<'_>) -> u64 {
+    let (o, n) = (old.slice, new.slice);
+    let shared = o.len().min(n.len());
+    let mut diffs = 0u64;
+    for i in 0..shared {
+        diffs += u64::from(o[i] != n[i]);
+    }
+    for &t in &o[shared..] {
+        diffs += u64::from(t != 0);
+    }
+    for &t in &n[shared..] {
+        diffs += u64::from(t != 0);
+    }
+    // A root entry may lag its root time: re-judge the (at most two)
+    // root indices on the authoritative values.
+    let old_root = old.root_entry().map(|(r, _)| r);
+    let new_root = new
+        .root_entry()
+        .map(|(r, _)| r)
+        .filter(|&r| Some(r) != old_root);
+    for r in [old_root, new_root].into_iter().flatten() {
+        let raw = join::time_at(o, r) != join::time_at(n, r);
+        diffs = diffs + u64::from(old.get(r) != new.get(r)) - u64::from(raw);
+    }
+    diffs
+}
+
 impl TreeClock {
     /// Creates an empty tree clock.
     pub fn new() -> Self {
@@ -197,40 +256,10 @@ impl TreeClock {
             root_time: shape.time(root),
             store: Store::for_shape(shape),
             root,
-            dense_streak: 0,
-            dense_ops: 0,
+            streak: 0,
             gather: Vec::new(),
             frames: Vec::new(),
         }
-    }
-
-    /// Records whether an uncounted surgical operation was *dense*,
-    /// feeding the adaptive fast-path switch.
-    ///
-    /// Density is judged against the *arena length*, not the tree size:
-    /// the flat fast path costs Θ(arena) per operation, so it only pays
-    /// off when the surgically moved set is a sizable fraction of the
-    /// arena. (Judging against the tree size would classify every small
-    /// tree as dense and make sparse scenarios sweep the whole arena.)
-    #[inline]
-    pub(crate) fn note_density(&mut self, moved: usize, arena: usize) {
-        if moved * 4 >= arena.max(1) {
-            self.dense_streak = self.dense_streak.saturating_add(1);
-        } else {
-            self.dense_streak = 0;
-        }
-    }
-
-    /// Returns `true` when the timed path should take the dense fast
-    /// path for this operation (recent operations were dense, and this
-    /// one is not a periodic surgical re-probe).
-    #[inline]
-    pub(crate) fn take_dense_path(&mut self) -> bool {
-        if self.dense_streak < DENSE_STREAK_LIMIT {
-            return false;
-        }
-        self.dense_ops = self.dense_ops.wrapping_add(1);
-        !self.dense_ops.is_multiple_of(DENSE_PROBE_PERIOD)
     }
 
     // ---- internal arena helpers -------------------------------------
@@ -272,9 +301,9 @@ impl TreeClock {
         true
     }
 
-    /// Makes `self` a replica of `other` by copying its two arrays (a
-    /// pair of memcpys); returns the arena length.
-    fn copy_arrays(&mut self, other: &TreeClock) -> usize {
+    /// Makes `self` a replica of `other`, tree or flat, by copying its
+    /// arrays (memcpys).
+    fn copy_arrays(&mut self, other: &TreeClock) {
         let src = other.shape();
         let dst = self.store.for_overwrite();
         dst.clks.clone_from(&src.clks);
@@ -282,7 +311,15 @@ impl TreeClock {
         dst.num_present = src.num_present;
         self.root = other.root;
         self.root_time = other.root_time;
-        src.nodes.len()
+        self.store.settle();
+    }
+
+    /// Whether the clock is flat: it keeps its times without tree
+    /// links (see the [module documentation](self)). Only timed joins
+    /// make a clock flat, and a copy from a flat clock is flat too.
+    #[inline]
+    pub fn is_flat(&self) -> bool {
+        self.shape().is_flat()
     }
 
     /// Whether a timed copy from this clock shares its shape instead of
@@ -429,20 +466,18 @@ impl TreeClock {
     /// `changed` (the `VTWork` contribution) stays exact: every entry
     /// outside the union of present sets is 0 on both sides.
     pub(crate) fn clone_structure_from<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
-        let mut stats = OpStats::NOOP;
-        if !COUNT {
+        if !COUNT || self.is_flat() || other.is_flat() {
             // Timed path: a shared source's shape is shared, and a
-            // narrow one's two dense arrays are replicated with a pair
-            // of memcpys — far faster than the sparse walk for the
-            // array lengths a thread dimension produces. The walk below
-            // is the *model*-accurate variant: it establishes that the
+            // narrow one's dense arrays are replicated with memcpys —
+            // far faster than the sparse walk for the array lengths a
+            // thread dimension produces. The walk below is the
+            // *model*-accurate variant: it establishes that the
             // information transferred is O(present), which is what the
-            // counted runs (and Theorem 1's corpus checks) measure.
-            if !self.share(other) {
-                self.copy_arrays(other);
-            }
-            return stats;
+            // counted runs (and Theorem 1's corpus checks) measure. A
+            // flat clock on either side has no links to walk.
+            return self.replicate::<COUNT>(other);
         }
+        let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
             // Copying an empty clock is just a (counted) clear.
             let shape = self.store.unique(self.root, self.root_time);
@@ -503,6 +538,26 @@ impl TreeClock {
         stats
     }
 
+    /// The wholesale copy: makes `self` a replica of `other`, sharing a
+    /// shared shape on the timed path and copying the arrays otherwise,
+    /// so the destination takes the source's shape, tree or flat. When
+    /// `COUNT`, every entry of the wider clock counts as examined, and
+    /// `changed` (and `moved`) count the entries whose value differs.
+    pub(crate) fn replicate<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
+        let mut stats = OpStats::NOOP;
+        if COUNT {
+            let changed = count_diffs(self.times(), other.times());
+            let examined = self.num_threads().max(other.num_threads()) as u64;
+            stats = OpStats::new(examined, changed, changed);
+        }
+        if COUNT || !self.share(other) {
+            self.copy_arrays(other);
+        }
+        self.streak = 0;
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        stats
+    }
+
     /// Iteratively dismantles a clock's tree in O(present) time and
     /// O(1) space (descending head-child chains, unlinking leaves),
     /// resetting every visited node and local time. Operates on the
@@ -553,7 +608,8 @@ impl TreeClock {
     // ---- inspection --------------------------------------------------
 
     /// Returns a snapshot of the node for thread `t`, or `None` if the
-    /// thread is not in the tree.
+    /// thread is not in the tree (always, for a flat clock: it keeps no
+    /// nodes).
     pub fn node(&self, t: ThreadId) -> Option<NodeView> {
         let n = self.shape().nodes.get(t.index())?;
         if !n.present() {
@@ -591,7 +647,7 @@ impl TreeClock {
     }
 
     /// Number of threads present in the tree (O(1): maintained
-    /// incrementally).
+    /// incrementally); 0 for a flat clock, which keeps no nodes.
     pub fn node_count(&self) -> usize {
         let shape = self.shape();
         debug_assert_eq!(
@@ -763,13 +819,13 @@ impl LogicalClock for TreeClock {
     }
 
     fn num_threads(&self) -> usize {
-        self.shape().nodes.len()
+        self.shape().clks.len()
     }
 
     /// Re-materializes the clock from a checkpointed value as the star
     /// shape (every present thread directly under the root), the same
-    /// O(present) construction the dense fast path and the hybrid
-    /// backend use.
+    /// O(present) construction a flat clock turning back into a tree
+    /// and the hybrid backend use.
     fn restore_value(&mut self, times: &[LocalTime], root: Option<ThreadId>) {
         assert!(
             self.root == NIL,
@@ -787,21 +843,25 @@ impl LogicalClock for TreeClock {
 
     /// Sparse reset: dismantles the tree in O(present) time, keeping
     /// the arena buffers for reuse (e.g. via a
-    /// [`ClockPool`](crate::pool::ClockPool)). A shape other clocks
-    /// still share is let go instead, so a parked clock's
+    /// [`ClockPool`](crate::pool::ClockPool)). A flat clock truncates
+    /// its times and becomes an empty tree. A shape other clocks still
+    /// share is let go instead, so a parked clock's
     /// [`heap_bytes`](LogicalClock::heap_bytes) never changes when
     /// those clocks drop theirs.
     fn clear(&mut self) {
         if let Some(shape) = self.store.owned() {
-            let mut ignored = OpStats::NOOP;
-            Self::clear_tree_in::<false>(shape, self.root, None, &mut ignored);
+            if shape.is_flat() {
+                shape.clks.clear();
+            } else {
+                let mut ignored = OpStats::NOOP;
+                Self::clear_tree_in::<false>(shape, self.root, None, &mut ignored);
+            }
         }
         self.root = NIL;
         self.root_time = 0;
         // A recycled clock starts a fresh life: do not let a previous
-        // role's density profile steer the adaptive fast paths.
-        self.dense_streak = 0;
-        self.dense_ops = 0;
+        // role's density profile steer its shape.
+        self.streak = 0;
     }
 
     fn reserve_threads(&mut self, threads: usize) {

@@ -2,13 +2,15 @@
 //!
 //! The paper's implementation represents a tree clock as "two arrays of
 //! length k": the local times and the tree links. Together with the
-//! present-node count they form a [`Shape`]. A clock wider than
-//! [`SHARED_WIDTH`] entries holds its shape in an [`Arc`], so a timed
-//! copy from it (a lock release, a last-write publication) shares the
-//! shape in O(1) instead of copying both arrays, and the source copies
-//! its shape only when it next changes it. Narrower clocks keep the
-//! shape inline: at their size copying the two arrays costs less than
-//! the indirection an `Arc` would add to every read.
+//! present-node count they form a [`Shape`]. A *flat* shape keeps only
+//! the times: a dense clock drops its links (see the `tree_clock`
+//! module). A clock wider than [`SHARED_WIDTH`] entries holds its shape,
+//! tree or flat, in an [`Arc`], so a timed copy from it (a lock release,
+//! a last-write publication) shares the shape in O(1) instead of copying
+//! it, and the source copies its shape only when it next changes it.
+//! Narrower clocks keep the shape inline: at their size copying the
+//! arrays costs less than the indirection an `Arc` would add to every
+//! read.
 //!
 //! The root thread's time is kept outside the shape, in the clock (see
 //! `TreeClock::root_time`), so that `increment` never writes a shared
@@ -27,17 +29,19 @@ use super::node::Node;
 /// in an [`Arc`]; narrower ones keep it inline.
 pub(crate) const SHARED_WIDTH: usize = 64;
 
-/// The tree's times, links and present count.
+/// The clock's times, plus the tree's links and present count unless
+/// the shape is flat.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Shape {
     /// Dense local times; `clks[i] == 0` also covers absent threads
     /// (the "timestamps array" of the paper's implementation).
     pub(crate) clks: Vec<LocalTime>,
-    /// Tree links, parallel to `clks` (the "shape array").
+    /// Tree links, parallel to `clks` (the "shape array"); empty in a
+    /// flat shape.
     pub(crate) nodes: Vec<Node>,
     /// Number of present (in-tree) nodes, maintained incrementally so
     /// the sparse copy/clear paths and the adaptive fallback threshold
-    /// are O(1) to size.
+    /// are O(1) to size; 0 in a flat shape.
     pub(crate) num_present: u32,
 }
 
@@ -53,21 +57,38 @@ impl Shape {
         self.nodes.get(idx as usize).is_some_and(|n| n.present())
     }
 
-    /// Grows both arrays to at least `len` entries.
+    /// Whether the shape is flat: times without links. A tree's two
+    /// arrays always have the same length, and a flat shape belongs to
+    /// a rooted clock, so its times are never empty.
+    #[inline]
+    pub(crate) fn is_flat(&self) -> bool {
+        self.nodes.len() != self.clks.len()
+    }
+
+    /// Drops the links (keeping their buffer), leaving a flat shape.
+    #[inline]
+    pub(crate) fn drop_links(&mut self) {
+        self.nodes.clear();
+        self.num_present = 0;
+    }
+
+    /// Grows the times, and a tree's links, to at least `len` entries.
     #[inline]
     pub(crate) fn ensure_len(&mut self, len: usize) {
-        if len > self.nodes.len() {
+        if len > self.clks.len() {
             self.grow(len);
         }
     }
 
     #[cold]
     fn grow(&mut self, len: usize) {
-        self.nodes.resize_with(len, Node::default);
+        if !self.is_flat() {
+            self.nodes.resize_with(len, Node::default);
+        }
         self.clks.resize(len, 0);
     }
 
-    /// Heap bytes of the two arrays.
+    /// Heap bytes of the arrays.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.clks.capacity() * size_of::<LocalTime>() + self.nodes.capacity() * size_of::<Node>()
@@ -156,6 +177,36 @@ impl Store {
         }
     }
 
+    /// Whether changing the shape would first copy it, because another
+    /// clock shares it.
+    #[inline]
+    pub(crate) fn shared_with_others(&self) -> bool {
+        self.shared
+            .as_ref()
+            .is_some_and(|s| Arc::strong_count(s) > 1)
+    }
+
+    /// Makes the shape unique and flat, and writes `root_time` into the
+    /// entry of root `root`. A unique shape drops its links in place; a
+    /// shape other clocks share is left to them, and this clock takes a
+    /// flat copy of its times alone.
+    pub(crate) fn flatten(&mut self, root: u32, root_time: LocalTime) {
+        let shape = match &mut self.shared {
+            None => &mut self.inline,
+            Some(arc) => {
+                if Arc::get_mut(arc).is_none() {
+                    *arc = Arc::new(Shape {
+                        clks: arc.clks.clone(),
+                        ..Shape::default()
+                    });
+                }
+                Arc::get_mut(arc).expect("a fresh flat shape is unique")
+            }
+        };
+        shape.drop_links();
+        shape.clks[root as usize] = root_time;
+    }
+
     /// Shares `other`'s shape if it is shared, dropping this clock's
     /// own; returns whether it did.
     #[inline]
@@ -210,7 +261,7 @@ impl Store {
     /// [`SHARED_WIDTH`] behind an [`Arc`].
     #[inline]
     pub(crate) fn settle(&mut self) {
-        if self.shared.is_none() && self.inline.nodes.len() > SHARED_WIDTH {
+        if self.shared.is_none() && self.inline.clks.len() > SHARED_WIDTH {
             self.shared = Some(Arc::new(std::mem::take(&mut self.inline)));
         }
     }
@@ -221,9 +272,9 @@ impl Store {
     pub(crate) fn check(&self) -> Result<(), String> {
         let inline = &self.inline;
         match &self.shared {
-            None if inline.nodes.len() > SHARED_WIDTH => Err(format!(
+            None if inline.clks.len() > SHARED_WIDTH => Err(format!(
                 "inline shape is {} wide, past the sharing width {SHARED_WIDTH}",
-                inline.nodes.len()
+                inline.clks.len()
             )),
             Some(_) if !inline.clks.is_empty() || !inline.nodes.is_empty() => {
                 Err("a shared shape with a non-empty inline shape beside it".to_string())

@@ -625,15 +625,15 @@ fn a_lagging_root_entry_is_never_read() {
     assert_eq!(deep.vector_time(), expected);
     assert_eq!(deep.check_invariants(), Ok(()));
 
-    // So does the timed dense join: three dense joins switch it on, and
-    // its star rebuild hangs every thread straight under the root.
+    // So does the flat sweep: after three dense joins the next timed
+    // join turns the clock flat.
     let mut dense = rooted(WIDE, 1);
     for time in 1..=3 {
         dense.join(&clock_at(WIDE, time));
     }
     dense.increment(1);
     dense.join(&src);
-    assert_eq!(dense.children(t(WIDE)).len(), WIDE as usize);
+    assert!(dense.is_flat());
     assert_eq!(dense.get(t(0)), 9);
     assert_eq!(dense.check_invariants(), Ok(()));
 }
@@ -717,4 +717,203 @@ fn a_pooled_clock_parks_without_a_shared_shape() {
     reused.increment(2);
     assert_eq!(reused.vector_time(), VectorTime::from(vec![0, 0, 0, 2]));
     assert_eq!(reused.check_invariants(), Ok(()));
+}
+
+// ---------------------------------------------------------------------
+// Flat shapes
+// ---------------------------------------------------------------------
+
+use super::{DENSE_STREAK_LIMIT, SPARSE_SWEEP_LIMIT};
+
+/// A wide thread clock turned flat: it released into `lock` (sharing
+/// its shape) and then joined a peer, so the join would have copied the
+/// shape the lock still holds. The thread ends at t0 = 3, t1..t79 = 1
+/// and t80 = 5; the lock keeps t0 = 2, t1..t79 = 1.
+fn flat_thread_and_its_lock() -> (TreeClock, TreeClock) {
+    let mut thread = clock_at(WIDE, 1);
+    thread.increment(1);
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&thread);
+    assert!(lock.shares_shape_with(&thread));
+    thread.increment(1);
+    thread.join(&rooted(WIDE, 5));
+    (thread, lock)
+}
+
+#[test]
+fn a_wide_join_into_a_shared_shape_turns_flat() {
+    let (thread, lock) = flat_thread_and_its_lock();
+    assert!(thread.is_flat());
+    assert!(!thread.shares_shape_with(&lock));
+    assert_eq!(thread.node_count(), 0, "a flat clock keeps no nodes");
+    assert_eq!(thread.get(t(0)), 3);
+    assert_eq!(thread.get(t(1)), 1);
+    assert_eq!(thread.get(t(WIDE)), 5);
+    assert_eq!(thread.check_invariants(), Ok(()));
+
+    // The lock still holds the old tree and its value.
+    let mut published = vec![1; WIDE as usize];
+    published[0] = 2;
+    assert!(!lock.is_flat());
+    assert_eq!(lock.vector_time(), VectorTime::from(published));
+    assert_eq!(lock.check_invariants(), Ok(()));
+
+    // A copy takes the source's shape: the next release shares it flat.
+    let mut next = TreeClock::new();
+    next.monotone_copy(&thread);
+    assert!(next.is_flat() && next.shares_shape_with(&thread));
+    assert_eq!(next, thread);
+    assert!(next.to_string().starts_with("(t0, 3, ⊥)[(t1, 1, 3), "));
+}
+
+#[test]
+fn sparse_sweeps_bring_back_a_tree() {
+    let (mut thread, _lock) = flat_thread_and_its_lock();
+    // The join that turned the clock flat changed one entry of 81: the
+    // first sparse sweep. Each join below is another.
+    for i in 1..u32::from(SPARSE_SWEEP_LIMIT) {
+        assert!(thread.is_flat(), "a tree again after {i} sweeps");
+        thread.increment(1);
+        thread.join(&rooted(i, 10));
+    }
+    assert!(!thread.is_flat());
+    assert_eq!(thread.check_invariants(), Ok(()));
+    // The star: every known thread directly under the root.
+    assert_eq!(thread.children(t(0)).len(), WIDE as usize);
+    assert_eq!(thread.node(t(1)).unwrap().aclk, thread.get(t(0)));
+    for i in 1..u32::from(SPARSE_SWEEP_LIMIT) {
+        assert_eq!(thread.get(t(i)), 10);
+    }
+    assert_eq!(thread.get(t(SPARSE_SWEEP_LIMIT.into())), 1);
+    assert_eq!(thread.get(t(WIDE)), 5);
+}
+
+#[test]
+fn clear_returns_a_flat_clock_to_a_tree() {
+    let (mut thread, lock) = flat_thread_and_its_lock();
+    thread.clear();
+    assert!(thread.is_empty() && !thread.is_flat());
+    assert_eq!(thread.check_invariants(), Ok(()));
+    assert_eq!(lock.get(t(0)), 2, "clearing leaves the lock alone");
+    thread.init_root(t(2));
+    thread.increment(4);
+    thread.join(&rooted(1, 6));
+    assert!(!thread.is_flat());
+    assert_eq!(thread.to_string(), "(t2, 4, ⊥)[(t1, 6, 4)]");
+    assert_eq!(thread.check_invariants(), Ok(()));
+}
+
+/// A tree joining a flat source hangs the entries that progressed under
+/// its own root, at its root's current time; the rest of the tree stays.
+#[test]
+fn a_tree_hangs_what_a_flat_source_progressed_under_its_root() {
+    let (flat, lock) = flat_thread_and_its_lock();
+    let root = t(WIDE + 1);
+    // (Built twice rather than cloned: a clone would share the shape.)
+    let receiver = || {
+        let mut tree = rooted(WIDE + 1, 2);
+        tree.join_counted(&lock);
+        tree.increment(1);
+        assert_eq!(tree.node(t(1)).unwrap().parent, Some(t(0)));
+        tree
+    };
+    let (mut tree, mut counted) = (receiver(), receiver());
+    tree.join(&flat);
+    let stats = counted.join_counted(&flat);
+    assert_eq!(stats, OpStats::new(1 + flat.num_threads() as u64, 2, 2));
+    for clock in [&tree, &counted] {
+        assert!(!clock.is_flat());
+        assert_eq!(clock.check_invariants(), Ok(()));
+        // t0 and t80 progressed: both now hang under the root at its
+        // time 3, and t0 keeps the subtree it brought from the lock.
+        for i in [0, WIDE] {
+            let node = clock.node(t(i)).unwrap();
+            assert_eq!((node.parent, node.aclk), (Some(root), 3), "t{i}");
+            assert_eq!(clock.get(t(i)), flat.get(t(i)));
+        }
+        assert_eq!(clock.node(t(1)).unwrap().parent, Some(t(0)));
+        assert_eq!(clock.get(root), 3);
+    }
+}
+
+/// A timed join whose walk would move more than an eighth of a wide
+/// arena stops and sweeps instead; the counted join walks in full.
+#[test]
+fn a_dense_wide_walk_turns_the_receiver_flat() {
+    for counted in [false, true] {
+        let mut thread = rooted(WIDE, 1);
+        let dense = clock_at(WIDE, 2);
+        if counted {
+            thread.join_counted(&dense);
+        } else {
+            thread.join(&dense);
+        }
+        assert_eq!(thread.is_flat(), !counted, "counted: {counted}");
+        assert_eq!(thread.get(t(WIDE - 1)), 2);
+        assert_eq!(thread.get(t(WIDE)), 1);
+        assert_eq!(thread.check_invariants(), Ok(()));
+    }
+}
+
+/// A narrow tree turns flat on its next timed join after
+/// `DENSE_STREAK_LIMIT` dense ones (each moving four entries of a
+/// 17-entry arena, within the walk limit).
+#[test]
+fn consecutive_dense_joins_turn_a_narrow_tree_flat() {
+    let mut thread = rooted(0, 1);
+    for time in 1..=u32::from(DENSE_STREAK_LIMIT) + 1 {
+        assert!(!thread.is_flat(), "flat after {} dense joins", time - 1);
+        let mut source = rooted(NARROW, time);
+        for i in 1..4 {
+            source.join(&rooted(i, time));
+        }
+        thread.increment(1);
+        thread.join(&source);
+    }
+    assert!(thread.is_flat());
+    assert_eq!(thread.get(t(NARROW)), u32::from(DENSE_STREAK_LIMIT) + 1);
+    assert_eq!(thread.check_invariants(), Ok(()));
+}
+
+/// A timed copy between narrow trees that would move more than its
+/// walk limit replicates the source (moving nothing entry by entry); a
+/// sparse one stays surgical.
+#[test]
+fn a_dense_narrow_copy_replicates_the_source() {
+    let mut thread = rooted(0, 1);
+    for i in 1..NARROW {
+        thread.join_counted(&rooted(i, 3));
+    }
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&rooted(0, 1));
+    let stats = lock.monotone_copy_impl::<false>(&thread);
+    assert_eq!(stats.moved, 0, "a dense copy replicates");
+    assert_eq!(lock.to_string(), thread.to_string());
+    thread.increment(1);
+    let stats = lock.monotone_copy_impl::<false>(&thread);
+    assert_eq!(stats.moved, 1, "a sparse copy walks");
+    assert_eq!(lock, thread);
+    assert_eq!(lock.check_invariants(), Ok(()));
+}
+
+/// Counted operations meeting a flat clock take the flat path and count
+/// it exactly: a sweep examines the source's entries, and a copy from a
+/// flat source replicates it.
+#[test]
+fn counted_operations_count_the_flat_path() {
+    let (mut thread, lock) = flat_thread_and_its_lock();
+    thread.increment(1);
+    let stats = thread.join_counted(&lock);
+    assert_eq!(stats, OpStats::new(1, 0, 0), "the root screen");
+    let stats = thread.join_counted(&rooted(3, 7));
+    assert!(thread.is_flat());
+    assert_eq!(stats, OpStats::new(1 + 4, 1, 1));
+
+    let mut copy = rooted(WIDE + 5, 1);
+    let (mode, stats) = copy.copy_check_monotone_counted(&thread);
+    assert_eq!(mode, CopyMode::Deep);
+    assert!(copy.is_flat() && !copy.shares_shape_with(&thread));
+    assert_eq!(copy, thread);
+    assert_eq!(stats.changed as usize, WIDE as usize + 2);
+    assert_eq!(copy.check_invariants(), Ok(()));
 }

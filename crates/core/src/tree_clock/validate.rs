@@ -7,6 +7,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::LocalTime;
+
 use super::node::NIL;
 use super::TreeClock;
 
@@ -48,7 +50,9 @@ impl TreeClock {
     /// 7. an inline shape is at most the sharing width wide and its root
     ///    entry equals the root time; a shared shape's root entry is at
     ///    most the root time, and the clock holds no inline shape beside
-    ///    it.
+    ///    it;
+    /// 8. a flat shape (times without links) belongs to a rooted clock
+    ///    and keeps no links and no present count; only 7 applies to it.
     ///
     /// # Errors
     ///
@@ -65,6 +69,24 @@ impl TreeClock {
         }
         self.store.check().map_err(InvariantViolation::new)?;
         let inline = !self.store.is_shared();
+        if shape.is_flat() {
+            if !nodes.is_empty() || shape.num_present != 0 {
+                return Err(InvariantViolation::new(format!(
+                    "a flat shape of {} times keeps {} links and a present count of {}",
+                    shape.clks.len(),
+                    nodes.len(),
+                    shape.num_present
+                )));
+            }
+            let root = self
+                .root_idx()
+                .ok_or_else(|| InvariantViolation::new("an empty clock is flat"))?;
+            let entry = *shape
+                .clks
+                .get(root as usize)
+                .ok_or_else(|| InvariantViolation::new("flat root index out of bounds"))?;
+            return check_root_entry(entry, self.root_time, inline);
+        }
         let Some(root) = self.root_idx() else {
             if present_count != 0 {
                 return Err(InvariantViolation::new(format!(
@@ -86,13 +108,7 @@ impl TreeClock {
         if root_slot.parent != NIL {
             return Err(InvariantViolation::new("root node has a parent"));
         }
-        let entry = shape.clks[root as usize];
-        if entry > self.root_time || (inline && entry != self.root_time) {
-            return Err(InvariantViolation::new(format!(
-                "root entry {entry} disagrees with the root time {}",
-                self.root_time
-            )));
-        }
+        check_root_entry(shape.clks[root as usize], self.root_time, inline)?;
 
         for (i, slot) in nodes.iter().enumerate() {
             if !slot.present() && shape.clks[i] != 0 {
@@ -169,6 +185,21 @@ impl TreeClock {
         }
         Ok(())
     }
+}
+
+/// An inline shape's root entry equals the root time; a shared one's
+/// may lag behind it.
+fn check_root_entry(
+    entry: LocalTime,
+    root_time: LocalTime,
+    inline: bool,
+) -> Result<(), InvariantViolation> {
+    if entry > root_time || (inline && entry != root_time) {
+        return Err(InvariantViolation::new(format!(
+            "root entry {entry} disagrees with the root time {root_time}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,6 +43,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// A pair of clock universes (one per representation) driven in
 /// lockstep.
 struct Universe {
+    /// Whether the steps run the timed operations (which may share,
+    /// flatten and unflatten tree clocks) instead of the counted ones.
+    timed: bool,
     tc_threads: Vec<TreeClock>,
     vc_threads: Vec<VectorClock>,
     tc_locks: Vec<TreeClock>,
@@ -56,17 +59,23 @@ struct Universe {
 }
 
 impl Universe {
+    /// The small counted universe the property tests drive.
     fn new() -> Self {
+        Universe::sized(THREADS, LOCKS, VARS, false)
+    }
+
+    fn sized(threads: usize, locks: usize, vars: usize, timed: bool) -> Self {
         let mut u = Universe {
-            tc_threads: (0..THREADS).map(|_| TreeClock::new()).collect(),
-            vc_threads: (0..THREADS).map(|_| VectorClock::new()).collect(),
-            tc_locks: (0..LOCKS).map(|_| TreeClock::new()).collect(),
-            vc_locks: (0..LOCKS).map(|_| VectorClock::new()).collect(),
-            tc_lw: (0..VARS).map(|_| TreeClock::new()).collect(),
-            vc_lw: (0..VARS).map(|_| VectorClock::new()).collect(),
-            held_by: vec![None; LOCKS],
+            timed,
+            tc_threads: (0..threads).map(|_| TreeClock::new()).collect(),
+            vc_threads: (0..threads).map(|_| VectorClock::new()).collect(),
+            tc_locks: (0..locks).map(|_| TreeClock::new()).collect(),
+            vc_locks: (0..locks).map(|_| VectorClock::new()).collect(),
+            tc_lw: (0..vars).map(|_| TreeClock::new()).collect(),
+            vc_lw: (0..vars).map(|_| VectorClock::new()).collect(),
+            held_by: vec![None; locks],
         };
-        for t in 0..THREADS {
+        for t in 0..threads {
             u.tc_threads[t].init_root(ThreadId::new(t as u32));
             u.vc_threads[t].init_root(ThreadId::new(t as u32));
         }
@@ -76,6 +85,7 @@ impl Universe {
     /// Applies a step to both universes; returns false if the step was
     /// skipped to keep the execution causally valid.
     fn apply(&mut self, step: Step) -> bool {
+        let timed = self.timed;
         match step {
             Step::Acquire { t, l } => {
                 if self.held_by[l].is_some() {
@@ -84,11 +94,11 @@ impl Universe {
                 self.held_by[l] = Some(t);
                 self.tc_threads[t].increment(1);
                 self.vc_threads[t].increment(1);
-                let a = self.tc_threads[t].join_counted(&self.tc_locks[l]);
-                let b = self.vc_threads[t].join_counted(&self.vc_locks[l]);
-                assert_eq!(
-                    a.changed, b.changed,
-                    "VTWork(acquire) must be representation independent"
+                join_both(
+                    timed,
+                    (&mut self.tc_threads[t], &self.tc_locks[l]),
+                    (&mut self.vc_threads[t], &self.vc_locks[l]),
+                    "VTWork(acquire) must be representation independent",
                 );
                 true
             }
@@ -99,20 +109,28 @@ impl Universe {
                 self.held_by[l] = None;
                 self.tc_threads[t].increment(1);
                 self.vc_threads[t].increment(1);
-                let a = self.tc_locks[l].monotone_copy_counted(&self.tc_threads[t]);
-                let b = self.vc_locks[l].monotone_copy_counted(&self.vc_threads[t]);
-                assert_eq!(
-                    a.changed, b.changed,
-                    "VTWork(release) must be representation independent"
-                );
+                if timed {
+                    self.tc_locks[l].monotone_copy(&self.tc_threads[t]);
+                    self.vc_locks[l].monotone_copy(&self.vc_threads[t]);
+                } else {
+                    let a = self.tc_locks[l].monotone_copy_counted(&self.tc_threads[t]);
+                    let b = self.vc_locks[l].monotone_copy_counted(&self.vc_threads[t]);
+                    assert_eq!(
+                        a.changed, b.changed,
+                        "VTWork(release) must be representation independent"
+                    );
+                }
                 true
             }
             Step::Read { t, x } => {
                 self.tc_threads[t].increment(1);
                 self.vc_threads[t].increment(1);
-                let a = self.tc_threads[t].join_counted(&self.tc_lw[x]);
-                let b = self.vc_threads[t].join_counted(&self.vc_lw[x]);
-                assert_eq!(a.changed, b.changed);
+                join_both(
+                    timed,
+                    (&mut self.tc_threads[t], &self.tc_lw[x]),
+                    (&mut self.vc_threads[t], &self.vc_lw[x]),
+                    "VTWork(read) must be representation independent",
+                );
                 true
             }
             Step::Write { t, x } => {
@@ -121,14 +139,20 @@ impl Universe {
                 // The O(1) monotonicity pre-check on the tree clock must
                 // agree with the full pointwise comparison.
                 let full = self.vc_lw[x].leq(&self.vc_threads[t]);
-                let (mode, a) = self.tc_lw[x].copy_check_monotone_counted(&self.tc_threads[t]);
+                let mode = if timed {
+                    self.vc_lw[x].copy_check_monotone(&self.vc_threads[t]);
+                    self.tc_lw[x].copy_check_monotone(&self.tc_threads[t])
+                } else {
+                    let (mode, a) = self.tc_lw[x].copy_check_monotone_counted(&self.tc_threads[t]);
+                    let (_, b) = self.vc_lw[x].copy_check_monotone_counted(&self.vc_threads[t]);
+                    assert_eq!(a.changed, b.changed);
+                    mode
+                };
                 assert_eq!(
                     mode == CopyMode::Monotone,
                     full,
                     "tree clock O(1) leq disagrees with pointwise comparison"
                 );
-                let (_, b) = self.vc_lw[x].copy_check_monotone_counted(&self.vc_threads[t]);
-                assert_eq!(a.changed, b.changed);
                 true
             }
             Step::JoinThread { t, u } => {
@@ -137,23 +161,35 @@ impl Universe {
                 }
                 self.tc_threads[t].increment(1);
                 self.vc_threads[t].increment(1);
-                let (a, b);
-                {
-                    let (tc_t, tc_u) = index_two(&mut self.tc_threads, t, u);
-                    a = tc_t.join_counted(tc_u);
-                }
-                {
-                    let (vc_t, vc_u) = index_two(&mut self.vc_threads, t, u);
-                    b = vc_t.join_counted(vc_u);
-                }
-                assert_eq!(a.changed, b.changed);
+                join_both(
+                    timed,
+                    index_two(&mut self.tc_threads, t, u),
+                    index_two(&mut self.vc_threads, t, u),
+                    "VTWork(join) must be representation independent",
+                );
                 true
             }
         }
     }
 
+    /// Checks the clocks `step` touched: equal values on both sides and
+    /// a sound tree clock.
+    fn check_step(&self, step: Step) {
+        let (t, other) = match step {
+            Step::Acquire { t, l } | Step::Release { t, l } => {
+                (t, (&self.tc_locks[l], &self.vc_locks[l]))
+            }
+            Step::Read { t, x } | Step::Write { t, x } => (t, (&self.tc_lw[x], &self.vc_lw[x])),
+            Step::JoinThread { t, u } => (t, (&self.tc_threads[u], &self.vc_threads[u])),
+        };
+        for (tc, vc) in [(&self.tc_threads[t], &self.vc_threads[t]), other] {
+            assert_eq!(tc.vector_time(), vc.vector_time(), "{step:?} diverged");
+            tc.check_invariants().unwrap();
+        }
+    }
+
     fn check_agreement(&self) {
-        for t in 0..THREADS {
+        for t in 0..self.tc_threads.len() {
             assert_eq!(
                 self.tc_threads[t].vector_time(),
                 self.vc_threads[t].vector_time(),
@@ -161,7 +197,7 @@ impl Universe {
             );
             self.tc_threads[t].check_invariants().unwrap();
         }
-        for l in 0..LOCKS {
+        for l in 0..self.tc_locks.len() {
             assert_eq!(
                 self.tc_locks[l].vector_time(),
                 self.vc_locks[l].vector_time(),
@@ -169,7 +205,7 @@ impl Universe {
             );
             self.tc_locks[l].check_invariants().unwrap();
         }
-        for x in 0..VARS {
+        for x in 0..self.tc_lw.len() {
             assert_eq!(
                 self.tc_lw[x].vector_time(),
                 self.vc_lw[x].vector_time(),
@@ -178,9 +214,11 @@ impl Universe {
             self.tc_lw[x].check_invariants().unwrap();
         }
         // The O(1) tree-clock ordering check must agree with the full
-        // pointwise comparison on clocks from the same computation.
-        for a in 0..THREADS {
-            for b in 0..THREADS {
+        // pointwise comparison on clocks from the same computation (on
+        // a sample of the pairs of a wide universe).
+        let threads = self.tc_threads.len();
+        for a in 0..threads {
+            for b in (0..threads).step_by(threads.div_ceil(8)) {
                 assert_eq!(
                     self.tc_threads[a].leq(&self.tc_threads[b]),
                     self.vc_threads[a].leq(&self.vc_threads[b]),
@@ -188,6 +226,24 @@ impl Universe {
                 );
             }
         }
+    }
+}
+
+/// Joins `src` into `dst` in both universes: timed, or counted with
+/// equal `changed` work.
+fn join_both(
+    timed: bool,
+    (tc, tc_src): (&mut TreeClock, &TreeClock),
+    (vc, vc_src): (&mut VectorClock, &VectorClock),
+    message: &str,
+) {
+    if timed {
+        tc.join(tc_src);
+        vc.join(vc_src);
+    } else {
+        let a = tc.join_counted(tc_src);
+        let b = vc.join_counted(vc_src);
+        assert_eq!(a.changed, b.changed, "{message}");
     }
 }
 
@@ -263,6 +319,78 @@ fn long_deterministic_smoke_run() {
         }
     }
     u.check_agreement();
+}
+
+/// Threads past the copy-on-write sharing width (64 entries), so a timed
+/// release shares the thread's shape with the lock.
+const WIDE_THREADS: usize = 80;
+
+/// The timed operations on clocks wider than the sharing width, checked
+/// against vector clocks after every step. Dense phases (every thread
+/// through two locks, plus reads, writes and thread joins) turn thread
+/// clocks flat; pair phases (each thread syncing only with one partner,
+/// so a join changes an entry or two) turn them back into trees. Every
+/// release shares its thread's shape, tree or flat, so joins keep
+/// meeting shared shapes too.
+#[test]
+fn wide_timed_runs_agree_through_tree_flat_and_shared_shapes() {
+    for width in [WIDE_THREADS, 130] {
+        let mut u = Universe::sized(width, width, 8, true);
+        let mut state = 0x5DEECE66Du64 + width as u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (dense_steps, phase_steps) = (10 * width, 70 * width);
+        let mut was_flat = vec![false; width];
+        let (mut flattened, mut unflattened) = (0, 0);
+        for i in 0..2 * phase_steps {
+            let r = rand();
+            let t = (r % width as u64) as usize;
+            let pick = (r >> 16) as usize;
+            let steps = if i % phase_steps >= dense_steps {
+                let l = t & !1;
+                [Step::Acquire { t, l }, Step::Release { t, l }]
+            } else {
+                match (r >> 8) % 8 {
+                    0 => [
+                        Step::Write { t, x: pick % 8 },
+                        Step::Read {
+                            t,
+                            x: (pick >> 4) % 8,
+                        },
+                    ],
+                    1 => [
+                        Step::JoinThread { t, u: pick % width },
+                        Step::Read {
+                            t,
+                            x: (pick >> 8) % 8,
+                        },
+                    ],
+                    _ => {
+                        let l = pick % 2;
+                        [Step::Acquire { t, l }, Step::Release { t, l }]
+                    }
+                }
+            };
+            for step in steps {
+                if u.apply(step) {
+                    u.check_step(step);
+                }
+            }
+            let flat = u.tc_threads[t].is_flat();
+            flattened += usize::from(flat && !was_flat[t]);
+            unflattened += usize::from(!flat && was_flat[t]);
+            was_flat[t] = flat;
+        }
+        u.check_agreement();
+        assert!(
+            flattened > width && unflattened > width,
+            "width {width}: {flattened} clocks turned flat, {unflattened} back into trees"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
