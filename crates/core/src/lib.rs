@@ -65,11 +65,12 @@
 //!   while the observed join density is high and re-materializes tree
 //!   links when the workload turns sparse.
 //! - [`ids`] — [`ThreadId`], [`LocalTime`] and [`Epoch`] identifiers.
-//! - [`pool`] — the [`ClockPool`] free list and the [`LazyClock`]
-//!   per-variable slot, with which the engines' steady-state analysis
-//!   acquires no fresh clock (see the README's "Performance" section;
-//!   a wide tree clock still allocates a fresh tree when it changes one
-//!   it shares).
+//! - [`pool`] — the [`ClockPool`] free list and the [`ClockTable`] of
+//!   lazily materialized per-lock and per-variable clocks, with which
+//!   the engines' steady-state analysis acquires no fresh clock and an
+//!   untouched id costs a 4-byte slot (see the README's "Performance"
+//!   section; a wide tree clock still allocates a fresh tree when it
+//!   changes one it shares).
 //! - [`identity`] — the [`IdentityMap`] generation layer that remaps
 //!   external thread ids onto recycled internal slots, keeping clock
 //!   width proportional to *live* threads under spawn/join churn.
@@ -90,7 +91,7 @@ pub use clock::{CopyMode, LogicalClock, OpStats};
 pub use hybrid::HybridClock;
 pub use identity::{BindError, IdentityMap, IdentitySnapshot, SlotBinding};
 pub use ids::{Epoch, LocalTime, ThreadId};
-pub use pool::{ClockPool, LazyClock};
+pub use pool::{ClockPool, ClockTable};
 pub use tree_clock::TreeClock;
 pub use vector_clock::VectorClock;
 pub use vector_time::VectorTime;
@@ -107,5 +108,5 @@ const _: () = {
     assert_send::<ClockPool<TreeClock>>();
     assert_send::<ClockPool<VectorClock>>();
     assert_send::<ClockPool<HybridClock>>();
-    assert_send::<LazyClock<HybridClock>>();
+    assert_send::<ClockTable<HybridClock>>();
 };

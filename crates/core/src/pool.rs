@@ -24,6 +24,11 @@
 //! each time it changes a shared one (copy-on-write). A clock released
 //! while its tree is shared parks without it.
 //!
+//! The per-lock and per-variable clocks live in a [`ClockTable`]: a
+//! 4-byte slot per id and a dense array of the clocks that have
+//! materialized, so a lock or variable the trace declares but never
+//! publishes through costs its slot and nothing else.
+//!
 //! [`TreeClock`]: crate::TreeClock
 //!
 //! # Example
@@ -198,64 +203,175 @@ impl<C: LogicalClock> Default for ClockPool<C> {
     }
 }
 
-/// A lazily materialized clock slot: `None` until first written.
+/// Slot value of an id whose clock is not materialized.
+const UNMATERIALIZED: u32 = u32::MAX;
+
+/// Lazily materialized clocks indexed by a dense id space (lock ids,
+/// variable ids).
 ///
-/// Engines keep one slot per variable (and per lock); a variable that
-/// is never accessed — or only read before any write — costs one `Option`
-/// discriminant instead of a full clock, and the slot materializes from
-/// the [`ClockPool`] (inheriting recycled buffers) the first time an
-/// ordering is actually published through it.
+/// Engines keep one clock per lock and one last-write clock per
+/// variable, but a trace typically touches only part of the id space it
+/// declares. The table therefore keeps a 4-byte slot per id and the
+/// materialized clocks in a separate dense array: an untouched id costs
+/// its slot, the clock materializes from the [`ClockPool`] (inheriting
+/// recycled buffers) the first time an ordering is published through
+/// it, and teardown and eviction walk the materialized clocks only.
 ///
-/// An empty slot is semantically identical to an empty clock: joins
-/// against it are no-ops and are skipped entirely by the engines (they
-/// record neither the operation nor any work).
-#[derive(Clone, Debug, Default)]
-pub struct LazyClock<C> {
-    slot: Option<C>,
+/// An unmaterialized id is semantically an empty clock: joins against
+/// it are no-ops and are skipped entirely by the engines (they record
+/// neither the operation nor any work), which is why [`get`](Self::get)
+/// answers `None` for it.
+///
+/// # Example
+///
+/// ```rust
+/// use tc_core::{ClockPool, ClockTable, LogicalClock, ThreadId, VectorClock};
+///
+/// let mut pool = ClockPool::<VectorClock>::new();
+/// let mut locks = ClockTable::with_len(1_000);
+/// assert!(locks.get(999).is_none());
+///
+/// locks.get_or_acquire(999, &mut pool).init_root(ThreadId::new(0));
+/// assert_eq!(locks.get(999).unwrap().root_tid(), Some(ThreadId::new(0)));
+/// assert_eq!(pool.fresh(), 1);
+///
+/// locks.release_into(&mut pool);
+/// assert_eq!(pool.free_len(), 1);
+/// ```
+#[derive(Debug)]
+pub struct ClockTable<C> {
+    /// Per id: the index of its clock in `clocks`, or `UNMATERIALIZED`.
+    slots: Vec<u32>,
+    /// The materialized clocks, in first-use order; an eviction moves
+    /// the last clock into the evicted one's place.
+    clocks: Vec<C>,
+    /// Per entry of `clocks`: the id it belongs to.
+    owners: Vec<u32>,
 }
 
-impl<C: LogicalClock> LazyClock<C> {
-    /// Creates an unmaterialized slot.
-    pub const fn empty() -> Self {
-        LazyClock { slot: None }
+impl<C: LogicalClock> ClockTable<C> {
+    /// A table of `len` unmaterialized ids.
+    pub fn with_len(len: usize) -> Self {
+        ClockTable {
+            slots: vec![UNMATERIALIZED; len],
+            clocks: Vec::new(),
+            owners: Vec::new(),
+        }
     }
 
-    /// Wraps an already materialized clock (checkpoint restore).
-    pub fn from_clock(clock: C) -> Self {
-        LazyClock { slot: Some(clock) }
+    /// Extends the table to cover `id`.
+    #[inline]
+    pub fn ensure(&mut self, id: usize) {
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, UNMATERIALIZED);
+        }
     }
 
-    /// The clock, if the slot has materialized.
-    pub fn get(&self) -> Option<&C> {
-        self.slot.as_ref()
+    /// The clock of `id`, if it has materialized.
+    #[inline]
+    pub fn get(&self, id: usize) -> Option<&C> {
+        // An unmaterialized slot indexes past the end of `clocks`.
+        let slot = *self.slots.get(id)?;
+        self.clocks.get(slot as usize)
     }
 
-    /// Mutable access to the clock, if the slot has materialized.
-    pub fn get_mut(&mut self) -> Option<&mut C> {
-        self.slot.as_mut()
+    /// The clock of `id`, materializing it from `pool` on first use
+    /// (and extending the table to cover `id` if needed).
+    #[inline]
+    pub fn get_or_acquire(&mut self, id: usize, pool: &mut ClockPool<C>) -> &mut C {
+        self.ensure(id);
+        let mut slot = self.slots[id];
+        if slot == UNMATERIALIZED {
+            slot = self.materialize(id, pool);
+        }
+        &mut self.clocks[slot as usize]
     }
 
-    /// The clock, materializing it from `pool` on first use.
-    pub fn get_or_acquire(&mut self, pool: &mut ClockPool<C>) -> &mut C {
-        self.slot.get_or_insert_with(|| pool.acquire())
+    /// Draws `id`'s clock from `pool` and returns its dense index; once
+    /// per id, so kept off the hot path.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, id: usize, pool: &mut ClockPool<C>) -> u32 {
+        let slot = u32::try_from(self.clocks.len()).expect("fewer clocks than u32::MAX");
+        self.clocks.push(pool.acquire());
+        self.owners
+            .push(u32::try_from(id).expect("table ids fit in u32"));
+        self.slots[id] = slot;
+        slot
     }
 
-    /// Returns `true` once the slot holds a clock.
-    pub fn is_materialized(&self) -> bool {
-        self.slot.is_some()
+    /// Every id's clock in id order, `None` where it has not
+    /// materialized — the checkpoint export order, independent of the
+    /// order in which the clocks materialized.
+    pub fn iter(&self) -> impl Iterator<Item = Option<&C>> + '_ {
+        self.slots
+            .iter()
+            .map(|&slot| self.clocks.get(slot as usize))
     }
 
-    /// Releases the materialized clock (if any) back into `pool`,
-    /// leaving the slot empty again.
-    pub fn release_into(&mut self, pool: &mut ClockPool<C>) {
-        if let Some(clock) = self.slot.take() {
+    /// Releases every materialized clock for which `evict` holds back
+    /// into `pool`, leaving its id unmaterialized; returns the number
+    /// released.
+    pub fn evict_if(
+        &mut self,
+        pool: &mut ClockPool<C>,
+        mut evict: impl FnMut(&C) -> bool,
+    ) -> usize {
+        let mut evicted = 0;
+        let mut i = 0;
+        while i < self.clocks.len() {
+            if !evict(&self.clocks[i]) {
+                i += 1;
+                continue;
+            }
+            pool.release(self.clocks.swap_remove(i));
+            let id = self.owners.swap_remove(i);
+            self.slots[id as usize] = UNMATERIALIZED;
+            if let Some(&moved) = self.owners.get(i) {
+                self.slots[moved as usize] = i as u32;
+            }
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Tears the table down, releasing exactly its materialized clocks
+    /// into `pool`.
+    pub fn release_into(self, pool: &mut ClockPool<C>) {
+        for clock in self.clocks {
             pool.release(clock);
         }
     }
 
-    /// Heap bytes owned by the materialized clock (0 while lazy).
+    /// Heap bytes of the table: its slot and clock arrays plus the
+    /// materialized clocks' own buffers.
     pub fn heap_bytes(&self) -> usize {
-        self.slot.as_ref().map_or(0, C::heap_bytes)
+        use std::mem::size_of;
+        (self.slots.capacity() + self.owners.capacity()) * size_of::<u32>()
+            + self.clocks.capacity() * size_of::<C>()
+            + self.clocks.iter().map(C::heap_bytes).sum::<usize>()
+    }
+}
+
+impl<C: LogicalClock> FromIterator<Option<C>> for ClockTable<C> {
+    /// Builds a table from per-id clocks in id order (checkpoint
+    /// restore); `None` leaves an id unmaterialized.
+    fn from_iter<I: IntoIterator<Item = Option<C>>>(iter: I) -> Self {
+        let mut table = ClockTable::with_len(0);
+        for (id, clock) in iter.into_iter().enumerate() {
+            let slot = match clock {
+                Some(clock) => {
+                    table
+                        .owners
+                        .push(u32::try_from(id).expect("table ids fit in u32"));
+                    table.clocks.push(clock);
+                    (table.clocks.len() - 1) as u32
+                }
+                None => UNMATERIALIZED,
+            };
+            table.slots.push(slot);
+        }
+        table
     }
 }
 
@@ -357,21 +473,82 @@ mod tests {
     }
 
     #[test]
-    fn lazy_clock_materializes_once() {
+    fn an_untouched_id_reads_none() {
+        let mut table = ClockTable::<TreeClock>::with_len(4);
+        assert!(table.get(3).is_none());
+        assert!(table.get(4).is_none(), "past the end reads as untouched");
+        table.ensure(9);
+        assert_eq!(table.iter().count(), 10);
+        assert!(table.iter().all(|c| c.is_none()));
+        assert!(table.clocks.is_empty());
+    }
+
+    #[test]
+    fn first_use_materializes_from_the_pool_once() {
         let mut pool = ClockPool::<TreeClock>::new();
-        let mut slot = LazyClock::<TreeClock>::empty();
-        assert!(!slot.is_materialized());
-        assert!(slot.get().is_none());
-        assert_eq!(slot.heap_bytes(), 0);
-
-        slot.get_or_acquire(&mut pool).init_root(ThreadId::new(2));
-        assert!(slot.is_materialized());
-        slot.get_or_acquire(&mut pool).increment(1);
+        let mut table = ClockTable::with_len(8);
+        table
+            .get_or_acquire(5, &mut pool)
+            .init_root(ThreadId::new(2));
+        table.get_or_acquire(5, &mut pool).increment(1);
         assert_eq!(pool.fresh(), 1, "second access must not re-acquire");
-        assert_eq!(slot.get().unwrap().get(ThreadId::new(2)), 1);
+        assert_eq!(table.clocks.len(), 1);
+        assert_eq!(table.get(5).unwrap().get(ThreadId::new(2)), 1);
+        assert!(table.get(4).is_none());
 
-        slot.release_into(&mut pool);
-        assert!(!slot.is_materialized());
+        // An id past the end extends the table.
+        table
+            .get_or_acquire(20, &mut pool)
+            .init_root(ThreadId::new(1));
+        assert_eq!(table.iter().count(), 21);
+        let present: Vec<_> = table.iter().map(|c| c.is_some()).collect();
+        assert_eq!(present.iter().filter(|&&p| p).count(), 2);
+        assert!(present[5] && present[20]);
+    }
+
+    #[test]
+    fn the_next_materialization_reuses_an_evicted_entry() {
+        let mut pool = ClockPool::<VectorClock>::new();
+        let mut table = ClockTable::with_len(100);
+        for id in [10, 50, 90] {
+            table
+                .get_or_acquire(id, &mut pool)
+                .init_root(ThreadId::new(id as u32));
+        }
+        let capacity = table.clocks.capacity();
+        let evicted = table.evict_if(&mut pool, |c| c.root_tid() == Some(ThreadId::new(10)));
+        assert_eq!(evicted, 1);
         assert_eq!(pool.free_len(), 1);
+        assert!(table.get(10).is_none());
+        // The moved entry is still found through its slot.
+        assert_eq!(table.get(90).unwrap().root_tid(), Some(ThreadId::new(90)));
+        assert_eq!(table.get(50).unwrap().root_tid(), Some(ThreadId::new(50)));
+
+        table
+            .get_or_acquire(70, &mut pool)
+            .init_root(ThreadId::new(70));
+        assert_eq!(pool.recycled(), 1, "the evicted clock is re-acquired");
+        assert_eq!(table.clocks.len(), 3, "the dense length does not grow");
+        assert_eq!(table.clocks.capacity(), capacity);
+        let roots: Vec<_> = table
+            .iter()
+            .enumerate()
+            .filter_map(|(id, c)| c.map(|c| (id, c.root_tid().unwrap().raw())))
+            .collect();
+        assert_eq!(roots, [(50, 50), (70, 70), (90, 90)]);
+    }
+
+    #[test]
+    fn teardown_returns_exactly_the_materialized_clocks() {
+        let mut pool = ClockPool::<crate::HybridClock>::new();
+        let mut table = ClockTable::with_len(1 << 12);
+        for id in [0, 7, 4_095] {
+            table
+                .get_or_acquire(id, &mut pool)
+                .init_root(ThreadId::new(1));
+        }
+        table.release_into(&mut pool);
+        assert_eq!(pool.fresh(), 3);
+        assert_eq!(pool.free_len(), 3);
     }
 }

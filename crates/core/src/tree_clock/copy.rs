@@ -12,13 +12,14 @@
 //! With a flat clock on either side there are no links to walk, and the
 //! destination becomes a replica of the source, taking its shape.
 //!
-//! Like the join, the traversal borrows the scratch stacks as disjoint
-//! fields — no per-operation swap-out/restore.
+//! Like the join, the traversal borrows its OS thread's scratch stacks
+//! for the length of the walk; the fallbacks that replace the walk with
+//! a replica or a clone run after it has given them back.
 
 use crate::clock::{LogicalClock, OpStats};
 use crate::ThreadId;
 
-use super::join::{time_at, walk_limit, Frame};
+use super::join::{time_at, walk_limit, with_scratch, Frame};
 use super::node::NIL;
 use super::TreeClock;
 
@@ -69,9 +70,6 @@ impl TreeClock {
         }
 
         let arena = self.num_threads().max(other.num_threads());
-        self.gather.clear();
-        self.frames.clear();
-
         if COUNT {
             stats.examined += 1; // the root of `other` is always processed
         }
@@ -79,72 +77,71 @@ impl TreeClock {
         // walking and replicates the source: its arrays cost less to
         // copy than that many moved entries.
         let limit = walk_limit::<COUNT>(arena);
-        let Some(found_old_root) = Self::gather_copy::<COUNT>(
-            &self.store.unique(z, self.root_time).clks,
-            other,
-            (zp, z),
-            limit,
-            (&mut self.gather, &mut self.frames),
-            &mut stats,
-        ) else {
-            self.gather.clear();
+        let shape = self.store.unique(z, self.root_time);
+        let walked = with_scratch(|s| {
+            let (gather, frames) = (&mut s.gather, &mut s.frames);
+            let found_old_root = Self::gather_copy::<COUNT>(
+                &shape.clks,
+                other,
+                (zp, z),
+                limit,
+                (gather, frames),
+                &mut stats,
+            )?;
+            let moved = gather.len();
+
+            // The sibling pruning stops a scan once a child's attachment
+            // clock shows the destination already knew the rest of the
+            // siblings. That is value-correct, but when the destination's
+            // old root has not progressed and sits past such a cut it is
+            // never reached and cannot be repositioned. Star-shaped
+            // sources (a flat representation lifted to a tree attaches
+            // every child at one attachment clock) make this reachable
+            // in practice: fall back to a full replica, which is always
+            // a valid monotone copy.
+            //
+            // Adaptive fallback: when most of the arena progressed, the
+            // surgical detach/re-attach (scattered writes) is slower than
+            // replacing the whole structure with `other`'s — which is a
+            // valid monotone copy (the result must represent `other`'s
+            // vector time, and `other`'s own tree trivially satisfies all
+            // invariants). The threshold is *arena*-based because that is
+            // what the timed path's flat replica costs; it also keeps the
+            // examined-entry count within the Theorem 1 budget: the counted
+            // clone walks the union of the two present-node sets — at most
+            // `max(len)` entries here, and at least half that many changed.
+            if (z != zp && !found_old_root) || moved >= arena / 2 {
+                return Some((moved, false));
+            }
+
+            Self::detach_nodes_in(&mut shape.nodes, z, gather);
+            Self::attach_nodes_in::<COUNT>(shape, other, gather, &mut stats);
+
+            // Re-root at the source's root thread.
+            {
+                let r = &mut shape.nodes[zp as usize];
+                r.parent = NIL;
+                r.next_sib = NIL;
+                r.prev_sib = NIL;
+            }
+            debug_assert!(
+                z == zp || shape.nodes[z as usize].parent != NIL,
+                "old root was not repositioned — monotone-copy precondition violated"
+            );
+            Some((moved, true))
+        });
+        let Some((moved, surgical)) = walked else {
             return self.replicate::<COUNT>(other);
         };
-        let moved = self.gather.len();
         if !COUNT {
             stats.moved = moved as u64;
         }
-
-        // The sibling pruning stops a scan once a child's attachment
-        // clock shows the destination already knew the rest of the
-        // siblings. That is value-correct, but when the destination's
-        // old root has not progressed and sits past such a cut it is
-        // never reached and cannot be repositioned. Star-materialized
-        // sources (a flat representation lifted to a tree attaches
-        // every child with aclk 0) make this reachable in practice:
-        // fall back to a full replica, which is always a valid
-        // monotone copy.
-        if z != zp && !found_old_root {
-            self.gather.clear();
-            let clone_stats = self.clone_structure_from::<COUNT>(other);
-            stats += clone_stats;
+        if !surgical {
+            // The clone runs its own walk, after this one has returned
+            // the scratch stacks.
+            stats += self.clone_structure_from::<COUNT>(other);
             return stats;
         }
-
-        // Adaptive fallback: when most of the arena progressed, the
-        // surgical detach/re-attach (scattered writes) is slower than
-        // replacing the whole structure with `other`'s — which is a
-        // valid monotone copy (the result must represent `other`'s
-        // vector time, and `other`'s own tree trivially satisfies all
-        // invariants). The threshold is *arena*-based because that is
-        // what the timed path's flat replica costs; it also keeps the
-        // examined-entry count within the Theorem 1 budget: the counted
-        // clone walks the union of the two present-node sets — at most
-        // `max(len)` entries here, and at least half that many changed.
-        if moved >= arena / 2 {
-            // The clone's own traversal reuses the scratch stack; clear
-            // it first so the copy walk starts fresh.
-            self.gather.clear();
-            let clone_stats = self.clone_structure_from::<COUNT>(other);
-            stats += clone_stats;
-            return stats;
-        }
-
-        let shape = self.store.unique(z, self.root_time);
-        Self::detach_nodes_in(&mut shape.nodes, z, &self.gather);
-        Self::attach_nodes_in::<COUNT>(shape, other, &mut self.gather, &mut stats);
-
-        // Re-root at the source's root thread.
-        {
-            let r = &mut shape.nodes[zp as usize];
-            r.parent = NIL;
-            r.next_sib = NIL;
-            r.prev_sib = NIL;
-        }
-        debug_assert!(
-            z == zp || shape.nodes[z as usize].parent != NIL,
-            "old root was not repositioned — monotone-copy precondition violated"
-        );
         self.root = zp;
         self.root_time = other.root_time;
         self.store.settle();
@@ -203,7 +200,9 @@ impl TreeClock {
                     gathered.push(child);
                     found_old_root = true;
                 }
-                if v.aclk <= parent_known {
+                // The join's indirect-monotonicity cut, with its
+                // exception for a parent known only at time 0.
+                if parent_known != 0 && v.aclk <= parent_known {
                     break;
                 }
                 child = v.next_sib;

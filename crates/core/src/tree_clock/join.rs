@@ -17,11 +17,12 @@
 //! tallies [`OpStats`]; the plain variant compiles the counters out so
 //! timed runs measure only the algorithm.
 //!
-//! The traversal borrows the scratch stacks (`gather`, `frames`)
-//! directly as disjoint fields of `self` — no `mem::take`/restore pair
-//! runs on the per-event path (that swap used to cost a handful of ns
-//! per operation, a measurable slice of the sparse-regime fixed
-//! overhead).
+//! The traversal's scratch stacks (`gather`, `frames`) belong to the OS
+//! thread, not to the clock: [`with_scratch`] lends them for the length
+//! of one Algorithm 2 walk. Only walks borrow them; sweeps, shares and
+//! replicas never do, and a clock carries no stack headers of its own.
+
+use std::cell::RefCell;
 
 use crate::clock::{LogicalClock, OpStats};
 use crate::{LocalTime, ThreadId};
@@ -36,6 +37,37 @@ use super::{Times, TreeClock, DENSE_FRACTION, DENSE_STREAK_LIMIT, SPARSE_SWEEP_L
 pub(crate) struct Frame {
     pub(crate) node: u32,
     pub(crate) next_child: u32,
+}
+
+/// The scratch stacks of one Algorithm 2 walk: the gathered nodes (the
+/// paper's stack `S`) and the traversal frames.
+pub(crate) struct Scratch {
+    pub(crate) gather: Vec<u32>,
+    pub(crate) frames: Vec<Frame>,
+}
+
+thread_local! {
+    /// This OS thread's scratch stacks, grown to the widest walk it has
+    /// run and reused by every later one.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            gather: Vec::new(),
+            frames: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` with this OS thread's scratch stacks, both empty. Walks do
+/// not nest: each caller finishes its walk before it starts another
+/// operation (a fallback that walks again runs after `f` returns).
+#[inline]
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        scratch.gather.clear();
+        scratch.frames.clear();
+        f(&mut scratch)
+    })
 }
 
 /// The represented time of thread index `idx` in a dense times slice
@@ -121,29 +153,35 @@ impl TreeClock {
             return s;
         }
 
-        let shape = self.store.unique(z, self.root_time);
-        self.gather.clear();
-        self.frames.clear();
-        let walked = Self::gather_join::<COUNT>(
-            &shape.clks,
-            other,
-            zp,
-            limit,
-            (&mut self.gather, &mut self.frames),
-            &mut stats,
-        );
-        if !walked {
+        let root_time = self.root_time;
+        let shape = self.store.unique(z, root_time);
+        let walked = with_scratch(|s| {
+            let (gather, frames) = (&mut s.gather, &mut s.frames);
+            if !Self::gather_join::<COUNT>(
+                &shape.clks,
+                other,
+                zp,
+                limit,
+                (gather, frames),
+                &mut stats,
+            ) {
+                return None;
+            }
+            let moved = gather.len();
+            Self::detach_nodes_in(&mut shape.nodes, z, gather);
+            Self::attach_nodes_in::<COUNT>(shape, other, gather, &mut stats);
+
+            // Place the updated subtree under the root of `self`,
+            // attached at the root's current time, at the front of the
+            // child list.
+            shape.nodes[zp as usize].aclk = root_time;
+            Self::push_child_in(&mut shape.nodes, zp, z);
+            Some(moved)
+        });
+        let Some(moved) = walked else {
             self.flatten();
             return self.join_dense::<false>(other.times(), z, limit);
-        }
-        let moved = self.gather.len();
-        Self::detach_nodes_in(&mut shape.nodes, z, &self.gather);
-        Self::attach_nodes_in::<COUNT>(shape, other, &mut self.gather, &mut stats);
-
-        // Place the updated subtree under the root of `self`, attached at
-        // the root's current time, at the front of the child list.
-        shape.nodes[zp as usize].aclk = self.root_time;
-        Self::push_child_in(&mut shape.nodes, zp, z);
+        };
         self.store.settle();
         if !COUNT {
             self.note_density(moved, arena);
@@ -381,10 +419,14 @@ impl TreeClock {
                     };
                     continue 'outer;
                 }
-                if v.aclk <= parent_known {
+                if parent_known != 0 && v.aclk <= parent_known {
                     // Indirect monotonicity: this child (and, by the
                     // descending-aclk order, all later ones) was attached
-                    // at a parent time `self` already knows about.
+                    // at a parent time `self` already knows about. A
+                    // parent known at time 0 is not known at all: its
+                    // children attached at aclk 0 (learned before its
+                    // first event, as a forked thread learns its
+                    // parent's clock) may all be news.
                     break;
                 }
                 child = v.next_sib;

@@ -77,6 +77,7 @@ pub use validate::InvariantViolation;
 use crate::clock::{CopyMode, LogicalClock, OpStats};
 use crate::{LocalTime, ThreadId, VectorTime};
 
+use join::with_scratch;
 use node::{Node, NIL};
 use shape::{Shape, Store};
 
@@ -128,10 +129,6 @@ pub struct TreeClock {
     /// tree, joins that each moved at least an eighth of the arena; in a
     /// flat clock, sweeps that each changed less than that.
     streak: u8,
-    /// Scratch stack `S` of Algorithm 2, reused across operations.
-    gather: Vec<u32>,
-    /// Scratch traversal frames, reused across operations.
-    frames: Vec<join::Frame>,
 }
 
 /// Consecutive dense joins after which the next timed join turns a tree
@@ -257,8 +254,6 @@ impl TreeClock {
             store: Store::for_shape(shape),
             root,
             streak: 0,
-            gather: Vec::new(),
-            frames: Vec::new(),
         }
     }
 
@@ -347,8 +342,8 @@ impl TreeClock {
     /// Removes `child` from its parent's child list. The caller is
     /// responsible for re-linking it (or marking it absent).
     ///
-    /// Takes the node arena directly so callers holding other disjoint
-    /// field borrows (the scratch stacks) can still unlink.
+    /// Takes the node arena directly so callers holding a borrow of the
+    /// rest of the shape can still unlink.
     #[inline]
     pub(crate) fn unlink_in(nodes: &mut [Node], child: u32) {
         let Node {
@@ -402,8 +397,8 @@ impl TreeClock {
     /// stack so parents are processed before their children.
     ///
     /// Operates on the destination's unique shape directly (instead of
-    /// `&mut self`) so the gathered stack can be the destination's own
-    /// scratch buffer — borrowed disjointly, with no swap-out.
+    /// `&mut self`), with the gathered stack borrowed from the OS
+    /// thread's scratch (see the `join` module).
     pub(crate) fn attach_nodes_in<const COUNT: bool>(
         dst: &mut Shape,
         other: &TreeClock,
@@ -489,51 +484,53 @@ impl TreeClock {
 
         // Phase 1: walk `other`'s tree (preorder, via a cursor into the
         // scratch stack), comparing against self's *old* values.
-        let shape = self.store.unique(self.root, self.root_time);
+        let old_root = self.root;
+        let shape = self.store.unique(old_root, self.root_time);
         let src = other.shape();
-        self.gather.clear();
-        self.gather.push(zp);
-        let mut max_idx = zp;
-        let mut cursor = 0;
-        while cursor < self.gather.len() {
-            let u = self.gather[cursor];
-            cursor += 1;
-            max_idx = max_idx.max(u);
-            if COUNT {
-                stats.examined += 1;
-                if shape.time(u) != other.get_idx(u) {
-                    stats.changed += 1;
+        with_scratch(|s| {
+            let gathered = &mut s.gather;
+            gathered.push(zp);
+            let mut max_idx = zp;
+            let mut cursor = 0;
+            while cursor < gathered.len() {
+                let u = gathered[cursor];
+                cursor += 1;
+                max_idx = max_idx.max(u);
+                if COUNT {
+                    stats.examined += 1;
+                    if shape.time(u) != other.get_idx(u) {
+                        stats.changed += 1;
+                    }
+                    stats.moved += 1;
                 }
-                stats.moved += 1;
+                let mut c = src.nodes[u as usize].head_child;
+                while c != NIL {
+                    gathered.push(c);
+                    c = src.nodes[c as usize].next_sib;
+                }
             }
-            let mut c = src.nodes[u as usize].head_child;
-            while c != NIL {
-                self.gather.push(c);
-                c = src.nodes[c as usize].next_sib;
+
+            // Phase 2: tear down self's old tree. Entries present in
+            // self but not in other drop back to 0; they are the only
+            // old entries phase 1 has not already examined.
+            Self::clear_tree_in::<COUNT>(shape, old_root, Some(other), &mut stats);
+
+            // Phase 3: materialize other's nodes. Links can be copied
+            // verbatim — they only reference present nodes of `other`,
+            // all of which are in `gathered`.
+            shape.ensure_len(max_idx as usize + 1);
+            for &u in gathered.iter() {
+                let u = u as usize;
+                shape.nodes[u] = src.nodes[u];
+                shape.clks[u] = src.clks[u];
             }
-        }
-
-        // Phase 2: tear down self's old tree. Entries present in self
-        // but not in other drop back to 0; they are the only old entries
-        // phase 1 has not already examined.
-        Self::clear_tree_in::<COUNT>(shape, self.root, Some(other), &mut stats);
-
-        // Phase 3: materialize other's nodes. Links can be copied
-        // verbatim — they only reference present nodes of `other`, all
-        // of which are in `gathered`.
-        shape.ensure_len(max_idx as usize + 1);
-        for &u in &self.gather {
-            let u = u as usize;
-            shape.nodes[u] = src.nodes[u];
-            shape.clks[u] = src.clks[u];
-        }
+        });
         shape.clks[zp as usize] = other.root_time;
         shape.num_present = src.num_present;
         self.root = zp;
         self.root_time = other.root_time;
         self.store.settle();
 
-        self.gather.clear();
         debug_assert_eq!(self.check_invariants(), Ok(()));
         stats
     }
@@ -876,10 +873,7 @@ impl LogicalClock for TreeClock {
     /// A shape shared by `n` clocks counts `1/n` of its bytes toward
     /// each.
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.store.heap_bytes()
-            + self.gather.capacity() * size_of::<u32>()
-            + self.frames.capacity() * size_of::<join::Frame>()
     }
 }
 

@@ -78,4 +78,12 @@ mod tests {
         // operations rely on.
         assert_eq!(std::mem::size_of::<Node>(), 20);
     }
+
+    #[test]
+    fn tree_clocks_are_compact() {
+        // A lock or last-write table holds one clock per materialized
+        // id, so every byte of the clock header counts; the scratch
+        // stacks of a walk belong to the OS thread, not the clock.
+        assert!(std::mem::size_of::<crate::TreeClock>() <= 80);
+    }
 }

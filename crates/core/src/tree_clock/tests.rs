@@ -409,25 +409,25 @@ fn monotone_copy_with_same_root_thread_updates_in_place() {
 /// Regression: the gather traversal prunes siblings once a child's
 /// attachment clock shows the destination already knew the rest of the
 /// list — but the destination's old root may sit *past* that cut when
-/// it has not progressed. Star-materialized sources (every child under
-/// the root with `aclk = 0`, the shape the hybrid backend and
+/// it has not progressed. Star-shaped sources (every child under the
+/// root at one attachment clock, the shape the hybrid backend and
 /// `restore_value` produce) hit this on the very first non-progressed
 /// child. The copy must still re-root correctly and keep every entry.
 #[test]
 fn monotone_copy_star_source_repositions_unreached_old_root() {
-    // Source: a star rooted at t9 — t0..t8 attached with aclk 0.
+    // Source: a star rooted at t9 — t0..t8 attached at t9-time 1.
     let mut src_desc = vec![(t(9), 4u32, None)];
     let src_times = [5u32, 7, 7, 7, 7, 7, 7, 7, 6];
     for (i, &clk) in src_times.iter().enumerate() {
-        src_desc.push((t(i as u32), clk, Some((t(9), 0))));
+        src_desc.push((t(i as u32), clk, Some((t(9), 1))));
     }
     let src = TreeClock::from_structure(&src_desc).unwrap();
 
-    // Destination: a lock clock rooted at t8 that equals the source on
-    // t1..t6 and t8 and lags only on t0. The traversal descends into
-    // t0, then breaks at t1 (aclk 0 ≤ known 0) — before reaching the
-    // old root t8.
-    let mut dst_desc = vec![(t(8), 6u32, None)];
+    // Destination: a lock clock rooted at t8 that knows t9 at 1, equals
+    // the source on t1..t6 and t8 and lags only on t0. The traversal
+    // descends into t0, then breaks at t1 (aclk 1 ≤ known 1) — before
+    // reaching the old root t8.
+    let mut dst_desc = vec![(t(8), 6u32, None), (t(9), 1, Some((t(8), 6)))];
     let dst_times = [3u32, 7, 7, 7, 7, 7, 7];
     for (i, &clk) in dst_times.iter().enumerate() {
         dst_desc.push((t(i as u32), clk, Some((t(8), 6 - i as u32))));
@@ -438,6 +438,48 @@ fn monotone_copy_star_source_repositions_unreached_old_root() {
     assert_eq!(lock.root_tid(), Some(t(9)));
     assert_eq!(lock.vector_time(), src.vector_time());
     assert_eq!(lock.check_invariants(), Ok(()));
+}
+
+/// Regression: a child attached at `aclk = 0` was learned before its
+/// parent's first event (a forked thread joins its parent at time 0).
+/// A receiver that knows the parent at time 0 knows nothing of it, so
+/// the indirect-monotonicity cut must not skip the rest of that child
+/// list: here the cut at t1 used to hide t0's progress from both the
+/// join and the monotone copy, timed and counted.
+#[test]
+fn an_unknown_parent_does_not_prune_its_time_zero_children() {
+    // t10 was forked by t0 at t0-time 5, when t0 knew t1 at 3.
+    let src = TreeClock::from_structure(&[
+        (t(10), 1, None),
+        (t(1), 3, Some((t(10), 0))),
+        (t(0), 5, Some((t(10), 0))),
+    ])
+    .unwrap();
+    // A clock that never heard of t10 and knows t0 only at 4.
+    let dst = TreeClock::from_structure(&[(t(1), 3, None), (t(0), 4, Some((t(1), 0)))]).unwrap();
+    for counted in [false, true] {
+        let mut joined = dst.clone();
+        let mut copied = dst.clone();
+        if counted {
+            assert_eq!(joined.join_counted(&src).changed, 2);
+            assert_eq!(copied.monotone_copy_counted(&src).changed, 2);
+        } else {
+            joined.join(&src);
+            copied.monotone_copy(&src);
+        }
+        assert_eq!(
+            joined.vector_time(),
+            src.vector_time(),
+            "counted: {counted}"
+        );
+        assert_eq!(
+            copied.vector_time(),
+            src.vector_time(),
+            "counted: {counted}"
+        );
+        assert_eq!(joined.check_invariants(), Ok(()));
+        assert_eq!(copied.check_invariants(), Ok(()));
+    }
 }
 
 #[test]

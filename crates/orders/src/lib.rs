@@ -84,10 +84,10 @@ const _: () = {
 
 #[cfg(test)]
 mod tests {
-    use tc_core::{ClockPool, HybridClock, LogicalClock, TreeClock, VectorClock};
-    use tc_trace::{Trace, TraceBuilder};
+    use tc_core::{ClockPool, HybridClock, LogicalClock, TreeClock, VectorClock, VectorTime};
+    use tc_trace::{Event, Trace, TraceBuilder};
 
-    use crate::{HbEngine, MazEngine, RunMetrics, ShbEngine};
+    use crate::{EngineState, HbEngine, MazEngine, RunMetrics, ShbEngine};
 
     /// Runs `run` twice over one pool: the second run must take every
     /// clock from the free list and reproduce the first run's metrics.
@@ -142,5 +142,113 @@ mod tests {
         assert_every_order_reruns_allocation_free::<TreeClock>("tree", &trace);
         assert_every_order_reruns_allocation_free::<VectorClock>("vector", &trace);
         assert_every_order_reruns_allocation_free::<HybridClock>("hybrid", &trace);
+    }
+
+    /// The engine surface a checkpointed run uses.
+    trait Checkpointed: Sized {
+        fn start(trace: &Trace) -> Self;
+        fn step(&mut self, e: &Event) -> VectorTime;
+        fn evict(&mut self) -> usize;
+        fn export(&self) -> EngineState;
+        fn resume(state: &EngineState) -> Self;
+    }
+
+    macro_rules! checkpointed {
+        ($($engine:ident),*) => {$(
+            impl<C: LogicalClock> Checkpointed for $engine<C> {
+                fn start(trace: &Trace) -> Self {
+                    $engine::new(trace)
+                }
+                fn step(&mut self, e: &Event) -> VectorTime {
+                    self.process(e);
+                    self.timestamp_of(e.tid)
+                }
+                fn evict(&mut self) -> usize {
+                    self.evict_dominated()
+                }
+                fn export(&self) -> EngineState {
+                    self.export_state()
+                }
+                fn resume(state: &EngineState) -> Self {
+                    $engine::from_state(state, ClockPool::new())
+                }
+            }
+        )*};
+    }
+    checkpointed!(HbEngine, ShbEngine, MazEngine);
+
+    /// Lock ids 0 and 50,000 and variable ids 0 and 30,000, each high id
+    /// used first. Returns the trace and the event count after which
+    /// lock 50,000 and both last writes are dominated by every thread
+    /// (lock 0 is not).
+    fn sparse_ids_trace() -> (Trace, usize) {
+        let (l0, l1, x0, x1) = (0, 50_000, 0, 30_000);
+        let mut b = TraceBuilder::new();
+        b.fork(0, 1).fork(0, 2);
+        b.acquire_id(1, l1).write_id(1, x1).release_id(1, l1);
+        b.acquire_id(2, l1)
+            .read_id(2, x1)
+            .write_id(2, x0)
+            .release_id(2, l1);
+        b.acquire_id(2, l0).release_id(2, l0);
+        b.acquire_id(0, l0).release_id(0, l0);
+        b.acquire_id(1, l0).release_id(1, l0);
+        let at = b.len();
+        // Lock 50,000 and the last writes materialize again.
+        b.acquire_id(1, l1).write_id(1, x0).release_id(1, l1);
+        b.acquire_id(0, l1)
+            .read_id(0, x0)
+            .write_id(0, x1)
+            .release_id(0, l1);
+        b.acquire_id(2, l0)
+            .read_id(2, x1)
+            .release_id(2, l0)
+            .write_id(2, x1);
+        b.read_id(1, x1).write_id(1, x0);
+        (b.finish(), at)
+    }
+
+    /// Runs `trace` on `A`, evicting after event `at`; a copy of the
+    /// state exported there finishes the run on `B`. Both runs must
+    /// produce the timestamps of a run that never evicts, and the same
+    /// final state.
+    fn assert_checkpoint_survives_eviction<A: Checkpointed, B: Checkpointed>(label: &str) {
+        let (trace, at) = sparse_ids_trace();
+        let mut plain = A::start(&trace);
+        let expected: Vec<_> = trace.iter().map(|e| plain.step(e)).collect();
+
+        let (before, after) = trace.events().split_at(at);
+        let mut a = A::start(&trace);
+        let mut stamps: Vec<_> = before.iter().map(|e| a.step(e)).collect();
+        assert!(a.evict() >= 1, "{label}: lock 50,000 is dominated");
+        let mid = a.export();
+        assert_eq!(mid.core.locks.len(), 50_001, "{label}");
+        assert!(mid.core.locks[50_000].is_none(), "{label}: evicted");
+        assert!(mid.core.locks[0].is_some(), "{label}: not dominated");
+        if !mid.vars.is_empty() {
+            assert_eq!(mid.vars.len(), 30_001, "{label}");
+            assert!(mid.vars.iter().all(|v| v.last_write.is_none()), "{label}");
+        }
+
+        let mut b = B::resume(&mid);
+        let mut resumed = stamps.clone();
+        for e in after {
+            stamps.push(a.step(e));
+            resumed.push(b.step(e));
+        }
+        assert_eq!(stamps, expected, "{label}: eviction changed a timestamp");
+        assert_eq!(resumed, expected, "{label}: the restored run diverged");
+        let end = a.export();
+        assert!(end.core.locks[50_000].is_some(), "{label}");
+        assert_eq!(b.export(), end, "{label}: the final state differs");
+    }
+
+    #[test]
+    fn checkpoints_of_sparse_evicted_tables_do_not_depend_on_first_use_order() {
+        assert_checkpoint_survives_eviction::<HbEngine<TreeClock>, HbEngine<VectorClock>>("HB");
+        assert_checkpoint_survives_eviction::<ShbEngine<VectorClock>, ShbEngine<HybridClock>>(
+            "SHB",
+        );
+        assert_checkpoint_survives_eviction::<MazEngine<HybridClock>, MazEngine<TreeClock>>("MAZ");
     }
 }

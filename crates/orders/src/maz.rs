@@ -10,21 +10,20 @@
 //! `LRDs_x`; later writes inherit those orderings transitively via the
 //! write-to-write edge, which keeps the total time O(n·k).
 
-use tc_core::{ClockPool, LazyClock, LogicalClock, ThreadId, VectorTime};
+use tc_core::{ClockPool, ClockTable, LogicalClock, ThreadId, VectorTime};
 use tc_trace::{Event, Op, Trace, VarId};
 
 use crate::metrics::RunMetrics;
 use crate::sync_core::SyncCore;
 
-/// Per-variable access state: the last-write clock, the per-thread
-/// last-read clocks, and the readers since the last write.
+/// Per-variable read state: the per-thread last-read clocks and the
+/// readers since the last write. (The last-write clocks live in the
+/// engine's [`ClockTable`].)
 ///
-/// Both kinds of clock are lazy: an untouched variable costs two empty
-/// `Vec`s and an `Option` discriminant, and every clock materializes
-/// from the engine's pool only when an access actually publishes a time
-/// through it.
+/// An untouched variable costs two empty `Vec`s, and every read clock
+/// materializes from the engine's pool only when a read actually
+/// publishes a time through it.
 struct VarState<C> {
-    last_write: LazyClock<C>,
     /// `R_{t,x}` clocks, keyed linearly by thread id (sparse, append
     /// ordered by first read).
     reads: Vec<(ThreadId, C)>,
@@ -35,27 +34,22 @@ struct VarState<C> {
 impl<C: LogicalClock> VarState<C> {
     fn new() -> Self {
         VarState {
-            last_write: LazyClock::empty(),
             reads: Vec::new(),
             lrds: Vec::new(),
         }
     }
 
     fn release_into(self, pool: &mut ClockPool<C>) {
-        let mut lw = self.last_write;
-        lw.release_into(pool);
         for (_, clock) in self.reads {
             pool.release(clock);
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        self.last_write.heap_bytes()
-            + self
-                .reads
-                .iter()
-                .map(|(_, c)| c.heap_bytes())
-                .sum::<usize>()
+        self.reads
+            .iter()
+            .map(|(_, c)| c.heap_bytes())
+            .sum::<usize>()
     }
 }
 
@@ -81,6 +75,8 @@ impl<C: LogicalClock> VarState<C> {
 /// ```
 pub struct MazEngine<C> {
     core: SyncCore<C>,
+    /// The `LW_x` clocks, materialized at each variable's first write.
+    last_write: ClockTable<C>,
     vars: Vec<VarState<C>>,
 }
 
@@ -95,6 +91,7 @@ impl<C: LogicalClock> MazEngine<C> {
     pub fn with_pool(trace: &Trace, pool: ClockPool<C>) -> Self {
         MazEngine {
             core: SyncCore::for_trace_with_pool(trace, pool),
+            last_write: ClockTable::with_len(trace.var_count()),
             vars: (0..trace.var_count()).map(|_| VarState::new()).collect(),
         }
     }
@@ -103,16 +100,20 @@ impl<C: LogicalClock> MazEngine<C> {
     /// pool for the next run to reuse.
     pub fn into_pool(self) -> ClockPool<C> {
         let mut pool = self.core.into_pool();
+        self.last_write.release_into(&mut pool);
         for var in self.vars {
             var.release_into(&mut pool);
         }
         pool
     }
 
-    /// Heap bytes currently owned by the engine's clocks (thread, lock
-    /// and materialized per-variable clocks).
+    /// Heap bytes currently owned by the engine's clocks (thread
+    /// clocks, the lock and last-write tables with their slots, and the
+    /// materialized read clocks).
     pub fn clock_bytes(&self) -> usize {
-        self.core.clock_bytes() + self.vars.iter().map(VarState::heap_bytes).sum::<usize>()
+        self.core.clock_bytes()
+            + self.last_write.heap_bytes()
+            + self.vars.iter().map(VarState::heap_bytes).sum::<usize>()
     }
 
     /// Creates an engine with capacity hints that draws its clocks
@@ -121,6 +122,7 @@ impl<C: LogicalClock> MazEngine<C> {
     pub fn with_capacity(threads: usize, locks: usize, vars: usize, pool: ClockPool<C>) -> Self {
         MazEngine {
             core: SyncCore::with_pool(threads, locks, pool),
+            last_write: ClockTable::with_len(vars),
             vars: (0..vars).map(|_| VarState::new()).collect(),
         }
     }
@@ -168,15 +170,10 @@ impl<C: LogicalClock> MazEngine<C> {
             return 0;
         }
         let mut evicted = self.core.evict_dominated_locks(&floor);
+        evicted += self.last_write.evict_if(&mut self.core.pool, |c| {
+            crate::sync_core::clock_dominated(c, &floor)
+        });
         for var in &mut self.vars {
-            let dominated = var
-                .last_write
-                .get()
-                .is_some_and(|c| crate::sync_core::clock_dominated(c, &floor));
-            if dominated {
-                var.last_write.release_into(&mut self.core.pool);
-                evicted += 1;
-            }
             let mut i = 0;
             while i < var.reads.len() {
                 if crate::sync_core::clock_dominated(&var.reads[i].1, &floor) {
@@ -204,8 +201,12 @@ impl<C: LogicalClock> MazEngine<C> {
             vars: self
                 .vars
                 .iter()
-                .map(|v| crate::snapshot::VarClocks {
-                    last_write: v.last_write.get().map(crate::snapshot::ClockValue::capture),
+                .enumerate()
+                .map(|(x, v)| crate::snapshot::VarClocks {
+                    last_write: self
+                        .last_write
+                        .get(x)
+                        .map(crate::snapshot::ClockValue::capture),
                     reads: v
                         .reads
                         .iter()
@@ -221,16 +222,19 @@ impl<C: LogicalClock> MazEngine<C> {
     /// from `pool`. Work metrics restart at zero.
     pub fn from_state(state: &crate::snapshot::EngineState, pool: ClockPool<C>) -> Self {
         let mut core = SyncCore::from_core_state(&state.core, pool);
+        let last_write = state
+            .vars
+            .iter()
+            .map(|v| {
+                v.last_write
+                    .as_ref()
+                    .map(|value| value.restore_from_pool(&mut core.pool))
+            })
+            .collect();
         let vars = state
             .vars
             .iter()
             .map(|v| VarState {
-                last_write: match &v.last_write {
-                    Some(value) => {
-                        tc_core::LazyClock::from_clock(value.restore_from_pool(&mut core.pool))
-                    }
-                    None => LazyClock::empty(),
-                },
                 reads: v
                     .reads
                     .iter()
@@ -239,7 +243,11 @@ impl<C: LogicalClock> MazEngine<C> {
                 lrds: v.lrds.clone(),
             })
             .collect();
-        MazEngine { core, vars }
+        MazEngine {
+            core,
+            last_write,
+            vars,
+        }
     }
 
     fn ensure_var(&mut self, x: VarId) {
@@ -270,7 +278,7 @@ impl<C: LogicalClock> MazEngine<C> {
                 let var = &mut self.vars[x.index()];
                 // Lazy: reading a never-written variable orders nothing —
                 // skip the join entirely (no operation, no work).
-                if let Some(lw) = var.last_write.get() {
+                if let Some(lw) = self.last_write.get(x.index()) {
                     let clock = self.core.clock_mut(e.tid);
                     if COUNT {
                         let s = clock.join_counted(lw);
@@ -303,7 +311,7 @@ impl<C: LogicalClock> MazEngine<C> {
             Op::Write(x) => {
                 self.ensure_var(x);
                 let var = &mut self.vars[x.index()];
-                if let Some(lw) = var.last_write.get() {
+                if let Some(lw) = self.last_write.get(x.index()) {
                     let clock = self.core.clock_mut(e.tid);
                     if COUNT {
                         let s = clock.join_counted(lw);
@@ -334,7 +342,7 @@ impl<C: LogicalClock> MazEngine<C> {
                     }
                 }
                 let (pool, clock) = self.core.pool_and_clock(e.tid);
-                let lw = var.last_write.get_or_acquire(pool);
+                let lw = self.last_write.get_or_acquire(x.index(), pool);
                 if COUNT {
                     let s = lw.monotone_copy_counted(clock);
                     self.core.metrics.record_copy(s);

@@ -8,7 +8,7 @@
 //! tree clock tests monotonicity in O(1) and deep-copies only when the
 //! write races with a read (Section 5.1).
 
-use tc_core::{ClockPool, CopyMode, LazyClock, LogicalClock, ThreadId, VectorTime};
+use tc_core::{ClockPool, ClockTable, CopyMode, LogicalClock, ThreadId, VectorTime};
 use tc_trace::{Event, Op, Trace, VarId};
 
 use crate::metrics::RunMetrics;
@@ -36,10 +36,10 @@ use crate::sync_core::SyncCore;
 /// ```
 pub struct ShbEngine<C> {
     core: SyncCore<C>,
-    /// Lazy `LW_x` slots: a variable that is never written costs one
-    /// `Option` discriminant; the clock materializes (from the pool) at
-    /// the first write.
-    last_write: Vec<LazyClock<C>>,
+    /// The `LW_x` clocks: a variable that is never written costs its
+    /// 4-byte slot; the clock materializes (from the pool) at the first
+    /// write.
+    last_write: ClockTable<C>,
 }
 
 impl<C: LogicalClock> ShbEngine<C> {
@@ -53,7 +53,7 @@ impl<C: LogicalClock> ShbEngine<C> {
     pub fn with_pool(trace: &Trace, pool: ClockPool<C>) -> Self {
         ShbEngine {
             core: SyncCore::for_trace_with_pool(trace, pool),
-            last_write: (0..trace.var_count()).map(|_| LazyClock::empty()).collect(),
+            last_write: ClockTable::with_len(trace.var_count()),
         }
     }
 
@@ -61,21 +61,14 @@ impl<C: LogicalClock> ShbEngine<C> {
     /// pool for the next run to reuse.
     pub fn into_pool(self) -> ClockPool<C> {
         let mut pool = self.core.into_pool();
-        for mut lw in self.last_write {
-            lw.release_into(&mut pool);
-        }
+        self.last_write.release_into(&mut pool);
         pool
     }
 
-    /// Heap bytes currently owned by the engine's clocks (thread, lock
-    /// and materialized last-write clocks).
+    /// Heap bytes currently owned by the engine's clocks (thread
+    /// clocks, and the lock and last-write tables with their slots).
     pub fn clock_bytes(&self) -> usize {
-        self.core.clock_bytes()
-            + self
-                .last_write
-                .iter()
-                .map(LazyClock::heap_bytes)
-                .sum::<usize>()
+        self.core.clock_bytes() + self.last_write.heap_bytes()
     }
 
     /// Creates an engine with capacity hints that draws its clocks
@@ -84,7 +77,7 @@ impl<C: LogicalClock> ShbEngine<C> {
     pub fn with_capacity(threads: usize, locks: usize, vars: usize, pool: ClockPool<C>) -> Self {
         ShbEngine {
             core: SyncCore::with_pool(threads, locks, pool),
-            last_write: (0..vars).map(|_| LazyClock::empty()).collect(),
+            last_write: ClockTable::with_len(vars),
         }
     }
 
@@ -125,17 +118,10 @@ impl<C: LogicalClock> ShbEngine<C> {
         if !self.core.live_floor(&mut floor) {
             return 0;
         }
-        let mut evicted = self.core.evict_dominated_locks(&floor);
-        for lw in &mut self.last_write {
-            let dominated = lw
-                .get()
-                .is_some_and(|c| crate::sync_core::clock_dominated(c, &floor));
-            if dominated {
-                lw.release_into(&mut self.core.pool);
-                evicted += 1;
-            }
-        }
-        evicted
+        self.core.evict_dominated_locks(&floor)
+            + self.last_write.evict_if(&mut self.core.pool, |c| {
+                crate::sync_core::clock_dominated(c, &floor)
+            })
     }
 
     /// Read-only access to the engine's clock pool (telemetry).
@@ -151,7 +137,7 @@ impl<C: LogicalClock> ShbEngine<C> {
                 .last_write
                 .iter()
                 .map(|lw| crate::snapshot::VarClocks {
-                    last_write: lw.get().map(crate::snapshot::ClockValue::capture),
+                    last_write: lw.map(crate::snapshot::ClockValue::capture),
                     reads: Vec::new(),
                     lrds: Vec::new(),
                 })
@@ -166,18 +152,13 @@ impl<C: LogicalClock> ShbEngine<C> {
         let last_write = state
             .vars
             .iter()
-            .map(|v| match &v.last_write {
-                Some(value) => LazyClock::from_clock(value.restore_from_pool(&mut core.pool)),
-                None => LazyClock::empty(),
+            .map(|v| {
+                v.last_write
+                    .as_ref()
+                    .map(|value| value.restore_from_pool(&mut core.pool))
             })
             .collect();
         ShbEngine { core, last_write }
-    }
-
-    fn ensure_var(&mut self, x: VarId) {
-        if x.index() >= self.last_write.len() {
-            self.last_write.resize_with(x.index() + 1, LazyClock::empty);
-        }
     }
 
     /// Processes one event (events must be fed in trace order).
@@ -198,10 +179,12 @@ impl<C: LogicalClock> ShbEngine<C> {
         }
         match e.op {
             Op::Read(x) => {
-                self.ensure_var(x);
+                // The table covers every variable id seen (a checkpoint
+                // exports it in full), written or not.
+                self.last_write.ensure(x.index());
                 // Lazy: reading a never-written variable orders nothing —
                 // skip the join entirely (no operation, no work).
-                if let Some(lw) = self.last_write[x.index()].get() {
+                if let Some(lw) = self.last_write.get(x.index()) {
                     let clock = self.core.clock_mut(e.tid);
                     if COUNT {
                         let s = clock.join_counted(lw);
@@ -213,9 +196,8 @@ impl<C: LogicalClock> ShbEngine<C> {
                 }
             }
             Op::Write(x) => {
-                self.ensure_var(x);
                 let (pool, clock) = self.core.pool_and_clock(e.tid);
-                let lw = self.last_write[x.index()].get_or_acquire(pool);
+                let lw = self.last_write.get_or_acquire(x.index(), pool);
                 let mode = if COUNT {
                     let (mode, s) = lw.copy_check_monotone_counted(clock);
                     self.core.metrics.record_copy(s);
@@ -241,7 +223,7 @@ impl<C: LogicalClock> ShbEngine<C> {
     /// The current last-write clock of variable `x`, if any write
     /// occurred.
     pub fn last_write_clock(&self, x: VarId) -> Option<&C> {
-        self.last_write.get(x.index()).and_then(LazyClock::get)
+        self.last_write.get(x.index())
     }
 
     /// The current vector timestamp of thread `t`.

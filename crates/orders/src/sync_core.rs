@@ -4,12 +4,12 @@
 //!
 //! Clocks are drawn from a [`ClockPool`] so that repeated runs (timing
 //! repetitions, conformance sweeps, both backends of a differential
-//! check) reuse buffers instead of allocating; lock clocks are
-//! [`LazyClock`] slots that materialize on the first release, so an
-//! untouched lock costs O(1).
+//! check) reuse buffers instead of allocating; lock clocks live in a
+//! [`ClockTable`] and materialize on the first release, so an untouched
+//! lock costs a 4-byte slot.
 
-use tc_core::{ClockPool, LazyClock, LogicalClock, ThreadId, VectorTime};
-use tc_trace::{Event, LockId, Op, Trace};
+use tc_core::{ClockPool, ClockTable, LogicalClock, ThreadId, VectorTime};
+use tc_trace::{Event, Op, Trace};
 
 use crate::metrics::RunMetrics;
 
@@ -22,7 +22,7 @@ pub(crate) struct SyncCore<C> {
     /// retired thread is a caller bug (well-formed traces cannot
     /// produce one — a joined thread performs no more events).
     retired: Vec<bool>,
-    locks: Vec<LazyClock<C>>,
+    locks: ClockTable<C>,
     thread_hint: usize,
     pub(crate) pool: ClockPool<C>,
     pub(crate) metrics: RunMetrics,
@@ -46,7 +46,7 @@ impl<C: LogicalClock> SyncCore<C> {
             retired: vec![false; threads],
             // Lock clocks are lazy: they materialize (from the pool) on
             // the first release that publishes a time into them.
-            locks: (0..locks).map(|_| LazyClock::empty()).collect(),
+            locks: ClockTable::with_len(locks),
             thread_hint: threads,
             pool,
             metrics: RunMetrics::new(),
@@ -68,16 +68,14 @@ impl<C: LogicalClock> SyncCore<C> {
         for clock in self.threads {
             pool.release(clock);
         }
-        for mut lock in self.locks {
-            lock.release_into(&mut pool);
-        }
+        self.locks.release_into(&mut pool);
         pool
     }
 
-    /// Heap bytes currently owned by the thread and lock clocks.
+    /// Heap bytes currently owned by the thread clocks and the lock
+    /// table (its slots included).
     pub(crate) fn clock_bytes(&self) -> usize {
-        self.threads.iter().map(C::heap_bytes).sum::<usize>()
-            + self.locks.iter().map(LazyClock::heap_bytes).sum::<usize>()
+        self.threads.iter().map(C::heap_bytes).sum::<usize>() + self.locks.heap_bytes()
     }
 
     /// Split borrow used by the engines' write paths: the pool (to
@@ -118,12 +116,6 @@ impl<C: LogicalClock> SyncCore<C> {
         }
     }
 
-    fn ensure_lock(&mut self, l: LockId) {
-        if l.index() >= self.locks.len() {
-            self.locks.resize_with(l.index() + 1, LazyClock::empty);
-        }
-    }
-
     /// Starts processing an event: roots the thread clock if needed and
     /// performs the implicit `Increment` of Algorithm 1.
     pub(crate) fn begin_event(&mut self, t: ThreadId) {
@@ -141,10 +133,12 @@ impl<C: LogicalClock> SyncCore<C> {
     pub(crate) fn process_sync<const COUNT: bool>(&mut self, e: &Event) -> bool {
         match e.op {
             Op::Acquire(l) => {
-                self.ensure_lock(l);
+                // The table covers every lock id seen (a checkpoint
+                // exports it in full), released into or not.
+                self.locks.ensure(l.index());
                 // Lazy: a lock nobody has released yet orders nothing —
                 // skip the join entirely (no operation, no work).
-                if let Some(lock) = self.locks[l.index()].get() {
+                if let Some(lock) = self.locks.get(l.index()) {
                     let thread = &mut self.threads[e.tid.index()];
                     if COUNT {
                         let s = thread.join_counted(lock);
@@ -157,9 +151,8 @@ impl<C: LogicalClock> SyncCore<C> {
                 true
             }
             Op::Release(l) => {
-                self.ensure_lock(l);
                 let thread = &self.threads[e.tid.index()];
-                let lock = self.locks[l.index()].get_or_acquire(&mut self.pool);
+                let lock = self.locks.get_or_acquire(l.index(), &mut self.pool);
                 if COUNT {
                     let s = lock.monotone_copy_counted(thread);
                     self.metrics.record_copy(s);
@@ -307,15 +300,8 @@ impl<C: LogicalClock> SyncCore<C> {
     /// eviction is invisible to timestamps and reports (metrics may
     /// legitimately skip the no-op joins).
     pub(crate) fn evict_dominated_locks(&mut self, floor: &[tc_core::LocalTime]) -> usize {
-        let mut evicted = 0;
-        for lock in &mut self.locks {
-            let dominated = lock.get().is_some_and(|c| clock_dominated(c, floor));
-            if dominated {
-                lock.release_into(&mut self.pool);
-                evicted += 1;
-            }
-        }
-        evicted
+        self.locks
+            .evict_if(&mut self.pool, |c| clock_dominated(c, floor))
     }
 
     /// Read-only access to the engine's clock pool (telemetry).
@@ -361,7 +347,7 @@ impl<C: LogicalClock> SyncCore<C> {
             locks: self
                 .locks
                 .iter()
-                .map(|l| l.get().map(crate::snapshot::ClockValue::capture))
+                .map(|l| l.map(crate::snapshot::ClockValue::capture))
                 .collect(),
         }
     }
@@ -389,17 +375,14 @@ impl<C: LogicalClock> SyncCore<C> {
             }
             core.retired.push(slot.retired);
         }
-        for lock in &state.locks {
-            let slot = match lock {
-                Some(value) => {
-                    let mut c = core.pool.acquire();
-                    value.restore_into(&mut c);
-                    LazyClock::from_clock(c)
-                }
-                None => LazyClock::empty(),
-            };
-            core.locks.push(slot);
-        }
+        core.locks = state
+            .locks
+            .iter()
+            .map(|l| {
+                l.as_ref()
+                    .map(|value| value.restore_from_pool(&mut core.pool))
+            })
+            .collect();
         core
     }
 }

@@ -605,6 +605,37 @@ mod tests {
     }
 
     #[test]
+    fn the_highest_lock_id_costs_one_slot_not_a_clock() {
+        use tc_orders::PartialOrderKind;
+        use tc_trace::{LockId, Op};
+        // The last lock id the session bound accepts: the lock table
+        // pays a 4-byte slot per id below it, and one clock.
+        let l = LockId::new((1 << 20) - 1);
+        let events = [
+            Event::new(ThreadId::new(0), Op::Acquire(l)),
+            Event::new(ThreadId::new(0), Op::Release(l)),
+        ];
+        for order in [
+            PartialOrderKind::Hb,
+            PartialOrderKind::Shb,
+            PartialOrderKind::Maz,
+        ] {
+            for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+                let mut s = Session::new(1, clock, DetectorConfig::for_order(order));
+                let mut out = String::new();
+                s.handle_frame(&events, &mut out);
+                assert!(out.is_empty(), "{order:?} {clock:?}: {out}");
+                assert_eq!(s.detector().events(), 2);
+                let bytes = s.detector().clock_bytes();
+                assert!(
+                    (1 << 22..8 << 20).contains(&bytes),
+                    "{order:?} {clock:?}: {bytes} clock bytes (the slots count, the clocks do not multiply)"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn clock_choice_parses_both_spellings() {
         assert_eq!("tc".parse::<ClockChoice>().unwrap(), ClockChoice::Tree);
         assert_eq!(

@@ -64,8 +64,8 @@ pub use tc_telemetry as telemetry;
 pub use tc_trace as trace;
 
 pub use tc_core::{
-    ClockPool, CopyMode, Epoch, HybridClock, LazyClock, LocalTime, LogicalClock, OpStats, ThreadId,
-    TreeClock, VectorClock, VectorTime,
+    ClockPool, CopyMode, Epoch, HybridClock, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock,
+    VectorClock, VectorTime,
 };
 
 /// Convenient glob-import surface: `use treeclocks::prelude::*;`.
