@@ -10,10 +10,10 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tc_bench::figures;
 use tc_bench::render::TextTable;
 use tc_bench::suite::Scale;
 use tc_bench::tables::{self, SuiteResult};
+use tc_bench::{figures, l0};
 
 struct Args {
     command: String,
@@ -123,6 +123,9 @@ fn main() -> ExitCode {
         "ablation" => {
             emit(&figures::ablation(scale), out, "ablation.csv");
         }
+        "l0" => {
+            emit(&l0::l0(scale), out, "l0.csv");
+        }
         "all" => {
             let stats = tables::suite_stats(scale);
             let flat: Vec<_> = stats.iter().map(|(_, s)| *s).collect();
@@ -164,6 +167,9 @@ SUBCOMMANDS
   fig9      VCWork/TCWork histogram
   fig10     scalability scenarios sweep (TC and HC vs VC)
   ablation  TC-examined vs VTWork vs VC-examined (extension)
+  l0        ns per timed join, monotone copy and first publication
+            at 8, 64 and 360 threads, TC and VC (extension; not
+            part of `all`)
 
 Each timed cell is the median of 5 runs after a warm-up; a speedup's
 range is VC_Q1/X_Q3 to VC_Q3/X_Q1, and a trace whose Q1-Q3 ranges

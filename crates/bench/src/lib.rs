@@ -11,6 +11,7 @@
 //! | Figure 8 (work ratios vs VTWork) | [`figures::fig8`] | CSV series |
 //! | Figure 9 (VCWork/TCWork histograms) | [`figures::fig9`] | text + CSV |
 //! | Figure 10 (scalability, 4 scenarios) | [`figures::fig10`] | CSV series |
+//! | Ladder L0 (one clock operation, beyond the paper) | [`l0::l0`] | text + CSV |
 //!
 //! The paper's 153 logged benchmark traces are simulated by the seeded
 //! synthetic [`suite`](mod@suite), whose module documentation gives the
@@ -32,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
+pub mod l0;
 pub mod render;
 pub mod runner;
 pub mod suite;

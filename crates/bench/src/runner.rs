@@ -94,7 +94,7 @@ impl Measurement {
 
 /// The `p`-quantile of ascending `sorted` by nearest rank: the
 /// `⌈p·n⌉`-th smallest of `n` values.
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     let rank = (p * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -217,6 +217,16 @@ pub trait LogicalClock: Clone + Debug + Default {
     /// `clock_bytes` sum.
     fn heap_bytes(&self) -> usize;
 
+    /// Whether a timed copy from this clock shares its representation
+    /// instead of copying it, so that a clone costs what a publication
+    /// into an empty clock costs: true for a tree clock wider than its
+    /// sharing width, false by default. A first publication from such
+    /// a clock may materialize its destination as the clock's clone
+    /// (see [`ClockTable::publication_target`](crate::ClockTable::publication_target)).
+    fn copies_by_sharing(&self) -> bool {
+        false
+    }
+
     /// Restores an *empty* clock to the given value: entry `i` becomes
     /// `times[i]` (entries past the slice are 0) and the clock is rooted
     /// at `root` (un-rooted when `None`, in which case every time must

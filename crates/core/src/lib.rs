@@ -69,8 +69,9 @@
 //!   lazily materialized per-lock and per-variable clocks, with which
 //!   the engines' steady-state analysis acquires no fresh clock and an
 //!   untouched id costs a 4-byte slot (see the README's "Performance"
-//!   section; a wide tree clock still allocates a fresh tree when it
-//!   changes one it shares).
+//!   section; a wide tree clock's first publication into an empty pool
+//!   is its clone, and a timed join that changes a shape it shares
+//!   writes a fresh one).
 //! - [`identity`] — the [`IdentityMap`] generation layer that remaps
 //!   external thread ids onto recycled internal slots, keeping clock
 //!   width proportional to *live* threads under spawn/join churn.

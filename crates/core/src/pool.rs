@@ -20,14 +20,19 @@
 //! fresh clock at all. `tc_orders`' `pooled_reruns_are_allocation_free`
 //! test holds every partial order × clock backend to that. Clocks are
 //! not the only allocation, though: a wide [`TreeClock`] shares its
-//! tree with the clocks it is copied into and allocates a fresh tree
-//! each time it changes a shared one (copy-on-write). A clock released
-//! while its tree is shared parks without it.
+//! shape with the clocks it is copied into, and a timed join that
+//! changes a shared shape writes its result into a fresh flat one
+//! (copy-on-write). A clock released while its shape is shared parks
+//! without it.
 //!
 //! The per-lock and per-variable clocks live in a [`ClockTable`]: a
 //! 4-byte slot per id and a dense array of the clocks that have
 //! materialized, so a lock or variable the trace declares but never
-//! publishes through costs its slot and nothing else.
+//! publishes through costs its slot and nothing else. A first
+//! publication from a wide tree clock into an empty pool materializes
+//! as the source's clone ([`ClockTable::publication_target`]); teardown
+//! parks that clock like any other, and the next run's publications
+//! take parked clocks first, so reruns stay allocation-free.
 //!
 //! [`TreeClock`]: crate::TreeClock
 //!
@@ -287,13 +292,48 @@ impl<C: LogicalClock> ClockTable<C> {
         &mut self.clocks[slot as usize]
     }
 
+    /// The clock of `id` as the destination of a timed publication from
+    /// `src` (a release, a last write), materialized on first use.
+    ///
+    /// A first publication from a clock that
+    /// [copies by sharing](LogicalClock::copies_by_sharing) completes
+    /// here while `pool` has no parked clock: the new clock is `src`'s
+    /// clone, written once, instead of an empty clock drawn and then
+    /// overwritten. Returns `None` then, and the clock to copy into
+    /// otherwise. A parked clock is taken whenever there is one, so
+    /// pooled reruns draw and park the same clocks run after run.
+    #[inline]
+    pub fn publication_target(
+        &mut self,
+        id: usize,
+        pool: &mut ClockPool<C>,
+        src: &C,
+    ) -> Option<&mut C> {
+        self.ensure(id);
+        let mut slot = self.slots[id];
+        if slot == UNMATERIALIZED {
+            if pool.is_empty() && src.copies_by_sharing() {
+                self.push(id, src.clone());
+                return None;
+            }
+            slot = self.materialize(id, pool);
+        }
+        Some(&mut self.clocks[slot as usize])
+    }
+
     /// Draws `id`'s clock from `pool` and returns its dense index; once
     /// per id, so kept off the hot path.
     #[cold]
     #[inline(never)]
     fn materialize(&mut self, id: usize, pool: &mut ClockPool<C>) -> u32 {
+        self.push(id, pool.acquire())
+    }
+
+    /// Stores `clock` as `id`'s and returns its dense index.
+    #[inline]
+    fn push(&mut self, id: usize, clock: C) -> u32 {
         let slot = u32::try_from(self.clocks.len()).expect("fewer clocks than u32::MAX");
-        self.clocks.push(pool.acquire());
+        self.clocks.push(clock);
         self.owners
             .push(u32::try_from(id).expect("table ids fit in u32"));
         self.slots[id] = slot;
@@ -359,17 +399,10 @@ impl<C: LogicalClock> FromIterator<Option<C>> for ClockTable<C> {
     fn from_iter<I: IntoIterator<Item = Option<C>>>(iter: I) -> Self {
         let mut table = ClockTable::with_len(0);
         for (id, clock) in iter.into_iter().enumerate() {
-            let slot = match clock {
-                Some(clock) => {
-                    table
-                        .owners
-                        .push(u32::try_from(id).expect("table ids fit in u32"));
-                    table.clocks.push(clock);
-                    (table.clocks.len() - 1) as u32
-                }
-                None => UNMATERIALIZED,
-            };
-            table.slots.push(slot);
+            table.ensure(id);
+            if let Some(clock) = clock {
+                table.push(id, clock);
+            }
         }
         table
     }
@@ -536,6 +569,38 @@ mod tests {
             .filter_map(|(id, c)| c.map(|c| (id, c.root_tid().unwrap().raw())))
             .collect();
         assert_eq!(roots, [(50, 50), (70, 70), (90, 90)]);
+    }
+
+    /// A first publication from a wide tree clock is its clone while the
+    /// pool is empty, and takes a parked clock when there is one; a
+    /// narrow source always draws from the pool.
+    #[test]
+    fn a_first_publication_clones_a_sharing_source_only_past_an_empty_pool() {
+        let mut wide = TreeClock::with_threads(80);
+        wide.init_root(ThreadId::new(7));
+        wide.increment(3);
+        assert!(wide.copies_by_sharing());
+        let mut pool = ClockPool::<TreeClock>::new();
+        let mut table = ClockTable::with_len(4);
+        assert!(table.publication_target(0, &mut pool, &wide).is_none());
+        assert!(table.get(0).unwrap().shares_shape_with(&wide));
+        assert_eq!(pool.fresh(), 0);
+        // Materialized: later publications copy into the clock.
+        assert!(table.publication_target(0, &mut pool, &wide).is_some());
+
+        pool.release(TreeClock::new());
+        let lock = table.publication_target(1, &mut pool, &wide).unwrap();
+        assert!(lock.is_empty(), "the parked clock, not a clone");
+        lock.monotone_copy(&wide);
+        assert_eq!((pool.fresh(), pool.recycled(), pool.free_len()), (0, 1, 0));
+
+        let mut narrow = TreeClock::new();
+        narrow.init_root(ThreadId::new(1));
+        assert!(!narrow.copies_by_sharing());
+        assert!(table.publication_target(2, &mut pool, &narrow).is_some());
+        assert_eq!(pool.fresh(), 1);
+        table.release_into(&mut pool);
+        assert_eq!(pool.free_len(), 3);
     }
 
     #[test]

@@ -47,9 +47,8 @@ impl TreeClock {
             );
         }
         // Timed path: a wide source's shape is shared, not copied; the
-        // source copies it only when it next changes it.
+        // source replaces it when it next changes it.
         if !COUNT && self.share(other) {
-            self.streak = 0;
             return stats;
         }
         let Some(z) = self.root_idx() else {

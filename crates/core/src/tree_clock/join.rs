@@ -108,6 +108,45 @@ fn max_sweep(mine: &mut [LocalTime], src: Times<'_>) -> u64 {
     u64::from(changed)
 }
 
+/// The flat join into a fresh array, in one pass over both values:
+/// returns `own ⊔ src` and how many entries `src` raised, the count
+/// [`max_sweep`] makes on a copy of `own` whose root entry holds its
+/// root time. The loop reads the raw slices; the (at most two) root
+/// entries, which may lag in their shapes, are judged again afterwards
+/// on the authoritative values.
+fn max_fresh(own: Times<'_>, src: Times<'_>) -> (Vec<LocalTime>, u64) {
+    let (mine, theirs) = (own.slice, src.slice);
+    let common = mine.len().min(theirs.len());
+    let mut out = Vec::with_capacity(mine.len().max(theirs.len()));
+    let mut changed = 0u32;
+    out.extend(
+        mine[..common]
+            .iter()
+            .zip(&theirs[..common])
+            .map(|(&m, &t)| {
+                changed += u32::from(t > m);
+                m.max(t)
+            }),
+    );
+    out.extend_from_slice(&mine[common..]);
+    out.extend(theirs[common..].iter().map(|&t| {
+        changed += u32::from(t > 0);
+        t
+    }));
+    let own_root = own.root_entry().map(|(r, _)| r);
+    let src_root = src
+        .root_entry()
+        .map(|(r, _)| r)
+        .filter(|&r| Some(r) != own_root);
+    for r in [own_root, src_root].into_iter().flatten() {
+        let raw = time_at(theirs, r) > time_at(mine, r);
+        let (m, t) = (own.get(r), src.get(r));
+        changed = changed + u32::from(t > m) - u32::from(raw);
+        out[r as usize] = m.max(t);
+    }
+    (out, u64::from(changed))
+}
+
 impl TreeClock {
     /// Returns both the join's result statistics and (for the uncounted
     /// path) the number of moved entries in `stats.moved`, which the
@@ -138,11 +177,14 @@ impl TreeClock {
 
         let arena = self.num_threads().max(other.num_threads());
         let limit = walk_limit::<COUNT>(arena);
-        if !COUNT
-            && !self.is_flat()
-            && (self.streak >= DENSE_STREAK_LIMIT || self.store.shared_with_others())
-        {
-            self.flatten();
+        if !COUNT {
+            if let Some(changed) = self.join_into_fresh(other.times()) {
+                self.note_density(changed as usize, arena);
+                return OpStats::new(0, changed, changed);
+            }
+            if !self.is_flat() && self.streak >= DENSE_STREAK_LIMIT {
+                self.flatten();
+            }
         }
         if self.is_flat() || other.is_flat() {
             let mut s = self.join_dense::<COUNT>(other.times(), z, limit);
@@ -192,11 +234,33 @@ impl TreeClock {
         stats
     }
 
-    /// Turns a tree flat, dropping its links (a shape other clocks share
-    /// is left to them; this clock keeps a copy of the times alone).
+    /// Turns a tree flat, dropping its links.
     fn flatten(&mut self) {
         self.store.flatten(self.root, self.root_time);
         self.streak = 0;
+    }
+
+    /// The timed join into a shape other clocks share. Either way the
+    /// shape is replaced: a flat clock would copy it before its sweep,
+    /// and a tree turns flat rather than copy its links. So this clock
+    /// takes a fresh flat shape holding `self ⊔ src`, written in one
+    /// pass, and leaves the old one to the clocks that share it.
+    /// Returns how many entries `src` raised, or `None`, doing nothing,
+    /// while no other clock shares the shape.
+    fn join_into_fresh(&mut self, src: Times<'_>) -> Option<u64> {
+        if !self.store.shared_with_others() {
+            return None;
+        }
+        if !self.is_flat() {
+            self.streak = 0;
+        }
+        let (clks, changed) = max_fresh(self.times(), src);
+        self.store.replace(Shape {
+            clks,
+            ..Shape::default()
+        });
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        Some(changed)
     }
 
     /// Feeds a timed join's moved (or changed) count to the streak of

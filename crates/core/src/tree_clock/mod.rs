@@ -22,8 +22,10 @@
 //! traversals are iterative. The arrays and the present count form the
 //! clock's *shape*, which is copy-on-write: a clock wider than 64
 //! entries holds it behind an `Arc`, so a timed copy from it (a release
-//! into a lock clock, say) shares the shape in O(1), and the source
-//! copies the shape only when it next changes it. Narrower clocks keep
+//! into a lock clock, say) shares the shape in O(1), and a lock's first
+//! publication can be the source's clone. A timed join that changes a
+//! shape other clocks share writes its result into a fresh shape in
+//! one pass, and the old one stays with them. Narrower clocks keep
 //! the shape inline. The root thread's time lives in the clock, not the
 //! shape, so `increment` never writes a shared shape; a shared shape's
 //! root entry may therefore lag, and every read of a root entry goes
@@ -37,19 +39,22 @@
 //! the links dropped, and a join is a branchless max-and-count sweep.
 //! A timed join turns its receiver flat when it would otherwise copy a
 //! shape another clock shares (Θ(k) either way, and the times alone are
-//! a sixth of the bytes), after `DENSE_STREAK_LIMIT` consecutive joins
-//! that each moved at least an eighth of the arena, or when its walk
-//! would move more than an eighth of the arena (and more than 8
-//! entries): the walk stops there and the join sweeps instead. A flat
-//! clock becomes a tree again, every known thread hung directly under
-//! the root, after `SPARSE_SWEEP_LIMIT` consecutive sweeps that each
-//! changed less than an eighth of the arena. A flat shape is shared
-//! copy-on-write like a tree, and a copy gives the destination the
-//! source's shape; a timed copy between trees that would move past the
-//! same walk limit replicates the source instead. A tree that joins a
-//! flat source hangs each progressed entry under its own root,
-//! attached at the root's current time — the attachment a join of
-//! Algorithm 2 gives its source's root, sound by the same argument.
+//! a sixth of the bytes): it writes `max(own, source)` straight into
+//! the fresh flat shape, as it does for a flat receiver whose shape is
+//! shared. A tree also turns flat after `DENSE_STREAK_LIMIT`
+//! consecutive joins that each moved at least an eighth of the arena,
+//! or when its walk would move more than an eighth of the arena (and
+//! more than 8 entries): the walk stops there and the join sweeps
+//! instead. A flat clock becomes a tree again, every known thread hung
+//! directly under the root, after `SPARSE_SWEEP_LIMIT` consecutive
+//! sweeps that each changed less than an eighth of the arena. A flat
+//! shape is shared copy-on-write like a tree, and a copy gives the
+//! destination the source's shape; a timed copy between trees that
+//! would move past the same walk limit replicates the source instead.
+//! A tree that joins a flat source hangs each progressed entry under
+//! its own root, attached at the root's current time — the attachment
+//! a join of Algorithm 2 gives its source's root, sound by the same
+//! argument.
 //!
 //! The eighth is a tree-ward margin on measured costs: on a 2-core
 //! x86 box a flat join sweeps 360 entries at about 0.5 ns each, while
@@ -293,6 +298,7 @@ impl TreeClock {
         }
         self.root = other.root;
         self.root_time = other.root_time;
+        self.streak = 0;
         true
     }
 
@@ -317,16 +323,10 @@ impl TreeClock {
         self.shape().is_flat()
     }
 
-    /// Whether a timed copy from this clock shares its shape instead of
-    /// copying it (the clock is wider than the sharing width).
-    #[inline]
-    pub(crate) fn copies_by_sharing(&self) -> bool {
-        self.store.is_shared()
-    }
-
-    /// Whether `self` and `other` hold the same shared shape.
-    #[cfg(test)]
-    pub(crate) fn shares_shape_with(&self, other: &TreeClock) -> bool {
+    /// Whether `self` and `other` hold the same shared shape: one was
+    /// copied from the other by sharing it, and neither has changed
+    /// since.
+    pub fn shares_shape_with(&self, other: &TreeClock) -> bool {
         self.store.shares_with(&other.store)
     }
 
@@ -779,8 +779,14 @@ impl LogicalClock for TreeClock {
         self.join_impl::<true>(other)
     }
 
+    /// A wide source's shape is shared as soon as the precondition's
+    /// root check passes, ahead of the rest of the copy's bookkeeping:
+    /// a release into a lock clock is an `Arc` clone.
     fn monotone_copy(&mut self, other: &Self) {
-        self.monotone_copy_impl::<false>(other);
+        let ordered = self.root == NIL || self.root_time <= other.get_idx(self.root);
+        if !(ordered && other.root != NIL && self.share(other)) {
+            self.monotone_copy_impl::<false>(other);
+        }
     }
 
     fn monotone_copy_counted(&mut self, other: &Self) -> OpStats {
@@ -874,6 +880,11 @@ impl LogicalClock for TreeClock {
     /// each.
     fn heap_bytes(&self) -> usize {
         self.store.heap_bytes()
+    }
+
+    #[inline]
+    fn copies_by_sharing(&self) -> bool {
+        self.store.is_shared()
     }
 }
 

@@ -7,17 +7,20 @@
 //! module). A clock wider than [`SHARED_WIDTH`] entries holds its shape,
 //! tree or flat, in an [`Arc`], so a timed copy from it (a lock release,
 //! a last-write publication) shares the shape in O(1) instead of copying
-//! it, and the source copies its shape only when it next changes it.
-//! Narrower clocks keep the shape inline: at their size copying the
-//! arrays costs less than the indirection an `Arc` would add to every
-//! read.
+//! it. When the source next changes a shape it shares, a timed join
+//! writes its result into a fresh flat shape in one pass
+//! ([`Store::replace`]); other mutations copy the shape first
+//! ([`Store::unique`]). Narrower clocks keep the shape inline: at their
+//! size copying the arrays costs less than the indirection an `Arc`
+//! would add to every read.
 //!
 //! The root thread's time is kept outside the shape, in the clock (see
 //! `TreeClock::root_time`), so that `increment` never writes a shared
 //! shape. An inline shape's root entry always equals that time. A
 //! shared shape's root entry may lag behind it, so every read of a
 //! root entry goes through the clock; each mutation first makes the
-//! shape unique and writes the root's time back into it.
+//! shape unique and writes the root's time back into it, or replaces
+//! it with one written from the clock's value.
 
 use std::sync::Arc;
 
@@ -187,24 +190,17 @@ impl Store {
     }
 
     /// Makes the shape unique and flat, and writes `root_time` into the
-    /// entry of root `root`. A unique shape drops its links in place; a
-    /// shape other clocks share is left to them, and this clock takes a
-    /// flat copy of its times alone.
+    /// entry of root `root`. (A timed join replaces a shape other
+    /// clocks share with a fresh flat one instead of copying it here.)
     pub(crate) fn flatten(&mut self, root: u32, root_time: LocalTime) {
-        let shape = match &mut self.shared {
-            None => &mut self.inline,
-            Some(arc) => {
-                if Arc::get_mut(arc).is_none() {
-                    *arc = Arc::new(Shape {
-                        clks: arc.clks.clone(),
-                        ..Shape::default()
-                    });
-                }
-                Arc::get_mut(arc).expect("a fresh flat shape is unique")
-            }
-        };
-        shape.drop_links();
-        shape.clks[root as usize] = root_time;
+        self.unique(root, root_time).drop_links();
+    }
+
+    /// Replaces a shared shape with `shape`, leaving the old one to the
+    /// clocks that share it.
+    pub(crate) fn replace(&mut self, shape: Shape) {
+        debug_assert!(self.shared.is_some());
+        self.shared = Some(Arc::new(shape));
     }
 
     /// Shares `other`'s shape if it is shared, dropping this clock's
@@ -293,7 +289,6 @@ impl Store {
     }
 
     /// Whether both stores hold the same shared shape.
-    #[cfg(test)]
     pub(crate) fn shares_with(&self, other: &Store) -> bool {
         match (&self.shared, &other.shared) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),

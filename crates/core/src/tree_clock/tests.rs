@@ -959,3 +959,107 @@ fn counted_operations_count_the_flat_path() {
     assert_eq!(stats.changed as usize, WIDE as usize + 2);
     assert_eq!(copy.check_invariants(), Ok(()));
 }
+
+// ---------------------------------------------------------------------
+// One-pass joins into shared shapes
+// ---------------------------------------------------------------------
+
+/// Which clock's root entry lags in its shared shape when it joins.
+#[derive(Clone, Copy, Debug)]
+enum Lag {
+    Receiver,
+    Source,
+}
+
+/// A flat clock rooted at `width - 1` that knows threads 1 to
+/// `width - 1` at `time` and thread 0 not at all.
+fn flat_source(width: u32, time: u32) -> TreeClock {
+    let mut dense = rooted(1, time);
+    for i in 2..width {
+        dense.join(&rooted(i, time));
+    }
+    let mut source = rooted(width - 1, time);
+    source.join(&dense);
+    assert!(source.is_flat() && source.copies_by_sharing());
+    source
+}
+
+/// The clock's value on a vector clock.
+fn as_vector(clock: &TreeClock) -> crate::VectorClock {
+    let mut vector = crate::VectorClock::new();
+    vector.restore_value(clock.vector_time().as_slice(), clock.root_tid());
+    vector
+}
+
+/// Whether the shape's entry for `clock`'s root lags its root time.
+fn root_entry_lags(clock: &TreeClock) -> bool {
+    let root = clock.root_tid().unwrap().raw();
+    clock.shape().time(root) < clock.get_idx(root)
+}
+
+/// A timed join into a shape a lock shares writes `self ⊔ src` into a
+/// fresh flat shape in one pass: the lock keeps its value, the result is
+/// the vector clock's join, and `changed` is what the counted join (a
+/// copy of the shape, then a sweep or Algorithm 2) counts. The source is
+/// first wider than the receiver, then narrower; in each case first the
+/// receiver's root entry lags in its shared shape, then the source's.
+fn check_one_pass_join(receiver: fn() -> TreeClock) {
+    for (width, time) in [(WIDE + 20, 2), (WIDE - 8, 7)] {
+        for lag in [Lag::Receiver, Lag::Source] {
+            let label = format!("source width {width}, {lag:?} lags");
+            let mut thread = receiver();
+            let mut source = flat_source(width, time);
+            let mut lock = TreeClock::new();
+            lock.monotone_copy(&thread);
+            let mut source_lock = TreeClock::new();
+            source_lock.monotone_copy(&source);
+            match lag {
+                Lag::Receiver => thread.increment(1),
+                Lag::Source => source.increment(1),
+            }
+            assert!(lock.shares_shape_with(&thread), "{label}");
+            assert!(source_lock.shares_shape_with(&source), "{label}");
+            match lag {
+                Lag::Receiver => assert!(root_entry_lags(&thread), "{label}"),
+                Lag::Source => assert!(root_entry_lags(&source), "{label}"),
+            }
+            let published = lock.vector_time();
+            let mut want = as_vector(&thread);
+            let want_changed = want.join_counted(&as_vector(&source)).changed;
+            // The twin shares the same shape, so its counted join copies
+            // it before changing it.
+            let mut twin = thread.clone();
+            let counted = twin.join_counted(&source);
+
+            let stats = thread.join_impl::<false>(&source);
+            assert_eq!(stats.changed, want_changed, "{label}");
+            assert_eq!(stats.changed, counted.changed, "{label}");
+            assert_eq!(thread.vector_time(), want.vector_time(), "{label}");
+            assert_eq!(twin, thread, "{label}");
+            assert!(thread.is_flat(), "{label}");
+            assert!(!thread.shares_shape_with(&lock), "{label}");
+            assert_eq!(thread.check_invariants(), Ok(()), "{label}");
+            assert_eq!(lock.vector_time(), published, "{label}: the lock");
+            assert_eq!(lock.check_invariants(), Ok(()), "{label}");
+            assert_eq!(source_lock.check_invariants(), Ok(()), "{label}");
+        }
+    }
+}
+
+#[test]
+fn a_flat_join_into_a_shared_shape_writes_the_join_in_one_pass() {
+    check_one_pass_join(|| {
+        let (thread, _lock) = flat_thread_and_its_lock();
+        assert!(thread.is_flat());
+        thread
+    });
+}
+
+#[test]
+fn a_shared_tree_turns_flat_by_writing_the_join_in_one_pass() {
+    check_one_pass_join(|| {
+        let thread = clock_at(WIDE, 3);
+        assert!(!thread.is_flat());
+        thread
+    });
+}

@@ -249,7 +249,7 @@ impl<C: LogicalClock> HbEngine<C> {
 mod tests {
     use super::*;
     use tc_core::{TreeClock, VectorClock, VectorTime};
-    use tc_trace::TraceBuilder;
+    use tc_trace::{Op, TraceBuilder};
 
     fn vt(v: &[u32]) -> VectorTime {
         VectorTime::from(v.to_vec())
@@ -303,6 +303,55 @@ mod tests {
             HbEngine::<TreeClock>::collect_timestamps(&trace),
             HbEngine::<VectorClock>::collect_timestamps(&trace)
         );
+    }
+
+    /// Runs `trace` on a fresh tree-clock engine, checking after every
+    /// release whether the lock's clock shares the releaser's shape;
+    /// returns the clocks the pool allocated.
+    fn fresh_clocks(trace: &Trace, shared: bool) -> u64 {
+        let mut engine = HbEngine::<TreeClock>::new(trace);
+        for e in trace {
+            engine.process(e);
+            if let Op::Release(l) = e.op {
+                let lock = engine.core.lock(l).expect("a released lock materializes");
+                let thread = engine.clock_of(e.tid).unwrap();
+                assert_eq!(lock.shares_shape_with(thread), shared, "{e:?}");
+            }
+        }
+        engine.pool().fresh()
+    }
+
+    /// A wide thread's first release into a lock materializes the lock
+    /// as the thread's clone, so lock clocks draw nothing from the pool;
+    /// narrow clocks still draw one pool clock per lock. The counted run
+    /// does the same work as before.
+    #[test]
+    fn wide_first_publications_draw_no_pool_clock() {
+        let wide = tc_trace::gen::scenarios::pairwise(80, 6_000, 3);
+        assert_eq!(fresh_clocks(&wide, true), 80);
+        assert_eq!(
+            HbEngine::<TreeClock>::run_counted(&wide),
+            RunMetrics {
+                events: 6_000,
+                increments: 6_000,
+                joins: 1_085,
+                copies: 3_000,
+                deep_copies: 0,
+                op_examined: 147_637,
+                op_changed: 130_484,
+                op_moved: 133_857,
+            }
+        );
+
+        let narrow = tc_trace::gen::scenarios::pairwise(8, 2_000, 3);
+        let locks: std::collections::HashSet<_> = narrow
+            .iter()
+            .filter_map(|e| match e.op {
+                Op::Release(l) => Some(l),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fresh_clocks(&narrow, false), 8 + locks.len() as u64);
     }
 
     #[test]

@@ -89,8 +89,9 @@ mod tests {
 
     use crate::{EngineState, HbEngine, MazEngine, RunMetrics, ShbEngine};
 
-    /// Runs `run` twice over one pool: the second run must take every
-    /// clock from the free list and reproduce the first run's metrics.
+    /// Runs `run` three times over one pool: the second run must take
+    /// every clock from the free list and reproduce the first run's
+    /// metrics, and the third must park as many clocks as the second.
     fn assert_rerun_allocates_nothing<C: LogicalClock>(
         label: &str,
         trace: &Trace,
@@ -108,6 +109,13 @@ mod tests {
         );
         assert!(pool.recycled() >= fresh, "{label}: {pool:?}");
         assert_eq!(first, second, "{label}: pooling must not change any metric");
+        let parked = pool.free_len();
+        run(trace, &mut pool);
+        assert_eq!(
+            pool.free_len(),
+            parked,
+            "{label}: reruns must not grow the free list"
+        );
     }
 
     fn assert_every_order_reruns_allocation_free<C: LogicalClock>(backend: &str, trace: &Trace) {
@@ -128,20 +136,30 @@ mod tests {
         );
     }
 
+    /// `threads` threads taking turns: each writes a variable its
+    /// successor reads, then locks and unlocks one of `locks` locks.
+    fn rerun_trace(threads: u32, locks: u32, steps: u32) -> Trace {
+        let mut b = TraceBuilder::new();
+        for i in 0..steps {
+            let t = i % threads;
+            b.write_id(t, i % 3);
+            b.read_id((t + 1) % threads, i % 3);
+            b.acquire_id(t, i % locks);
+            b.release_id(t, i % locks);
+        }
+        b.finish()
+    }
+
     #[test]
     fn pooled_reruns_are_allocation_free() {
-        let mut b = TraceBuilder::new();
-        for i in 0..40u32 {
-            let t = i % 4;
-            b.write_id(t, i % 3);
-            b.read_id((t + 1) % 4, i % 3);
-            b.acquire_id(t, 0);
-            b.release_id(t, 0);
+        // 4 threads keep every clock inline; at 80 the thread clocks
+        // share their shapes with the lock and last-write clocks they
+        // publish into, and first publications may clone them.
+        for trace in [rerun_trace(4, 1, 40), rerun_trace(80, 24, 400)] {
+            assert_every_order_reruns_allocation_free::<TreeClock>("tree", &trace);
+            assert_every_order_reruns_allocation_free::<VectorClock>("vector", &trace);
+            assert_every_order_reruns_allocation_free::<HybridClock>("hybrid", &trace);
         }
-        let trace = b.finish();
-        assert_every_order_reruns_allocation_free::<TreeClock>("tree", &trace);
-        assert_every_order_reruns_allocation_free::<VectorClock>("vector", &trace);
-        assert_every_order_reruns_allocation_free::<HybridClock>("hybrid", &trace);
     }
 
     /// The engine surface a checkpointed run uses.

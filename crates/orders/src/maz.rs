@@ -342,12 +342,14 @@ impl<C: LogicalClock> MazEngine<C> {
                     }
                 }
                 let (pool, clock) = self.core.pool_and_clock(e.tid);
-                let lw = self.last_write.get_or_acquire(x.index(), pool);
                 if COUNT {
+                    let lw = self.last_write.get_or_acquire(x.index(), pool);
                     let s = lw.monotone_copy_counted(clock);
                     self.core.metrics.record_copy(s);
                 } else {
-                    lw.monotone_copy(clock);
+                    if let Some(lw) = self.last_write.publication_target(x.index(), pool, clock) {
+                        lw.monotone_copy(clock);
+                    }
                     self.core.metrics.record_copy_uncounted();
                 }
             }

@@ -197,13 +197,18 @@ impl<C: LogicalClock> ShbEngine<C> {
             }
             Op::Write(x) => {
                 let (pool, clock) = self.core.pool_and_clock(e.tid);
-                let lw = self.last_write.get_or_acquire(x.index(), pool);
                 let mode = if COUNT {
+                    let lw = self.last_write.get_or_acquire(x.index(), pool);
                     let (mode, s) = lw.copy_check_monotone_counted(clock);
                     self.core.metrics.record_copy(s);
                     mode
                 } else {
-                    let mode = lw.copy_check_monotone(clock);
+                    // A first publication (into an empty clock, or as
+                    // the writer's clone) is always monotone.
+                    let mode = self
+                        .last_write
+                        .publication_target(x.index(), pool, clock)
+                        .map_or(CopyMode::Monotone, |lw| lw.copy_check_monotone(clock));
                     self.core.metrics.record_copy_uncounted();
                     mode
                 };

@@ -152,12 +152,19 @@ impl<C: LogicalClock> SyncCore<C> {
             }
             Op::Release(l) => {
                 let thread = &self.threads[e.tid.index()];
-                let lock = self.locks.get_or_acquire(l.index(), &mut self.pool);
                 if COUNT {
+                    let lock = self.locks.get_or_acquire(l.index(), &mut self.pool);
                     let s = lock.monotone_copy_counted(thread);
                     self.metrics.record_copy(s);
                 } else {
-                    lock.monotone_copy(thread);
+                    // A wide thread's first release into a lock may
+                    // materialize the lock as the thread's clone.
+                    let target = self
+                        .locks
+                        .publication_target(l.index(), &mut self.pool, thread);
+                    if let Some(lock) = target {
+                        lock.monotone_copy(thread);
+                    }
                     self.metrics.record_copy_uncounted();
                 }
                 true
@@ -302,6 +309,12 @@ impl<C: LogicalClock> SyncCore<C> {
     pub(crate) fn evict_dominated_locks(&mut self, floor: &[tc_core::LocalTime]) -> usize {
         self.locks
             .evict_if(&mut self.pool, |c| clock_dominated(c, floor))
+    }
+
+    /// The clock of lock `l`, if it has materialized.
+    #[cfg(test)]
+    pub(crate) fn lock(&self, l: tc_trace::LockId) -> Option<&C> {
+        self.locks.get(l.index())
     }
 
     /// Read-only access to the engine's clock pool (telemetry).
