@@ -157,7 +157,7 @@ USAGE: paper [SUBCOMMAND] [--quick|--full] [--out DIR]
 SUBCOMMANDS
   all       run everything (default)
   table1    aggregate trace statistics
-  table2    average TC and HC speedups over VC, with ranges and
+  table2    average TC speedups over VC, with ranges and
             win/tie/loss counts
   table3    per-benchmark trace information
   fig6      per-trace times, speedup range and verdict, with thread
@@ -165,7 +165,7 @@ SUBCOMMANDS
   fig7      HB+Analysis speedup vs sync%
   fig8      work ratios vs the VTWork lower bound
   fig9      VCWork/TCWork histogram
-  fig10     scalability scenarios sweep (TC and HC vs VC)
+  fig10     scalability scenarios sweep (TC vs VC)
   ablation  TC-examined vs VTWork vs VC-examined (extension)
   l0        ns per timed join, monotone copy and first publication
             at 8, 64 and 360 threads, TC and VC (extension; not

@@ -18,9 +18,8 @@ use crate::tables::SuiteResult;
 /// long table with `panel` as the first column. Each row also carries
 /// the trace's thread count and VTWork per event under the panel's
 /// order (the dense regime, where a vector clock's sweep has to win,
-/// is many entries changed per event at a modest thread count), the
-/// speedup's range and verdict, and the same account for the hybrid
-/// clock.
+/// is many entries changed per event at a modest thread count), and
+/// the speedup's range and verdict.
 pub fn fig6(results: &[SuiteResult]) -> TextTable {
     let mut t = TextTable::new([
         "panel",
@@ -33,13 +32,8 @@ pub fn fig6(results: &[SuiteResult]) -> TextTable {
         "speedup_low",
         "speedup_high",
         "verdict",
-        "hc_seconds",
-        "hc_speedup",
-        "hc_low",
-        "hc_high",
-        "hc_verdict",
     ])
-    .with_title("Figure 6: times for processing each trace (TC and HC vs VC, medians)");
+    .with_title("Figure 6: times for processing each trace (TC vs VC, medians)");
     for mode in [Mode::Po, Mode::PoAnalysis] {
         for order in PartialOrderKind::ALL {
             let panel = match mode {
@@ -58,8 +52,6 @@ pub fn fig6(results: &[SuiteResult]) -> TextTable {
                     format!("{:.6}", c.tree.median()),
                 ];
                 row.extend(speedup_cells(c.speedup(ClockKind::Tree)));
-                row.push(format!("{:.6}", c.hybrid.median()));
-                row.extend(speedup_cells(c.speedup(ClockKind::Hybrid)));
                 t.row(row);
             }
         }
@@ -164,23 +156,18 @@ pub fn fig10_events(scale: Scale) -> usize {
 }
 
 /// **Figure 10**: HB computation time vs thread count for the four
-/// controlled scenarios: the tree's and the hybrid's speedup over
-/// vector clocks, each with its range and verdict.
+/// controlled scenarios: the tree's speedup over vector clocks, with
+/// its range and verdict.
 pub fn fig10(scale: Scale, mut progress: impl FnMut(&str)) -> TextTable {
     let mut t = TextTable::new([
         "scenario",
         "threads",
         "vc_seconds",
         "tc_seconds",
-        "hc_seconds",
         "tc_speedup",
         "tc_low",
         "tc_high",
         "tc_verdict",
-        "hc_speedup",
-        "hc_low",
-        "hc_high",
-        "hc_verdict",
     ])
     .with_title("Figure 10: scalability on controlled communication patterns (HB, medians)");
     let events = fig10_events(scale);
@@ -194,10 +181,8 @@ pub fn fig10(scale: Scale, mut progress: impl FnMut(&str)) -> TextTable {
                 threads.to_string(),
                 format!("{:.6}", c.vector.median()),
                 format!("{:.6}", c.tree.median()),
-                format!("{:.6}", c.hybrid.median()),
             ];
             row.extend(speedup_cells(c.speedup(ClockKind::Tree)));
-            row.extend(speedup_cells(c.speedup(ClockKind::Hybrid)));
             t.row(row);
         }
     }
@@ -276,17 +261,12 @@ mod tests {
                 field(line, 3).parse::<f64>().unwrap() > 0.0,
                 "VTWork per event"
             );
-            for (low, high, verdict) in [(7, 8, 9), (12, 13, 14)] {
-                let low: f64 = field(line, low).parse().unwrap();
-                let high: f64 = field(line, high).parse().unwrap();
-                assert!(low <= high, "line {line}: {low} > {high}");
-                assert!(["win", "tie", "loss"].contains(&field(line, verdict).as_str()));
-            }
-            assert!(
-                field(line, 10).parse::<f64>().unwrap() > 0.0,
-                "hybrid seconds"
-            );
-            assert!(field(line, 11).parse::<f64>().unwrap() > 0.0);
+            let low: f64 = field(line, 7).parse().unwrap();
+            let high: f64 = field(line, 8).parse().unwrap();
+            assert!(low <= high, "line {line}: {low} > {high}");
+            assert!(["win", "tie", "loss"].contains(&field(line, 9).as_str()));
+            assert!(field(line, 5).parse::<f64>().unwrap() > 0.0, "tc seconds");
+            assert!(field(line, 6).parse::<f64>().unwrap() > 0.0, "speedup");
         }
     }
 

@@ -18,9 +18,9 @@
 //! substitution rationale; the Figure 10 scenarios are generated
 //! exactly as described in the paper. Every timed cell keeps
 //! [`REPETITIONS`](runner::REPETITIONS) runs and reports their median
-//! and quartiles: Table 2 and Figure 10 give the tree's and the
-//! hybrid's speedup over the vector clock with its range, and count a
-//! trace whose Q1–Q3 ranges overlap as a tie. Run everything via the
+//! and quartiles: Table 2 and Figure 10 give the tree's speedup over
+//! the vector clock with its range, and count a trace whose Q1–Q3
+//! ranges overlap as a tie. Run everything via the
 //! `paper` binary:
 //!
 //! ```text

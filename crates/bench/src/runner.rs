@@ -8,7 +8,7 @@ use std::fmt;
 use std::time::Instant;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, ShbRaceDetector};
-use tc_core::{ClockPool, HybridClock, LogicalClock, TreeClock, VectorClock};
+use tc_core::{ClockPool, LogicalClock, TreeClock, VectorClock};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, RunMetrics, ShbEngine};
 use tc_trace::Trace;
 
@@ -19,13 +19,11 @@ pub enum ClockKind {
     Tree,
     /// The flat vector clock baseline.
     Vector,
-    /// The adaptive flat/tree hybrid.
-    Hybrid,
 }
 
 impl ClockKind {
     /// Every representation, tree first.
-    pub const ALL: [ClockKind; 3] = [ClockKind::Tree, ClockKind::Vector, ClockKind::Hybrid];
+    pub const ALL: [ClockKind; 2] = [ClockKind::Tree, ClockKind::Vector];
 }
 
 impl fmt::Display for ClockKind {
@@ -33,7 +31,6 @@ impl fmt::Display for ClockKind {
         f.write_str(match self {
             ClockKind::Tree => "TC",
             ClockKind::Vector => "VC",
-            ClockKind::Hybrid => "HC",
         })
     }
 }
@@ -192,9 +189,6 @@ pub fn measure(
         ClockKind::Vector => {
             measure_clock::<VectorClock>(trace, order, mode, &mut ClockPool::new())
         }
-        ClockKind::Hybrid => {
-            measure_clock::<HybridClock>(trace, order, mode, &mut ClockPool::new())
-        }
     }
 }
 
@@ -246,19 +240,16 @@ pub fn work_metrics(trace: &Trace, order: PartialOrderKind, clock: ClockKind) ->
     match clock {
         ClockKind::Tree => counted::<TreeClock>(trace, order),
         ClockKind::Vector => counted::<VectorClock>(trace, order),
-        ClockKind::Hybrid => counted::<HybridClock>(trace, order),
     }
 }
 
-/// The three representations measured on one configuration.
+/// Both representations measured on one configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Comparison {
     /// The tree-clock measurement.
     pub tree: Measurement,
     /// The vector-clock measurement.
     pub vector: Measurement,
-    /// The hybrid-clock measurement.
-    pub hybrid: Measurement,
 }
 
 impl Comparison {
@@ -267,7 +258,6 @@ impl Comparison {
         Comparison {
             tree: measure(trace, order, ClockKind::Tree, mode),
             vector: measure(trace, order, ClockKind::Vector, mode),
-            hybrid: measure(trace, order, ClockKind::Hybrid, mode),
         }
     }
 
@@ -277,7 +267,6 @@ impl Comparison {
         let x = match clock {
             ClockKind::Tree => &self.tree,
             ClockKind::Vector => &self.vector,
-            ClockKind::Hybrid => &self.hybrid,
         };
         Speedup::over(&self.vector, x)
     }
@@ -315,7 +304,6 @@ mod tests {
         let an = Comparison::measure(&trace, PartialOrderKind::Hb, Mode::PoAnalysis);
         assert_eq!(an.tree.findings, 1);
         assert_eq!(an.tree.findings, an.vector.findings);
-        assert_eq!(an.hybrid.findings, an.vector.findings);
     }
 
     #[test]
@@ -372,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn vt_work_is_identical_across_all_three_backends() {
+    fn vt_work_is_identical_across_both_backends() {
         let trace = scenarios::single_lock(5, 1_200, 3);
         for order in PartialOrderKind::ALL {
             let vt_work = ClockKind::ALL.map(|clock| work_metrics(&trace, order, clock).vt_work());

@@ -9,7 +9,7 @@ use crate::runner::{work_metrics, ClockKind, Comparison, Mode, Speedup, Verdict}
 use crate::suite::{suite, Scale};
 
 /// Per-trace results of the full suite sweep: statistics plus one
-/// TC/VC/HC comparison for every (partial order, mode) configuration,
+/// TC/VC comparison for every (partial order, mode) configuration,
 /// and the exact (untimed) work metrics per partial order.
 #[derive(Clone, Debug)]
 pub struct SuiteResult {
@@ -107,9 +107,9 @@ pub fn table1(stats: &[TraceStats]) -> TextTable {
     t
 }
 
-/// **Table 2**: average speedup over the vector clock per partial
-/// order, for the tree (TC) and the hybrid (HC), each for the PO
-/// computation alone and with the analysis on top. A cell reads
+/// **Table 2**: average speedup of the tree clock (TC) over the vector
+/// clock per partial order, for the PO computation alone and with the
+/// analysis on top. A cell reads
 /// `mean [low-high] wins/ties/losses`: the mean over the traces of the
 /// median speedup, the means of the range ends (`VC_Q1/X_Q3` and
 /// `VC_Q3/X_Q1`), and the traces per [`Verdict`].
@@ -118,18 +118,16 @@ pub fn table2(results: &[SuiteResult]) -> TextTable {
         "Table 2: average speedup over vector clocks (VC time / X time); \
          mean [VC_Q1/X_Q3-VC_Q3/X_Q1] wins/ties/losses",
     );
-    for clock in [ClockKind::Tree, ClockKind::Hybrid] {
-        for mode in [Mode::Po, Mode::PoAnalysis] {
-            let mut cells = vec![format!("{clock} {mode}")];
-            for order in PartialOrderKind::ALL {
-                let speedups: Vec<Speedup> = results
-                    .iter()
-                    .map(|r| r.get(order, mode).speedup(clock))
-                    .collect();
-                cells.push(summarize(&speedups));
-            }
-            t.row(cells);
+    for mode in [Mode::Po, Mode::PoAnalysis] {
+        let mut cells = vec![format!("{} {mode}", ClockKind::Tree)];
+        for order in PartialOrderKind::ALL {
+            let speedups: Vec<Speedup> = results
+                .iter()
+                .map(|r| r.get(order, mode).speedup(ClockKind::Tree))
+                .collect();
+            cells.push(summarize(&speedups));
         }
+        t.row(cells);
     }
     t
 }
@@ -209,13 +207,10 @@ mod tests {
         let entry = &suite()[10]; // a java-style workload
         let r = measure_trace(entry.name, &entry.generate(Scale::Quick));
         let t = table2(std::slice::from_ref(&r));
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.len(), 2);
         let csv = t.to_csv();
         assert!(csv.starts_with(",MAZ,SHB,HB"));
-        for (line, label) in ["TC PO", "TC PO+Analysis", "HC PO", "HC PO+Analysis"]
-            .iter()
-            .enumerate()
-        {
+        for (line, label) in ["TC PO", "TC PO+Analysis"].iter().enumerate() {
             let row = csv.lines().nth(line + 1).unwrap();
             assert!(row.starts_with(label), "{row}");
             // Every cell's verdict counts cover the one trace.

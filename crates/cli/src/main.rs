@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, RaceReport, ShbRaceDetector};
 use tc_conformance::{check_trace, run_sweep, Corpus, Fault, SweepOptions};
-use tc_core::{HybridClock, TreeClock, VectorClock};
+use tc_core::{TreeClock, VectorClock};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, ShbEngine};
 use tc_stream::{AnyDetector, Checkpoint, ClockChoice, DetectorConfig, ServeConfig, Server};
 use tc_trace::gen::{Scenario, WorkloadSpec};
@@ -281,32 +281,23 @@ fn cmd_race(args: &[String]) -> Result<(), String> {
 
     let start = std::time::Instant::now();
     let report: RaceReport = match (order, clock) {
-        (PartialOrderKind::Hb, ClockChoice::Tree) => {
+        (PartialOrderKind::Hb, ClockChoice::Tree | ClockChoice::Hybrid) => {
             HbRaceDetector::<TreeClock>::new(&trace).run(&trace)
         }
         (PartialOrderKind::Hb, ClockChoice::Vector) => {
             HbRaceDetector::<VectorClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Hb, ClockChoice::Hybrid) => {
-            HbRaceDetector::<HybridClock>::new(&trace).run(&trace)
-        }
-        (PartialOrderKind::Shb, ClockChoice::Tree) => {
+        (PartialOrderKind::Shb, ClockChoice::Tree | ClockChoice::Hybrid) => {
             ShbRaceDetector::<TreeClock>::new(&trace).run(&trace)
         }
         (PartialOrderKind::Shb, ClockChoice::Vector) => {
             ShbRaceDetector::<VectorClock>::new(&trace).run(&trace)
         }
-        (PartialOrderKind::Shb, ClockChoice::Hybrid) => {
-            ShbRaceDetector::<HybridClock>::new(&trace).run(&trace)
-        }
-        (PartialOrderKind::Maz, ClockChoice::Tree) => {
+        (PartialOrderKind::Maz, ClockChoice::Tree | ClockChoice::Hybrid) => {
             MazAnalyzer::<TreeClock>::new(&trace).run(&trace)
         }
         (PartialOrderKind::Maz, ClockChoice::Vector) => {
             MazAnalyzer::<VectorClock>::new(&trace).run(&trace)
-        }
-        (PartialOrderKind::Maz, ClockChoice::Hybrid) => {
-            MazAnalyzer::<HybridClock>::new(&trace).run(&trace)
         }
     };
     let elapsed = start.elapsed();
@@ -744,13 +735,14 @@ USAGE:
 Scenarios: single-lock, skewed-locks, star, pairwise, fork-join-tree,
 barrier-phases, pipeline, read-mostly, bursty-channels,
 spawn-join-churn.
-Clocks: tc (tree), vc (vector), hc (adaptive flat/tree hybrid).
+Clocks: tc (tree), vc (vector); hc and hybrid, the names of the
+adaptive backend the tree's flat mode replaced, run the tree.
 Files ending in .tctr use the binary format; others the text format.
 Timing tables (the paper's Table 2 and Figures 6-10, with spread) come
 from the `paper` binary: cargo run --release -p tc-bench --bin paper.
 
 conformance runs every corpus trace through the HB/SHB/MAZ engines with
-all three clock backends and cross-checks timestamps, race reports and
+both clock backends and cross-checks timestamps, race reports and
 work metrics against the O(n^2) definitional oracles. Failures are
 shrunk to minimal text-format repros (written to --repro-dir if given).
 --replay re-checks a dumped repro file instead of the corpus. --fault

@@ -1,8 +1,8 @@
 //! The cross-engine conformance checker for a single trace.
 //!
 //! For each partial order (HB, SHB, MAZ) the checker runs the streaming
-//! engine with all three clock backends (tree, vector, and the adaptive
-//! flat/tree hybrid), the epoch-optimized detector with each backend,
+//! engine with both clock backends (tree and vector), the
+//! epoch-optimized detector with each backend,
 //! and the O(n²) definitional oracle, then cross-checks timestamps,
 //! reports and work metrics. Any mismatch is returned as a structured
 //! [`Failure`] naming the order, the check and the first divergence.
@@ -11,29 +11,28 @@ use std::collections::HashMap;
 use std::fmt;
 
 use tc_analysis::{HbRaceDetector, MazAnalyzer, RaceReport, ShbRaceDetector};
-use tc_core::{ClockPool, Epoch, HybridClock, TreeClock, VectorClock, VectorTime};
+use tc_core::{ClockPool, Epoch, TreeClock, VectorClock, VectorTime};
 use tc_orders::spec::{spec_dag, spec_dag_with, SpecOptions};
 use tc_orders::{HbEngine, MazEngine, PartialOrderKind, RunMetrics, ShbEngine};
 use tc_trace::Trace;
 
 use crate::fault::Fault;
 
-/// Number of clock backends every check runs (tree, vector, hybrid).
-pub const BACKENDS: usize = 3;
+/// Number of clock backends every check runs (tree, vector).
+pub const BACKENDS: usize = 2;
 
 /// Stable backend labels, in the order the per-backend check results
 /// are produced.
-pub const BACKEND_NAMES: [&str; BACKENDS] = ["tree", "vector", "hybrid"];
+pub const BACKEND_NAMES: [&str; BACKENDS] = ["tree", "vector"];
 
-/// Clock pools for all three backends, shared across every engine a
-/// conformance check constructs (27 engine/detector instances per
+/// Clock pools for both backends, shared across every engine a
+/// conformance check constructs (18 engine/detector instances per
 /// trace) and, via [`check_trace_pooled`], across the cases of a sweep —
 /// so everything after the very first case runs allocation-free.
 #[derive(Debug, Default)]
 pub struct EnginePools {
     tree: ClockPool<TreeClock>,
     vector: ClockPool<VectorClock>,
-    hybrid: ClockPool<HybridClock>,
 }
 
 impl EnginePools {
@@ -124,13 +123,13 @@ impl fmt::Display for Failure {
 /// Aggregate numbers from one successful conformance check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckSummary {
-    /// Engine × backend combinations exercised (3 orders × 3 backends).
+    /// Engine × backend combinations exercised (3 orders × 2 backends).
     pub combos: usize,
     /// Events in the checked trace.
     pub events: usize,
     /// Total races/reversible pairs reported across the three orders.
     pub races: u64,
-    /// Recycling differential passes that actually ran (3 backends per
+    /// Recycling differential passes that actually ran (2 backends per
     /// fork-disciplined order; non-disciplined traces are skipped
     /// because the recycling guard rejects them by design).
     pub recycling_passes: usize,
@@ -160,22 +159,19 @@ fn timestamps_of(
     kind: PartialOrderKind,
     pools: &mut EnginePools,
 ) -> [Vec<VectorTime>; BACKENDS] {
-    let (t, v, h) = (&mut pools.tree, &mut pools.vector, &mut pools.hybrid);
+    let (t, v) = (&mut pools.tree, &mut pools.vector);
     match kind {
         PartialOrderKind::Hb => [
             HbEngine::<TreeClock>::collect_timestamps_pooled(trace, t),
             HbEngine::<VectorClock>::collect_timestamps_pooled(trace, v),
-            HbEngine::<HybridClock>::collect_timestamps_pooled(trace, h),
         ],
         PartialOrderKind::Shb => [
             ShbEngine::<TreeClock>::collect_timestamps_pooled(trace, t),
             ShbEngine::<VectorClock>::collect_timestamps_pooled(trace, v),
-            ShbEngine::<HybridClock>::collect_timestamps_pooled(trace, h),
         ],
         PartialOrderKind::Maz => [
             MazEngine::<TreeClock>::collect_timestamps_pooled(trace, t),
             MazEngine::<VectorClock>::collect_timestamps_pooled(trace, v),
-            MazEngine::<HybridClock>::collect_timestamps_pooled(trace, h),
         ],
     }
 }
@@ -185,22 +181,19 @@ fn reports_of(
     kind: PartialOrderKind,
     pools: &mut EnginePools,
 ) -> [RaceReport; BACKENDS] {
-    let (t, v, h) = (&mut pools.tree, &mut pools.vector, &mut pools.hybrid);
+    let (t, v) = (&mut pools.tree, &mut pools.vector);
     match kind {
         PartialOrderKind::Hb => [
             HbRaceDetector::<TreeClock>::run_pooled(trace, t).1,
             HbRaceDetector::<VectorClock>::run_pooled(trace, v).1,
-            HbRaceDetector::<HybridClock>::run_pooled(trace, h).1,
         ],
         PartialOrderKind::Shb => [
             ShbRaceDetector::<TreeClock>::run_pooled(trace, t).1,
             ShbRaceDetector::<VectorClock>::run_pooled(trace, v).1,
-            ShbRaceDetector::<HybridClock>::run_pooled(trace, h).1,
         ],
         PartialOrderKind::Maz => [
             MazAnalyzer::<TreeClock>::run_pooled(trace, t).1,
             MazAnalyzer::<VectorClock>::run_pooled(trace, v).1,
-            MazAnalyzer::<HybridClock>::run_pooled(trace, h).1,
         ],
     }
 }
@@ -210,22 +203,19 @@ fn metrics_of(
     kind: PartialOrderKind,
     pools: &mut EnginePools,
 ) -> [RunMetrics; BACKENDS] {
-    let (t, v, h) = (&mut pools.tree, &mut pools.vector, &mut pools.hybrid);
+    let (t, v) = (&mut pools.tree, &mut pools.vector);
     match kind {
         PartialOrderKind::Hb => [
             HbEngine::<TreeClock>::run_counted_pooled(trace, t),
             HbEngine::<VectorClock>::run_counted_pooled(trace, v),
-            HbEngine::<HybridClock>::run_counted_pooled(trace, h),
         ],
         PartialOrderKind::Shb => [
             ShbEngine::<TreeClock>::run_counted_pooled(trace, t),
             ShbEngine::<VectorClock>::run_counted_pooled(trace, v),
-            ShbEngine::<HybridClock>::run_counted_pooled(trace, h),
         ],
         PartialOrderKind::Maz => [
             MazEngine::<TreeClock>::run_counted_pooled(trace, t),
             MazEngine::<VectorClock>::run_counted_pooled(trace, v),
-            MazEngine::<HybridClock>::run_counted_pooled(trace, h),
         ],
     }
 }
@@ -236,14 +226,14 @@ fn check_timestamps(
     fault: Fault,
     pools: &mut EnginePools,
 ) -> Result<(), Failure> {
-    let [mut tc, vc, hc] = timestamps_of(trace, kind, pools);
+    let [mut tc, vc] = timestamps_of(trace, kind, pools);
     if fault == Fault::SkewTimestamp(kind) {
         if let (Some(ts), Some(e)) = (tc.last_mut(), trace.events().last()) {
             ts.increment(e.tid, 1);
         }
     }
     let oracle = tc_orders::spec::spec_timestamps(trace, kind);
-    for (backend, computed) in [("tree", &tc), ("vector", &vc), ("hybrid", &hc)] {
+    for (backend, computed) in [("tree", &tc), ("vector", &vc)] {
         if computed.len() != oracle.len() {
             return Err(fail(
                 kind,
@@ -350,22 +340,20 @@ fn check_reports(
     fault: Fault,
     pools: &mut EnginePools,
 ) -> Result<(u64, [RaceReport; BACKENDS]), Failure> {
-    let [mut tc, vc, hc] = reports_of(trace, kind, pools);
+    let [mut tc, vc] = reports_of(trace, kind, pools);
     if fault == Fault::DropRace(kind) && tc.races.pop().is_some() {
         tc.total -= 1;
     }
-    for (backend, other) in [("vector", &vc), ("hybrid", &hc)] {
-        if tc != *other {
-            return Err(fail(
-                kind,
-                CheckKind::Reports,
-                format!(
-                    "backends disagree: tree reports {} race(s) over {} check(s), \
-                     {backend} reports {} over {}",
-                    tc.total, tc.checks, other.total, other.checks
-                ),
-            ));
-        }
+    if tc != vc {
+        return Err(fail(
+            kind,
+            CheckKind::Reports,
+            format!(
+                "backends disagree: tree reports {} race(s) over {} check(s), \
+                 vector reports {} over {}",
+                tc.total, tc.checks, vc.total, vc.checks
+            ),
+        ));
     }
     if kind == PartialOrderKind::Hb {
         // The completeness check needs the plain HB reachability even
@@ -391,7 +379,7 @@ fn check_reports(
         check_report_soundness(trace, kind, &tc, None)?;
     }
     let total = tc.total;
-    Ok((total, [tc, vc, hc]))
+    Ok((total, [tc, vc]))
 }
 
 fn check_metrics(
@@ -400,11 +388,11 @@ fn check_metrics(
     fault: Fault,
     pools: &mut EnginePools,
 ) -> Result<(), Failure> {
-    let [mut tc, vc, hc] = metrics_of(trace, kind, pools);
+    let [mut tc, vc] = metrics_of(trace, kind, pools);
     if fault == Fault::InflateWork(kind) {
         tc.op_changed += 1;
     }
-    for (backend, m) in [("tree", &tc), ("vector", &vc), ("hybrid", &hc)] {
+    for (backend, m) in [("tree", &tc), ("vector", &vc)] {
         if m.events != trace.len() as u64 {
             return Err(fail(
                 kind,
@@ -427,20 +415,18 @@ fn check_metrics(
             ));
         }
     }
-    for (backend, m) in [("vector", &vc), ("hybrid", &hc)] {
-        if tc.vt_work() != m.vt_work() {
-            return Err(fail(
-                kind,
-                CheckKind::Metrics,
-                format!(
-                    "VTWork must be representation independent: tree {} vs {backend} {}",
-                    tc.vt_work(),
-                    m.vt_work()
-                ),
-            ));
-        }
+    if tc.vt_work() != vc.vt_work() {
+        return Err(fail(
+            kind,
+            CheckKind::Metrics,
+            format!(
+                "VTWork must be representation independent: tree {} vs vector {}",
+                tc.vt_work(),
+                vc.vt_work()
+            ),
+        ));
     }
-    // Theorem 1, with the paper's plain bound, for *all three* orders:
+    // Theorem 1, with the paper's plain bound, for all three orders:
     // tree-clock work stays within 3× of the representation-independent
     // lower bound on every input. The per-variable clocks of SHB/MAZ
     // (`LW_x`, `R_{t,x}`) are lazy and their first copy is sparse —
@@ -449,9 +435,7 @@ fn check_metrics(
     // model, found by short 16-thread pipeline/bursty corpus traces) is
     // gone. The bound applies to the *tree* backend only: it is a
     // property of Algorithm 2, which the counted tree paths run
-    // verbatim; the hybrid's flat regime intentionally trades examined
-    // entries for vectorizability and is checked for value equality and
-    // VTWork independence instead.
+    // verbatim (counted operations never turn a clock flat).
     if tc.ds_work() > 3 * tc.vt_work() {
         return Err(fail(
             kind,
@@ -576,8 +560,8 @@ fn check_streaming(
     kind: PartialOrderKind,
     pools: &mut EnginePools,
 ) -> Result<(), Failure> {
-    let [ts_tc, ts_vc, ts_hc] = timestamps_of(trace, kind, pools);
-    let [rep_tc, rep_vc, rep_hc] = reports_of(trace, kind, pools);
+    let [ts_tc, ts_vc] = timestamps_of(trace, kind, pools);
+    let [rep_tc, rep_vc] = reports_of(trace, kind, pools);
     stream_one_backend::<TreeClock>(trace, kind, "tree", &ts_tc, &rep_tc, &mut pools.tree, false)?;
     stream_one_backend::<VectorClock>(
         trace,
@@ -586,15 +570,6 @@ fn check_streaming(
         &ts_vc,
         &rep_vc,
         &mut pools.vector,
-        false,
-    )?;
-    stream_one_backend::<HybridClock>(
-        trace,
-        kind,
-        "hybrid",
-        &ts_hc,
-        &rep_hc,
-        &mut pools.hybrid,
         false,
     )?;
     // Dominance eviction is only value-preserving under fork
@@ -706,8 +681,8 @@ fn check_recycling(
     if !fork_disciplined(trace) {
         return Ok(0);
     }
-    let [ts_tc, ts_vc, ts_hc] = timestamps_of(trace, kind, pools);
-    let [rep_tc, rep_vc, rep_hc] = reports_of(trace, kind, pools);
+    let [ts_tc, ts_vc] = timestamps_of(trace, kind, pools);
+    let [rep_tc, rep_vc] = reports_of(trace, kind, pools);
     recycling_one_backend::<TreeClock>(trace, kind, "tree", &ts_tc, &rep_tc, &mut pools.tree)?;
     recycling_one_backend::<VectorClock>(
         trace,
@@ -717,39 +692,42 @@ fn check_recycling(
         &rep_vc,
         &mut pools.vector,
     )?;
-    recycling_one_backend::<HybridClock>(
-        trace,
-        kind,
-        "hybrid",
-        &ts_hc,
-        &rep_hc,
-        &mut pools.hybrid,
-    )?;
     Ok(BACKENDS)
 }
 
-/// Feeds `trace` into a protocol [`Session`] as frame-batched binary
-/// events — the exact path `tcr serve` runs for binary clients — and
-/// asserts the session's report is event-identical to the batch
-/// detector's. The backend rotates with the order (HB→tree,
-/// SHB→hybrid, MAZ→vector) so the sweep covers all three over its
-/// case mix.
+/// The `open` arguments of the wire and cluster checks. The backend
+/// rotates with the order (HB→tree, SHB→tree, MAZ→vector) so the sweep
+/// covers both over its case mix; SHB opens the tree by its old
+/// adaptive name `hc`, so that alias runs through `open` too.
+fn rotation(kind: PartialOrderKind) -> &'static str {
+    match kind {
+        PartialOrderKind::Hb => "hb tc",
+        PartialOrderKind::Shb => "shb hc",
+        PartialOrderKind::Maz => "maz vc",
+    }
+}
+
+/// The backend and configuration `open <args>` selects.
+fn opened(args: &str) -> (tc_stream::ClockChoice, tc_stream::DetectorConfig) {
+    let parts: Vec<&str> = args.split_whitespace().collect();
+    tc_stream::parse_open(&parts).expect("the rotation's open lines parse")
+}
+
+/// Feeds `trace` into a protocol [`Session`] opened with `open` as
+/// frame-batched binary events — the exact path `tcr serve` runs for
+/// binary clients — and asserts the session's report is
+/// event-identical to the batch detector's.
 ///
 /// [`Session`]: tc_stream::Session
 fn check_wire(
     trace: &Trace,
     kind: PartialOrderKind,
     batch: &RaceReport,
-    backend: &str,
+    open: &str,
 ) -> Result<(), Failure> {
-    use tc_stream::{ClockChoice, DetectorConfig, Session};
-    let clock = match kind {
-        PartialOrderKind::Hb => ClockChoice::Tree,
-        PartialOrderKind::Shb => ClockChoice::Hybrid,
-        PartialOrderKind::Maz => ClockChoice::Vector,
-    };
-    debug_assert_eq!(clock.name(), backend);
-    let mut session = Session::new(0, clock, DetectorConfig::for_order(kind));
+    let (clock, config) = opened(open);
+    let backend = clock.name();
+    let mut session = tc_stream::Session::new(0, clock, config);
     let mut out = String::new();
     for (f, frame) in trace.events().chunks(64).enumerate() {
         session.handle_frame(frame, &mut out);
@@ -782,18 +760,18 @@ fn check_wire(
 /// and asserts the race report the promoted replica serves is
 /// line-identical to an uninterrupted single-process session's (which
 /// [`check_wire`] has already tied to the batch detector), with a
-/// total matching the batch report. The backend rotates with the
-/// order exactly like the wire check.
-fn check_cluster(trace: &Trace, kind: PartialOrderKind, batch: &RaceReport) -> Result<(), Failure> {
+/// total matching the batch report. The session is opened with `open`,
+/// like the wire check's.
+fn check_cluster(
+    trace: &Trace,
+    kind: PartialOrderKind,
+    batch: &RaceReport,
+    open: &str,
+) -> Result<(), Failure> {
     use tc_cluster::LocalCluster;
-    use tc_stream::{ClockChoice, DetectorConfig, Session};
-    let (order_arg, clock_arg, clock) = match kind {
-        PartialOrderKind::Hb => ("hb", "tc", ClockChoice::Tree),
-        PartialOrderKind::Shb => ("shb", "hc", ClockChoice::Hybrid),
-        PartialOrderKind::Maz => ("maz", "vc", ClockChoice::Vector),
-    };
     // Ground truth: one uninterrupted session fed the same frames.
-    let mut session = Session::new(0, clock, DetectorConfig::for_order(kind));
+    let (clock, config) = opened(open);
+    let mut session = tc_stream::Session::new(0, clock, config);
     let mut sink = String::new();
     for frame in trace.events().chunks(64) {
         sink.clear();
@@ -810,8 +788,8 @@ fn check_cluster(trace: &Trace, kind: PartialOrderKind, batch: &RaceReport) -> R
     session.handle_line("races", &mut want);
 
     let mut ring = LocalCluster::with_delta_every(3, 2);
-    let open = ring.client_line(0, 1, &format!("open {order_arg} {clock_arg}"));
-    let id: u64 = match open
+    let opened = ring.client_line(0, 1, &format!("open {open}"));
+    let id: u64 = match opened
         .strip_prefix("ok session ")
         .and_then(|r| r.split_whitespace().next())
         .and_then(|v| v.parse().ok())
@@ -821,7 +799,7 @@ fn check_cluster(trace: &Trace, kind: PartialOrderKind, batch: &RaceReport) -> R
             return Err(fail(
                 kind,
                 CheckKind::Cluster,
-                format!("cluster open failed: {}", open.trim_end()),
+                format!("cluster open failed: {}", opened.trim_end()),
             ))
         }
     };
@@ -929,14 +907,14 @@ pub fn check_trace_pooled(
         summary.races += races;
         check_metrics(trace, kind, fault, pools)?;
         check_streaming(trace, kind, pools)?;
-        // The backend rotation indexes into [tree, vector, hybrid].
-        let (idx, backend) = match kind {
-            PartialOrderKind::Hb => (0, "tree"),
-            PartialOrderKind::Shb => (2, "hybrid"),
-            PartialOrderKind::Maz => (1, "vector"),
-        };
-        check_wire(trace, kind, &reports[idx], backend)?;
-        check_cluster(trace, kind, &reports[idx])?;
+        let open = rotation(kind);
+        let backend = opened(open).0.name();
+        let idx = BACKEND_NAMES
+            .iter()
+            .position(|&name| name == backend)
+            .expect("the rotation opens a checked backend");
+        check_wire(trace, kind, &reports[idx], open)?;
+        check_cluster(trace, kind, &reports[idx], open)?;
         summary.recycling_passes += check_recycling(trace, kind, pools)?;
     }
     Ok(summary)
@@ -968,7 +946,7 @@ mod tests {
         let racy = racy_trace();
         let summary = check_trace(&racy, Fault::None).unwrap();
         assert!(summary.races > 0, "racy workload should report races");
-        assert_eq!(summary.combos, 9);
+        assert_eq!(summary.combos, 6);
     }
 
     #[test]

@@ -3,27 +3,25 @@
 //!
 //! The paper's central claim is *equivalence at lower cost*: tree
 //! clocks must compute exactly the same HB/SHB/MAZ orderings as vector
-//! clocks on every input — and this repo's adaptive
-//! [`HybridClock`](tc_core::HybridClock) must agree with both, whatever
-//! representation its density window picked. This crate systematically
+//! clocks on every input — whether a tree clock's timed path kept it a
+//! tree or turned it flat. This crate systematically
 //! drives every engine × backend combination through a [`Corpus`] of
 //! trace configurations (every registered
 //! [`Scenario`](tc_trace::gen::Scenario) family plus racy mixed
 //! workloads, crossed with thread counts, event budgets and seeds) and
 //! cross-checks, per partial order:
 //!
-//! - **timestamps** — [`TreeClock`](tc_core::TreeClock),
-//!   [`VectorClock`](tc_core::VectorClock) and
-//!   [`HybridClock`](tc_core::HybridClock) engine runs against the
+//! - **timestamps** — [`TreeClock`](tc_core::TreeClock) and
+//!   [`VectorClock`](tc_core::VectorClock) engine runs against the
 //!   O(n²) definitional oracle of [`tc_orders::spec`] (identical
-//!   timestamp *values* from all three backends on every trace);
+//!   timestamp *values* from both backends on every trace);
 //! - **reports** — the epoch-optimized detectors of [`tc_analysis`]
 //!   must produce byte-identical race/reversible-pair reports for every
 //!   backend, every reported pair must be conflicting and concurrent
 //!   in the definitional order (soundness), and the HB detector must
 //!   find a race exactly when one exists (completeness);
 //! - **metrics** — `VTWork` must be representation independent across
-//!   all three backends, tree-clock work must respect the Theorem 1
+//!   both backends, tree-clock work must respect the Theorem 1
 //!   bound `TCWork ≤ 3·VTWork` (a property of Algorithm 2, which the
 //!   counted tree paths run verbatim), and the
 //!   [`OpStats`](tc_core::OpStats) aggregates must be internally
@@ -46,7 +44,7 @@
 //! // A single trace through every engine × backend × oracle check:
 //! let trace = tc_trace::gen::Scenario::Star.generate(4, 150, 1);
 //! let summary = check_trace(&trace, Fault::None).expect("conformant");
-//! assert_eq!(summary.combos, 9); // 3 orders × 3 backends
+//! assert_eq!(summary.combos, 6); // 3 orders × 2 backends
 //!
 //! // The quick corpus used by the tier-1 sweep:
 //! assert!(Corpus::quick().cases.len() >= 20);

@@ -70,14 +70,14 @@ impl SweepReport {
     }
 
     /// Total engine × backend combinations exercised across all cases
-    /// (each case drives 3 orders × 3 backends; failing cases count
+    /// (each case drives 3 orders × 2 backends; failing cases count
     /// from their configuration).
     pub fn combos(&self) -> usize {
         self.outcomes
             .iter()
             .map(|o| match &o.result {
                 Ok(s) => s.combos,
-                Err(_) => 3 * crate::check::BACKENDS,
+                Err(_) => tc_orders::PartialOrderKind::ALL.len() * crate::check::BACKENDS,
             })
             .sum()
     }
@@ -161,7 +161,7 @@ mod tests {
         let report = run_sweep(&tiny_corpus(), SweepOptions::default());
         assert!(report.passed(), "{report}");
         assert_eq!(report.failures(), 0);
-        assert_eq!(report.combos(), 4 * 9);
+        assert_eq!(report.combos(), 4 * 6);
         assert!(report.events_checked() > 0);
         assert!(
             report.recycling_passes() > 0,

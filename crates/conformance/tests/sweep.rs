@@ -23,7 +23,7 @@ fn quick_corpus_sweep_is_conformant() {
     assert!(
         report.combos() >= 60,
         "quick sweep must cover at least 60 scenario × order × backend \
-         combinations (hybrid included), got {}",
+         combinations (both backends), got {}",
         report.combos()
     );
     // The sweep exercises both race-free structured scenarios and racy

@@ -353,13 +353,11 @@ mod tests {
     fn adopt_slot_matches_on_every_backend() {
         adopt_slot_behaves_like_init_plus_increment::<crate::VectorClock>();
         adopt_slot_behaves_like_init_plus_increment::<crate::TreeClock>();
-        adopt_slot_behaves_like_init_plus_increment::<crate::HybridClock>();
     }
 
     #[test]
     fn clear_slot_matches_on_every_backend() {
         clear_slot_excises_one_entry::<crate::VectorClock>();
         clear_slot_excises_one_entry::<crate::TreeClock>();
-        clear_slot_excises_one_entry::<crate::HybridClock>();
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Every clock backend in this workspace indexes its representation by
 //! [`ThreadId`] — the vector of a [`VectorClock`](crate::VectorClock),
-//! the node arena of a [`TreeClock`](crate::TreeClock), the flat array
-//! of the hybrid. Join-retirement (PR 5) bounds the *number* of live
+//! the times and node arena of a [`TreeClock`](crate::TreeClock), tree
+//! or flat. Join-retirement (PR 5) bounds the *number* of live
 //! clocks, but every clock still carries the **total-ever** thread
 //! dimension: a streaming session with millions of spawn/join churns
 //! drags dead entries in every clock forever.

@@ -54,16 +54,15 @@
 //!
 //! - [`tree_clock`] — the [`TreeClock`] data structure (Algorithm 2 of the
 //!   paper): arena representation shared copy-on-write by wide clocks,
-//!   iterative `Join`, `MonotoneCopy` and `CopyCheckMonotone`.
+//!   iterative `Join`, `MonotoneCopy` and `CopyCheckMonotone`, and a
+//!   flat mode (times only, joined by a sweep) for dense clocks on the
+//!   timed path.
 //! - [`vector_clock`] — the flat [`VectorClock`] baseline.
 //! - [`clock`] — the [`LogicalClock`] trait and per-operation work
 //!   statistics ([`OpStats`]) used for the paper's `VTWork`/`TCWork`/
 //!   `VCWork` accounting.
 //! - [`vector_time`] — the plain [`VectorTime`] value type (a vector
 //!   timestamp), partially ordered pointwise.
-//! - [`hybrid`] — the adaptive [`HybridClock`], which is a flat array
-//!   while the observed join density is high and re-materializes tree
-//!   links when the workload turns sparse.
 //! - [`ids`] — [`ThreadId`], [`LocalTime`] and [`Epoch`] identifiers.
 //! - [`pool`] — the [`ClockPool`] free list and the [`ClockTable`] of
 //!   lazily materialized per-lock and per-variable clocks, with which
@@ -80,7 +79,6 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
-pub mod hybrid;
 pub mod identity;
 pub mod ids;
 pub mod pool;
@@ -89,13 +87,17 @@ pub mod vector_clock;
 pub mod vector_time;
 
 pub use clock::{CopyMode, LogicalClock, OpStats};
-pub use hybrid::HybridClock;
 pub use identity::{BindError, IdentityMap, IdentitySnapshot, SlotBinding};
 pub use ids::{Epoch, LocalTime, ThreadId};
 pub use pool::{ClockPool, ClockTable};
 pub use tree_clock::TreeClock;
 pub use vector_clock::VectorClock;
 pub use vector_time::VectorTime;
+
+/// The name of the adaptive flat/tree backend, now [`TreeClock`] itself:
+/// a tree clock keeps a dense clock flat on its timed path. Kept so code
+/// written against the old backend still compiles.
+pub type HybridClock = TreeClock;
 
 // Every clock backend (and the pooling wrappers around them) is Send —
 // asserted at compile time so a future backend cannot silently
@@ -105,9 +107,8 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<TreeClock>();
     assert_send::<VectorClock>();
-    assert_send::<HybridClock>();
     assert_send::<ClockPool<TreeClock>>();
     assert_send::<ClockPool<VectorClock>>();
-    assert_send::<ClockPool<HybridClock>>();
-    assert_send::<ClockTable<HybridClock>>();
+    assert_send::<ClockTable<TreeClock>>();
+    assert_send::<ClockTable<VectorClock>>();
 };

@@ -501,11 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_clocks_pool_and_recycle() {
-        exercise_pool::<crate::HybridClock>();
-    }
-
-    #[test]
     fn an_untouched_id_reads_none() {
         let mut table = ClockTable::<TreeClock>::with_len(4);
         assert!(table.get(3).is_none());
@@ -605,7 +600,7 @@ mod tests {
 
     #[test]
     fn teardown_returns_exactly_the_materialized_clocks() {
-        let mut pool = ClockPool::<crate::HybridClock>::new();
+        let mut pool = ClockPool::<TreeClock>::new();
         let mut table = ClockTable::with_len(1 << 12);
         for id in [0, 7, 4_095] {
             table

@@ -24,10 +24,8 @@ use super::node::NIL;
 use super::TreeClock;
 
 impl TreeClock {
-    /// Like the join, the uncounted path reports the surgically moved
-    /// entry count in `stats.moved` (and nothing else) — the hybrid
-    /// clock's density observation for copies. A timed copy that shares
-    /// the source's shape, or replicates a flat clock's, reports 0.
+    /// The monotone copy. When `COUNT`, returns its work statistics;
+    /// a timed copy returns nothing.
     pub(crate) fn monotone_copy_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -53,14 +51,8 @@ impl TreeClock {
         }
         let Some(z) = self.root_idx() else {
             // Copy into an empty clock: a deep copy, and every entry of
-            // `other` is new information. The uncounted path reports
-            // the transferred present-entry count as its `moved`
-            // observation (the clone replicates exactly those).
-            let mut s = self.clone_structure_from::<COUNT>(other);
-            if !COUNT {
-                s.moved = other.node_count() as u64;
-            }
-            return s;
+            // `other` is new information.
+            return self.clone_structure_from::<COUNT>(other);
         };
         if self.is_flat() || other.is_flat() {
             // No links on one side to walk: the destination becomes a
@@ -87,8 +79,6 @@ impl TreeClock {
                 (gather, frames),
                 &mut stats,
             )?;
-            let moved = gather.len();
-
             // The sibling pruning stops a scan once a child's attachment
             // clock shows the destination already knew the rest of the
             // siblings. That is value-correct, but when the destination's
@@ -109,8 +99,8 @@ impl TreeClock {
             // examined-entry count within the Theorem 1 budget: the counted
             // clone walks the union of the two present-node sets — at most
             // `max(len)` entries here, and at least half that many changed.
-            if (z != zp && !found_old_root) || moved >= arena / 2 {
-                return Some((moved, false));
+            if (z != zp && !found_old_root) || gather.len() >= arena / 2 {
+                return Some(false);
             }
 
             Self::detach_nodes_in(&mut shape.nodes, z, gather);
@@ -127,14 +117,11 @@ impl TreeClock {
                 z == zp || shape.nodes[z as usize].parent != NIL,
                 "old root was not repositioned — monotone-copy precondition violated"
             );
-            Some((moved, true))
+            Some(true)
         });
-        let Some((moved, surgical)) = walked else {
+        let Some(surgical) = walked else {
             return self.replicate::<COUNT>(other);
         };
-        if !COUNT {
-            stats.moved = moved as u64;
-        }
         if !surgical {
             // The clone runs its own walk, after this one has returned
             // the scratch stacks.

@@ -148,9 +148,9 @@ fn max_fresh(own: Times<'_>, src: Times<'_>) -> (Vec<LocalTime>, u64) {
 }
 
 impl TreeClock {
-    /// Returns both the join's result statistics and (for the uncounted
-    /// path) the number of moved entries in `stats.moved`, which the
-    /// hybrid clock reads as its density observation.
+    /// The join. When `COUNT`, returns its work statistics; a timed
+    /// join returns only the `changed` count its flat paths make anyway
+    /// (also as `moved`), and nothing after a walk.
     pub(crate) fn join_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -227,7 +227,6 @@ impl TreeClock {
         self.store.settle();
         if !COUNT {
             self.note_density(moved, arena);
-            stats.moved = moved as u64;
         }
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -302,12 +301,7 @@ impl TreeClock {
     /// tree that would hang more than `limit` entries turns flat and
     /// sweeps the rest. Returns the exact `changed` count, also as
     /// `moved`; the counted variant examines every entry of `src`.
-    pub(crate) fn join_dense<const COUNT: bool>(
-        &mut self,
-        src: Times<'_>,
-        z: u32,
-        limit: usize,
-    ) -> OpStats {
+    fn join_dense<const COUNT: bool>(&mut self, src: Times<'_>, z: u32, limit: usize) -> OpStats {
         let aclk = self.root_time;
         let shape = self.store.unique(z, aclk);
         shape.ensure_len(src.slice.len());
@@ -414,33 +408,6 @@ impl TreeClock {
             r.aclk = 0;
         }
         shape.num_present = count;
-    }
-
-    /// Materializes a tree from a flat times array: the values become
-    /// `self`'s local times and every known thread hangs directly under
-    /// `root` (the star shape a flat clock turning back into a tree
-    /// also produces, sound by the same argument). This is the hybrid
-    /// clock's dense→sparse re-materialization: the scan is one forward
-    /// sweep and the link work is O(present entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not empty.
-    pub(crate) fn adopt_flat(&mut self, times: &[LocalTime], root: u32) {
-        assert!(
-            self.root == NIL,
-            "TreeClock::adopt_flat: destination must be empty"
-        );
-        let shape = self.store.unique(NIL, 0);
-        shape.ensure_len(times.len().max(root as usize + 1));
-        shape.clks[..times.len()].copy_from_slice(times);
-        // Entries past `times.len()` were zeroed by the teardown that
-        // emptied this clock; nothing to reset.
-        Self::rebuild_star(shape, root);
-        self.root = root;
-        self.root_time = shape.clks[root as usize];
-        self.store.settle();
-        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Iterative `getUpdatedNodesJoin`: collects, in post-order, every

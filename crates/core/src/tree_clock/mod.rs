@@ -163,7 +163,7 @@ pub struct NodeView {
 
 /// A clock's value as a dense array: the shape's times, with the root's
 /// entry read from the clock's root time (a shared shape's root entry
-/// may lag behind it). The hybrid clock's flat interop surface.
+/// may lag behind it). What the sweeps and the wholesale copy read.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Times<'a> {
     /// The dense times; the entry at `root` may lag behind `root_time`.
@@ -174,16 +174,7 @@ pub(crate) struct Times<'a> {
     root_time: LocalTime,
 }
 
-impl<'a> Times<'a> {
-    /// A plain flat array, every entry authoritative.
-    pub(crate) fn flat(slice: &'a [LocalTime]) -> Self {
-        Times {
-            slice,
-            root: NIL,
-            root_time: 0,
-        }
-    }
-
+impl Times<'_> {
     /// The value at index `idx` (0 past the end).
     #[inline]
     pub(crate) fn get(&self, idx: u32) -> LocalTime {
@@ -198,12 +189,6 @@ impl<'a> Times<'a> {
     #[inline]
     pub(crate) fn root_entry(&self) -> Option<(u32, LocalTime)> {
         (self.root != NIL).then_some((self.root, self.root_time))
-    }
-
-    /// Whether every entry is 0. (A lagging root entry is at most the
-    /// root time, so it is 0 whenever the root time is.)
-    pub(crate) fn is_zero(&self) -> bool {
-        self.root_time == 0 && self.slice.iter().all(|&t| t == 0)
     }
 
     /// Overwrites `out` with the value.
@@ -826,9 +811,8 @@ impl LogicalClock for TreeClock {
     }
 
     /// Re-materializes the clock from a checkpointed value as the star
-    /// shape (every present thread directly under the root), the same
-    /// O(present) construction a flat clock turning back into a tree
-    /// and the hybrid backend use.
+    /// shape (every known thread directly under the root), the same
+    /// O(arena) construction a flat clock turning back into a tree uses.
     fn restore_value(&mut self, times: &[LocalTime], root: Option<ThreadId>) {
         assert!(
             self.root == NIL,
@@ -841,7 +825,17 @@ impl LogicalClock for TreeClock {
             );
             return;
         };
-        self.adopt_flat(times, r.raw());
+        let root = r.raw();
+        let shape = self.store.unique(NIL, 0);
+        shape.ensure_len(times.len().max(root as usize + 1));
+        shape.clks[..times.len()].copy_from_slice(times);
+        // Entries past `times.len()` were zeroed by the teardown that
+        // emptied this clock; nothing to reset.
+        Self::rebuild_star(shape, root);
+        self.root = root;
+        self.root_time = shape.clks[root as usize];
+        self.store.settle();
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Sparse reset: dismantles the tree in O(present) time, keeping

@@ -410,8 +410,8 @@ fn monotone_copy_with_same_root_thread_updates_in_place() {
 /// attachment clock shows the destination already knew the rest of the
 /// list — but the destination's old root may sit *past* that cut when
 /// it has not progressed. Star-shaped sources (every child under the
-/// root at one attachment clock, the shape the hybrid backend and
-/// `restore_value` produce) hit this on the very first non-progressed
+/// root at one attachment clock, the shape a flat clock turning back
+/// into a tree and `restore_value` produce) hit this on the very first non-progressed
 /// child. The copy must still re-root correctly and keep every entry.
 #[test]
 fn monotone_copy_star_source_repositions_unreached_old_root() {
@@ -918,23 +918,45 @@ fn consecutive_dense_joins_turn_a_narrow_tree_flat() {
 }
 
 /// A timed copy between narrow trees that would move more than its
-/// walk limit replicates the source (moving nothing entry by entry); a
-/// sparse one stays surgical.
+/// walk limit (an eighth of the sharing width) replicates the source; a
+/// sparse one stays surgical. Sibling order tells the two apart: a
+/// replica takes the source's order, and a walk leaves every entry it
+/// does not move where the destination had it.
 #[test]
 fn a_dense_narrow_copy_replicates_the_source() {
-    let mut thread = rooted(0, 1);
-    for i in 1..NARROW {
-        thread.join_counted(&rooted(i, 3));
-    }
-    let mut lock = TreeClock::new();
-    lock.monotone_copy(&rooted(0, 1));
-    let stats = lock.monotone_copy_impl::<false>(&thread);
-    assert_eq!(stats.moved, 0, "a dense copy replicates");
-    assert_eq!(lock.to_string(), thread.to_string());
-    thread.increment(1);
-    let stats = lock.monotone_copy_impl::<false>(&thread);
-    assert_eq!(stats.moved, 1, "a sparse copy walks");
+    // The widest inline arena, learned in opposite orders.
+    let learned = |threads: &mut dyn Iterator<Item = u32>| {
+        let mut clock = rooted(0, 1);
+        for i in threads {
+            clock.join_counted(&rooted(i, 3));
+        }
+        clock
+    };
+    let width = SHARED_WIDTH as u32;
+    let mut thread = learned(&mut (1..width));
+    let mut lock = learned(&mut (1..width).rev());
     assert_eq!(lock, thread);
+    assert_ne!(lock.to_string(), thread.to_string());
+
+    // Only the root progressed: the walk moves it alone.
+    thread.increment(1);
+    lock.monotone_copy(&thread);
+    assert_eq!(lock, thread);
+    assert_ne!(lock.to_string(), thread.to_string(), "a sparse copy walks");
+    assert_eq!(lock.check_invariants(), Ok(()));
+
+    // Twelve entries and the root progressed: past the walk limit of 8,
+    // short of the half-arena fallback.
+    thread.increment(1);
+    for i in 1..=12 {
+        thread.join_counted(&rooted(i, 5));
+    }
+    lock.monotone_copy(&thread);
+    assert_eq!(
+        lock.to_string(),
+        thread.to_string(),
+        "a dense copy replicates"
+    );
     assert_eq!(lock.check_invariants(), Ok(()));
 }
 
@@ -1062,4 +1084,63 @@ fn a_shared_tree_turns_flat_by_writing_the_join_in_one_pass() {
         assert!(!thread.is_flat());
         thread
     });
+}
+
+// ---------------------------------------------------------------------
+// Dense reads of a lagging root entry
+// ---------------------------------------------------------------------
+
+use super::node::NIL;
+use super::{count_diffs, Times};
+
+/// A plain dense value, every entry authoritative.
+fn plain(slice: &[u32]) -> Times<'_> {
+    Times {
+        slice,
+        root: NIL,
+        root_time: 0,
+    }
+}
+
+#[test]
+fn count_diffs_handles_unequal_lengths() {
+    let diffs = |a: &[u32], b: &[u32]| count_diffs(plain(a), plain(b));
+    assert_eq!(diffs(&[1, 2, 0], &[1, 3]), 1);
+    assert_eq!(diffs(&[1, 2, 4], &[1, 2]), 1);
+    assert_eq!(diffs(&[], &[0, 0, 5]), 1);
+    assert_eq!(diffs(&[7], &[7]), 0);
+}
+
+/// A flat clock's sweep over a tree whose root entry lags in its shared
+/// shape reads the root time, timed and counted, and so does the diff
+/// count of a wholesale copy.
+#[test]
+fn flat_reads_of_a_tree_use_its_root_time() {
+    // 150 threads at time 4, shared with a lock; the root (t0) has
+    // since moved on to 9.
+    let mut src = clock_at(150, 4);
+    let mut lock = TreeClock::new();
+    lock.monotone_copy(&src);
+    src.increment(5);
+    assert!(!src.is_flat() && root_entry_lags(&src));
+    assert_eq!(src.get(t(0)), 9);
+
+    // (Built twice rather than cloned: a clone would share the shape,
+    // and the timed join would write a fresh one instead of sweeping.)
+    let mut flat = flat_source(160, 2);
+    let mut counted = flat_source(160, 2);
+    let before = flat.vector_time();
+    flat.join(&src);
+    assert!(flat.is_flat() && flat.copies_by_sharing());
+    assert_eq!(flat.get(t(0)), 9);
+    let stats = counted.join_counted(&src);
+    assert_eq!(counted, flat);
+    let progressed = (0..150).filter(|&i| src.get(t(i)) > before.get(t(i)));
+    assert_eq!(stats.changed as usize, progressed.count());
+    assert_eq!(flat.check_invariants(), Ok(()));
+
+    // Diffs against the tree judge its root on the root time.
+    let stale = vec![4; 150];
+    assert_eq!(count_diffs(plain(&stale), src.times()), 1);
+    assert_eq!(count_diffs(src.times(), plain(&stale)), 1);
 }

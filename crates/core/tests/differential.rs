@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use tc_core::{CopyMode, HybridClock, LogicalClock, ThreadId, TreeClock, VectorClock};
+use tc_core::{CopyMode, LogicalClock, ThreadId, TreeClock, VectorClock};
 
 /// One causally valid step of a lock/variable-based execution. The steps
 /// mirror how the HB/SHB engines drive clocks, which is the contract
@@ -463,11 +463,6 @@ fn lazy_vector_clock_matches_eagerly_zeroed() {
     lazy_matches_eager::<VectorClock>();
 }
 
-#[test]
-fn lazy_hybrid_clock_matches_eagerly_zeroed() {
-    lazy_matches_eager::<HybridClock>();
-}
-
 /// A cleared (pool-recycled) clock must behave exactly like a fresh one.
 fn cleared_matches_fresh<C: LogicalClock + PartialEq>() {
     let mut src = C::new();
@@ -498,71 +493,6 @@ fn cleared_tree_clock_matches_fresh() {
 #[test]
 fn cleared_vector_clock_matches_fresh() {
     cleared_matches_fresh::<VectorClock>();
-}
-
-#[test]
-fn cleared_hybrid_clock_matches_fresh() {
-    cleared_matches_fresh::<HybridClock>();
-}
-
-/// The hybrid clock driven through the same causally valid op sequence
-/// as a tree clock stays observationally identical — including exact
-/// `changed` (VTWork) accounting — whatever representation its density
-/// window picked along the way.
-#[test]
-fn hybrid_clock_matches_tree_on_a_long_mixed_run() {
-    const THREADS: usize = 8;
-    let mut hc_threads: Vec<HybridClock> = Vec::new();
-    let mut tc_threads: Vec<TreeClock> = Vec::new();
-    for t in 0..THREADS {
-        let mut h = HybridClock::new();
-        h.init_root(ThreadId::new(t as u32));
-        hc_threads.push(h);
-        let mut c = TreeClock::new();
-        c.init_root(ThreadId::new(t as u32));
-        tc_threads.push(c);
-    }
-    let mut hc_lock = HybridClock::new();
-    let mut tc_lock = TreeClock::new();
-
-    let mut state = 0x9E3779B97F4A7C15u64;
-    let mut rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for step in 0..4_000 {
-        let r = rand();
-        let t = (r % THREADS as u64) as usize;
-        // One full critical section (the engines' protocol: a release
-        // follows the same thread's acquire, so the copy is monotone).
-        hc_threads[t].increment(1);
-        tc_threads[t].increment(1);
-        let a = hc_threads[t].join_counted(&hc_lock);
-        let b = tc_threads[t].join_counted(&tc_lock);
-        assert_eq!(a.changed, b.changed, "step {step}: join VTWork diverged");
-        hc_threads[t].increment(1);
-        tc_threads[t].increment(1);
-        let a = hc_lock.monotone_copy_counted(&hc_threads[t]);
-        let b = tc_lock.monotone_copy_counted(&tc_threads[t]);
-        assert_eq!(a.changed, b.changed, "step {step}: copy VTWork diverged");
-        if step % 64 == 0 {
-            for u in 0..THREADS {
-                assert_eq!(
-                    hc_threads[u].vector_time(),
-                    tc_threads[u].vector_time(),
-                    "step {step}: thread {u} diverged"
-                );
-            }
-            assert_eq!(hc_lock.vector_time(), tc_lock.vector_time());
-        }
-    }
-    // A dense single-lock run at 8 threads settles the hybrid flat.
-    assert!(
-        hc_threads.iter().any(|c| c.is_flat()),
-        "the dense mixed run should have migrated some clocks"
-    );
 }
 
 /// The sparse deep copy must charge work proportional to the information

@@ -67,24 +67,21 @@ pub use spec::PartialOrderKind;
 // Every engine, over every clock backend, is a movable value: the
 // streaming service's work-stealing core depends on being able to ship
 // an engine (inside a session) to whichever worker thread is free.
-// Compile-time assertion — three backends × three orders.
+// Compile-time assertion — two backends × three orders.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    use tc_core::{HybridClock, TreeClock, VectorClock};
+    use tc_core::{TreeClock, VectorClock};
     assert_send::<HbEngine<TreeClock>>();
     assert_send::<HbEngine<VectorClock>>();
-    assert_send::<HbEngine<HybridClock>>();
     assert_send::<ShbEngine<TreeClock>>();
     assert_send::<ShbEngine<VectorClock>>();
-    assert_send::<ShbEngine<HybridClock>>();
     assert_send::<MazEngine<TreeClock>>();
     assert_send::<MazEngine<VectorClock>>();
-    assert_send::<MazEngine<HybridClock>>();
 };
 
 #[cfg(test)]
 mod tests {
-    use tc_core::{ClockPool, HybridClock, LogicalClock, TreeClock, VectorClock, VectorTime};
+    use tc_core::{ClockPool, LogicalClock, TreeClock, VectorClock, VectorTime};
     use tc_trace::{Event, Trace, TraceBuilder};
 
     use crate::{EngineState, HbEngine, MazEngine, RunMetrics, ShbEngine};
@@ -158,7 +155,6 @@ mod tests {
         for trace in [rerun_trace(4, 1, 40), rerun_trace(80, 24, 400)] {
             assert_every_order_reruns_allocation_free::<TreeClock>("tree", &trace);
             assert_every_order_reruns_allocation_free::<VectorClock>("vector", &trace);
-            assert_every_order_reruns_allocation_free::<HybridClock>("hybrid", &trace);
         }
     }
 
@@ -264,9 +260,7 @@ mod tests {
     #[test]
     fn checkpoints_of_sparse_evicted_tables_do_not_depend_on_first_use_order() {
         assert_checkpoint_survives_eviction::<HbEngine<TreeClock>, HbEngine<VectorClock>>("HB");
-        assert_checkpoint_survives_eviction::<ShbEngine<VectorClock>, ShbEngine<HybridClock>>(
-            "SHB",
-        );
-        assert_checkpoint_survives_eviction::<MazEngine<HybridClock>, MazEngine<TreeClock>>("MAZ");
+        assert_checkpoint_survives_eviction::<ShbEngine<VectorClock>, ShbEngine<TreeClock>>("SHB");
+        assert_checkpoint_survives_eviction::<MazEngine<TreeClock>, MazEngine<VectorClock>>("MAZ");
     }
 }

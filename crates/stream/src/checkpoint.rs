@@ -728,7 +728,7 @@ mod tests {
     use super::*;
     use crate::detector::{DetectorConfig, IncrementalDetector};
     use crate::session::{ClockChoice, Session};
-    use tc_core::{ClockPool, HybridClock, TreeClock};
+    use tc_core::{ClockPool, TreeClock, VectorClock};
     use tc_trace::TraceBuilder;
 
     fn sample_detector(order: PartialOrderKind) -> IncrementalDetector<TreeClock> {
@@ -768,7 +768,7 @@ mod tests {
         assert_eq!(cp.backend, "tree");
         // Restore into a *different* backend and keep racing on y.
         let mut restored =
-            IncrementalDetector::<HybridClock>::from_checkpoint(&cp, ClockPool::new());
+            IncrementalDetector::<VectorClock>::from_checkpoint(&cp, ClockPool::new());
         let mut d = d;
         let mut b = TraceBuilder::new();
         b.write(4, "y"); // races with earlier writes in both sessions

@@ -7,8 +7,8 @@
 //! way:
 //!
 //! - [`IncrementalDetector`] — a feed-one-event race detector over any
-//!   partial order (HB/SHB/MAZ) and any clock backend
-//!   (tree/vector/hybrid), producing reports and per-event timestamps
+//!   partial order (HB/SHB/MAZ) and either clock backend
+//!   (tree/vector), producing reports and per-event timestamps
 //!   *identical* to the batch detectors (conformance-enforced), with
 //!   bounded memory: thread clocks are retired to the
 //!   [`ClockPool`](tc_core::ClockPool) at `join`, and cold lock/
@@ -25,7 +25,7 @@
 //!   trace.
 //!
 //! The streaming-vs-batch equivalence — reports and final vector
-//! times equal on every corpus trace, across all three backends, and
+//! times equal on every corpus trace, across both backends, and
 //! across a mid-stream checkpoint/restore — is enforced by
 //! `tc-conformance`'s sweep on every quick-corpus case.
 

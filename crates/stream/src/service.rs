@@ -1709,7 +1709,8 @@ fn collect_races(
 
 /// The end-to-end smoke run behind `tcr serve --smoke`: starts a
 /// server, drives three concurrent sessions over real sockets — two
-/// text, one batched-binary — with different orders/backends, asserts
+/// text, one batched-binary — with different orders/backends (the SHB
+/// session opens `hc`, the tree's old adaptive name), asserts
 /// each session's reports equal the batch detectors' on the same trace
 /// (what `tcr race` runs), and shuts the server down cleanly while a
 /// spectator client is still connected.
@@ -1719,7 +1720,7 @@ fn collect_races(
 /// A description of the first divergence or protocol failure.
 pub fn smoke() -> Result<(), String> {
     use tc_analysis::{HbRaceDetector, ShbRaceDetector};
-    use tc_core::{HybridClock, TreeClock, VectorClock};
+    use tc_core::{TreeClock, VectorClock};
 
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -1749,7 +1750,7 @@ pub fn smoke() -> Result<(), String> {
     let trace_hb = reparse(11);
     let batch_hb = HbRaceDetector::<TreeClock>::new(&trace_hb).run(&trace_hb);
     let trace_shb = reparse(12);
-    let batch_shb = ShbRaceDetector::<HybridClock>::new(&trace_shb).run(&trace_shb);
+    let batch_shb = ShbRaceDetector::<TreeClock>::new(&trace_shb).run(&trace_shb);
     let trace_bin = smoke_trace(13);
     let batch_bin = HbRaceDetector::<VectorClock>::new(&trace_bin).run(&trace_bin);
 

@@ -12,15 +12,16 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 use tc_analysis::Race;
-use tc_core::{HybridClock, ThreadId, TreeClock, VectorClock, VectorTime};
+use tc_core::{ThreadId, TreeClock, VectorClock, VectorTime};
 use tc_trace::{Event, SessionValidator, StreamInterner};
 
 use crate::checkpoint::Checkpoint;
 use crate::detector::{DetectorConfig, FeedError, IncrementalDetector};
 use crate::metrics::SharedMetrics;
 
-/// A runtime clock-backend selector (`tc`/`vc`/`hc`, or the long
-/// names).
+/// A runtime clock-backend selector: `tc` or `vc`, or the long names.
+/// `hc` and `hybrid`, the names of the adaptive flat/tree backend that
+/// the tree clock's flat mode replaced, parse as the tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ClockChoice {
     /// The tree clock (default).
@@ -28,7 +29,9 @@ pub enum ClockChoice {
     Tree,
     /// The flat vector clock.
     Vector,
-    /// The adaptive flat/tree hybrid.
+    /// The adaptive backend's old selector, kept so code that names it
+    /// still compiles. Parsing never produces it, and it selects the
+    /// tree clock.
     Hybrid,
 }
 
@@ -36,9 +39,8 @@ impl ClockChoice {
     /// The backend's `LogicalClock::NAME`.
     pub fn name(self) -> &'static str {
         match self {
-            ClockChoice::Tree => "tree",
+            ClockChoice::Tree | ClockChoice::Hybrid => "tree",
             ClockChoice::Vector => "vector",
-            ClockChoice::Hybrid => "hybrid",
         }
     }
 }
@@ -48,10 +50,9 @@ impl FromStr for ClockChoice {
 
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
-            "tc" | "tree" => Ok(ClockChoice::Tree),
+            "tc" | "tree" | "hc" | "hybrid" => Ok(ClockChoice::Tree),
             "vc" | "vector" => Ok(ClockChoice::Vector),
-            "hc" | "hybrid" => Ok(ClockChoice::Hybrid),
-            other => Err(format!("unknown clock `{other}` (expected tc, vc or hc)")),
+            other => Err(format!("unknown clock `{other}` (expected tc or vc)")),
         }
     }
 }
@@ -62,8 +63,6 @@ pub enum AnyDetector {
     Tree(IncrementalDetector<TreeClock>),
     /// Vector-clock backend.
     Vector(IncrementalDetector<VectorClock>),
-    /// Hybrid backend.
-    Hybrid(IncrementalDetector<HybridClock>),
 }
 
 macro_rules! dispatch {
@@ -71,7 +70,6 @@ macro_rules! dispatch {
         match $any {
             AnyDetector::Tree($d) => $body,
             AnyDetector::Vector($d) => $body,
-            AnyDetector::Hybrid($d) => $body,
         }
     };
 }
@@ -80,27 +78,24 @@ impl AnyDetector {
     /// Creates a detector for the chosen backend.
     pub fn new(clock: ClockChoice, config: DetectorConfig) -> AnyDetector {
         match clock {
-            ClockChoice::Tree => AnyDetector::Tree(IncrementalDetector::new(config)),
+            ClockChoice::Tree | ClockChoice::Hybrid => {
+                AnyDetector::Tree(IncrementalDetector::new(config))
+            }
             ClockChoice::Vector => AnyDetector::Vector(IncrementalDetector::new(config)),
-            ClockChoice::Hybrid => AnyDetector::Hybrid(IncrementalDetector::new(config)),
         }
     }
 
     /// Restores a detector from a checkpoint, re-creating the backend
-    /// recorded in it (unknown names fall back to the tree backend —
-    /// values are representation independent).
+    /// recorded in it (`hybrid`, which `hc` sessions recorded, and
+    /// unknown names fall back to the tree backend — values are
+    /// representation independent).
     pub fn from_checkpoint(cp: &Checkpoint) -> AnyDetector {
         let clock = cp.backend.parse().unwrap_or_default();
         match clock {
-            ClockChoice::Tree => AnyDetector::Tree(IncrementalDetector::from_checkpoint(
-                cp,
-                tc_core::ClockPool::new(),
-            )),
+            ClockChoice::Tree | ClockChoice::Hybrid => AnyDetector::Tree(
+                IncrementalDetector::from_checkpoint(cp, tc_core::ClockPool::new()),
+            ),
             ClockChoice::Vector => AnyDetector::Vector(IncrementalDetector::from_checkpoint(
-                cp,
-                tc_core::ClockPool::new(),
-            )),
-            ClockChoice::Hybrid => AnyDetector::Hybrid(IncrementalDetector::from_checkpoint(
                 cp,
                 tc_core::ClockPool::new(),
             )),
@@ -191,7 +186,6 @@ impl AnyDetector {
         match self {
             AnyDetector::Tree(_) => "tree",
             AnyDetector::Vector(_) => "vector",
-            AnyDetector::Hybrid(_) => "hybrid",
         }
     }
 }
@@ -491,7 +485,6 @@ const _: () = {
     assert_send::<AnyDetector>();
     assert_send::<IncrementalDetector<TreeClock>>();
     assert_send::<IncrementalDetector<VectorClock>>();
-    assert_send::<IncrementalDetector<HybridClock>>();
     assert_send::<Checkpoint>();
 };
 
@@ -561,7 +554,7 @@ mod tests {
             Event::new(t(0), Op::Acquire(LockId::new(huge))),
             Event::new(t(0), Op::Write(VarId::new(huge))),
         ];
-        for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+        for clock in [ClockChoice::Tree, ClockChoice::Vector] {
             let empty = Session::new(1, clock, DetectorConfig::default())
                 .detector()
                 .clock_bytes();
@@ -587,7 +580,7 @@ mod tests {
     #[test]
     fn the_highest_thread_slot_costs_one_clock_not_a_square() {
         use tc_trace::{Op, VarId};
-        for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+        for clock in [ClockChoice::Tree, ClockChoice::Vector] {
             let mut s = Session::new(1, clock, DetectorConfig::default());
             let mut out = String::new();
             s.handle_frame(
@@ -620,7 +613,7 @@ mod tests {
             PartialOrderKind::Shb,
             PartialOrderKind::Maz,
         ] {
-            for clock in [ClockChoice::Tree, ClockChoice::Vector, ClockChoice::Hybrid] {
+            for clock in [ClockChoice::Tree, ClockChoice::Vector] {
                 let mut s = Session::new(1, clock, DetectorConfig::for_order(order));
                 let mut out = String::new();
                 s.handle_frame(&events, &mut out);
@@ -642,9 +635,56 @@ mod tests {
             "vector".parse::<ClockChoice>().unwrap(),
             ClockChoice::Vector
         );
-        assert_eq!("hc".parse::<ClockChoice>().unwrap(), ClockChoice::Hybrid);
         assert!("xyz".parse::<ClockChoice>().is_err());
-        assert_eq!(ClockChoice::Hybrid.name(), "hybrid");
+        assert_eq!(ClockChoice::Hybrid.name(), "tree");
+    }
+
+    /// `hc` and `hybrid` name the tree clock: they parse as it, an
+    /// `hb hc` session runs on it and reports what `hb tc` reports, and
+    /// a checkpoint an `hc` session wrote (backend `hybrid`) resumes on
+    /// it and continues identically.
+    #[test]
+    fn hc_is_a_spelling_of_the_tree() {
+        use tc_trace::{Op, VarId};
+        for name in ["hc", "hybrid"] {
+            assert_eq!(name.parse::<ClockChoice>().unwrap(), ClockChoice::Tree);
+        }
+        let open = |clock: &str| {
+            let (clock, config) = crate::parse_open(&["hb", clock]).unwrap();
+            Session::new(1, clock, config)
+        };
+        let (mut hc, mut tc) = (open("hc"), open("tc"));
+        // The name the `open` reply prints after `clock`.
+        assert_eq!(hc.detector().backend_name(), "tree");
+
+        let t = ThreadId::new;
+        let w = |tid: u32, var: u32| Event::new(t(tid), Op::Write(VarId::new(var)));
+        let (head, tail) = ([w(0, 0), w(1, 0), w(2, 1)], [w(3, 1), w(0, 1)]);
+        let mut out = String::new();
+        hc.handle_frame(&head, &mut out);
+        tc.handle_frame(&head, &mut out);
+        assert!(out.is_empty(), "{out}");
+
+        // What an `hc` session checkpointed before the tree replaced it.
+        let mut cp = hc.checkpoint();
+        assert_eq!(cp.backend, "tree");
+        cp.backend = "hybrid".to_owned();
+        let cp = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+        let mut resumed = Session::from_checkpoint(2, &cp);
+        assert_eq!(resumed.detector().backend_name(), "tree");
+
+        for s in [&mut hc, &mut tc, &mut resumed] {
+            s.handle_frame(&tail, &mut out);
+        }
+        assert!(out.is_empty(), "{out}");
+        assert_eq!(tc.detector().report().total, 3);
+        for s in [&hc, &resumed] {
+            assert_eq!(s.detector().report(), tc.detector().report());
+            assert_eq!(
+                s.detector().timestamp_of(t(0)),
+                tc.detector().timestamp_of(t(0))
+            );
+        }
     }
 
     #[test]

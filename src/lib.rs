@@ -4,8 +4,8 @@
 //!
 //! This facade crate re-exports the whole workspace under one roof:
 //!
-//! - [`core`](mod@core) — the [`TreeClock`] data structure, the
-//!   [`VectorClock`] baseline, the adaptive flat/tree [`HybridClock`]
+//! - [`core`](mod@core) — the [`TreeClock`] data structure, which keeps
+//!   dense clocks flat on its timed path, the [`VectorClock`] baseline
 //!   and the [`LogicalClock`] abstraction they share.
 //! - [`trace`] — the concurrent-execution trace model, validation,
 //!   statistics, file formats and synthetic workload generators.
@@ -64,16 +64,16 @@ pub use tc_telemetry as telemetry;
 pub use tc_trace as trace;
 
 pub use tc_core::{
-    ClockPool, CopyMode, Epoch, HybridClock, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock,
-    VectorClock, VectorTime,
+    ClockPool, CopyMode, Epoch, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock, VectorClock,
+    VectorTime,
 };
 
 /// Convenient glob-import surface: `use treeclocks::prelude::*;`.
 pub mod prelude {
     pub use tc_analysis::{HbRaceDetector, MazAnalyzer, ShbRaceDetector};
     pub use tc_core::{
-        CopyMode, Epoch, HybridClock, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock,
-        VectorClock, VectorTime,
+        CopyMode, Epoch, LocalTime, LogicalClock, OpStats, ThreadId, TreeClock, VectorClock,
+        VectorTime,
     };
     pub use tc_orders::{HbEngine, MazEngine, RunMetrics, ShbEngine};
     pub use tc_stream::{Checkpoint, DetectorConfig, IncrementalDetector};
