@@ -149,8 +149,8 @@ fn max_fresh(own: Times<'_>, src: Times<'_>) -> (Vec<LocalTime>, u64) {
 
 impl TreeClock {
     /// The join. When `COUNT`, returns its work statistics; a timed
-    /// join returns only the `changed` count its flat paths make anyway
-    /// (also as `moved`), and nothing after a walk.
+    /// join returns only the `changed` count its flat paths make anyway,
+    /// and nothing after a walk.
     pub(crate) fn join_impl<const COUNT: bool>(&mut self, other: &TreeClock) -> OpStats {
         let mut stats = OpStats::NOOP;
         let Some(zp) = other.root_idx() else {
@@ -180,7 +180,7 @@ impl TreeClock {
         if !COUNT {
             if let Some(changed) = self.join_into_fresh(other.times()) {
                 self.note_density(changed as usize, arena);
-                return OpStats::new(0, changed, changed);
+                return OpStats::new(0, changed, 0);
             }
             if !self.is_flat() && self.streak >= DENSE_STREAK_LIMIT {
                 self.flatten();
